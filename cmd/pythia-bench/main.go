@@ -556,9 +556,9 @@ func finishObs(sess *obs.Session, traceOut, journal, metrics string, hotsites, a
 	if hotsites > 0 {
 		top := sess.Sites.Top(hotsites)
 		fmt.Fprintf(os.Stderr, "# hot sites (top %d of %d by attributed cycles)\n", len(top), sess.Sites.Len())
-		fmt.Fprintf(os.Stderr, "# %12s %14s  %-20s %s\n", "count", "cycles", "function", "instr")
+		fmt.Fprintf(os.Stderr, "# %12s %14s  %-16s %-20s %s\n", "count", "cycles", "program", "function", "instr")
 		for _, h := range top {
-			fmt.Fprintf(os.Stderr, "# %12d %14.0f  @%-20s %s\n", h.Count, h.Cycles, h.Func, h.Instr)
+			fmt.Fprintf(os.Stderr, "# %12d %14.0f  %-16s @%-20s %s\n", h.Count, h.Cycles, h.Module, h.Func, h.Instr)
 		}
 	}
 	if coverage {

@@ -6,17 +6,21 @@ package bench_test
 // (the default) and the pre-decode reference interpreter
 // (vm.Config.Reference) — same return value, fault kind and message,
 // stdout, every perf counter bit-for-bit, and the same set of hardening
-// sites executed. This is the guarantee that lets the bench tables stay
-// byte-identical across the engine rewrite.
+// sites executed; attack cases also rerun under an armed session and
+// must agree on per-site coverage and attributed cost. This is the
+// guarantee that lets the bench tables stay byte-identical across the
+// engine rewrite.
 
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/ir"
+	"repro/internal/obs"
 	"repro/internal/vm"
 	"repro/internal/workload"
 )
@@ -29,9 +33,15 @@ func faultString(f *vm.Fault) string {
 }
 
 // runEngines executes main() on both engines over the same module and
-// input and reports any observable divergence.
-func runEngines(t *testing.T, mod *ir.Module, stdin string) {
+// input and reports any observable divergence. With armed set, both
+// runs happen under a session arming Coverage and Attrib, and their
+// Result.Coverage and Result.SiteCosts must match too.
+func runEngines(t *testing.T, mod *ir.Module, stdin string, armed bool) {
 	t.Helper()
+	if armed {
+		obs.Start(&obs.Session{Coverage: obs.NewCoverageAgg(), Attrib: obs.NewAttribAgg()})
+		defer obs.Stop()
+	}
 	var results [2]*vm.Result
 	for i, reference := range []bool{false, true} {
 		m := vm.New(mod, vm.Config{Seed: 42, Reference: reference})
@@ -58,6 +68,15 @@ func runEngines(t *testing.T, mod *ir.Module, stdin string) {
 	if dec.SitesExecuted != ref.SitesExecuted {
 		t.Errorf("sites executed diverged: decoded %d, reference %d", dec.SitesExecuted, ref.SitesExecuted)
 	}
+	if armed && (dec.Coverage == nil || dec.SiteCosts == nil) {
+		t.Errorf("armed run lacks per-site payloads: coverage %v, site costs %v", dec.Coverage, dec.SiteCosts)
+	}
+	if !reflect.DeepEqual(dec.Coverage, ref.Coverage) {
+		t.Errorf("coverage diverged:\n  decoded:   %v\n  reference: %v", dec.Coverage, ref.Coverage)
+	}
+	if !reflect.DeepEqual(dec.SiteCosts, ref.SiteCosts) {
+		t.Errorf("site costs diverged:\n  decoded:   %v\n  reference: %v", dec.SiteCosts, ref.SiteCosts)
+	}
 }
 
 // TestEngineDiffWorkloads sweeps the full workload suite under every
@@ -75,7 +94,7 @@ func TestEngineDiffWorkloads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				runEngines(t, prog.Mod, workload.Stdin(p))
+				runEngines(t, prog.Mod, workload.Stdin(p), false)
 			})
 		}
 	}
@@ -84,6 +103,7 @@ func TestEngineDiffWorkloads(t *testing.T) {
 // TestEngineDiffAttacks sweeps the attack corpus — both the benign and
 // the malicious input of every case — under every scheme, so engine
 // parity is checked on faulting paths too (3 cases in -short mode).
+// Each pair runs bare and again under an armed session.
 func TestEngineDiffAttacks(t *testing.T) {
 	cases := attack.Corpus()
 	if testing.Short() {
@@ -101,7 +121,8 @@ func TestEngineDiffAttacks(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					runEngines(t, prog.Mod, input.data)
+					runEngines(t, prog.Mod, input.data, false)
+					runEngines(t, prog.Mod, input.data, true)
 				})
 			}
 		}

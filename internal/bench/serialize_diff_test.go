@@ -90,7 +90,7 @@ func TestSerializeDiffWorkloads(t *testing.T) {
 				// original on the default engine, and identically across
 				// both engines.
 				runModules(t, prog.Mod, dec, workload.Stdin(p))
-				runEngines(t, dec, workload.Stdin(p))
+				runEngines(t, dec, workload.Stdin(p), false)
 			})
 		}
 	}

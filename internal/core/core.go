@@ -66,6 +66,10 @@ type Program struct {
 	Mod        *ir.Module
 	Protection *Protection
 	Seed       int64
+
+	// MemoHit is set by Pipeline.Build when the harden stage was served
+	// from the pipeline's in-process memo.
+	MemoHit bool
 }
 
 // CompileC compiles MiniC source to an optimized (mem2reg + folding) IR

@@ -222,8 +222,9 @@ func (pl *Pipeline) Compile(name, src string) (*ir.Module, error) {
 	return mod, nil
 }
 
-// harden resolves the harden stage for (compiled vanilla, scheme).
-func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) *hardenEntry {
+// harden resolves the harden stage for (compiled vanilla, scheme) and
+// reports whether the in-process memo already held it.
+func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (*hardenEntry, bool) {
 	key := hardenKey(ce.digest, scheme)
 	pl.mu.Lock()
 	e, ok := pl.hardens[key]
@@ -271,7 +272,7 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) *harden
 			}
 		}
 	})
-	return e
+	return e, ok
 }
 
 // PrewarmCompile resolves the compile stage for (name, src) without
@@ -289,19 +290,21 @@ func (pl *Pipeline) PrewarmHarden(name, src string, scheme Scheme) error {
 	if ce.err != nil {
 		return ce.err
 	}
-	return pl.harden(name, ce, scheme).err
+	he, _ := pl.harden(name, ce, scheme)
+	return he.err
 }
 
 // Build compiles src and protects it with the scheme, pulling both
 // stages through the pipeline's caches. The returned Program is owned
 // by the caller: its module shares nothing mutable with other Builds,
-// so programs from separate calls may run concurrently.
+// so programs from separate calls may run concurrently. Its MemoHit
+// reports whether the harden stage was already in the in-process memo.
 func (pl *Pipeline) Build(name, src string, scheme Scheme) (*Program, error) {
 	ce := pl.compile(name, src)
 	if ce.err != nil {
 		return nil, fmt.Errorf("core: compile %s: %w", name, ce.err)
 	}
-	he := pl.harden(name, ce, scheme)
+	he, hit := pl.harden(name, ce, scheme)
 	if he.err != nil {
 		return nil, fmt.Errorf("core: protect %s with %v: %w", name, scheme, he.err)
 	}
@@ -318,7 +321,7 @@ func (pl *Pipeline) Build(name, src string, scheme Scheme) (*Program, error) {
 		d := *he.prot.DFI
 		prot.DFI = &d
 	}
-	return &Program{Mod: mod, Protection: &prot, Seed: 42}, nil
+	return &Program{Mod: mod, Protection: &prot, Seed: 42, MemoHit: hit}, nil
 }
 
 // protMeta is the persisted shape of a Protection: the scheme plus

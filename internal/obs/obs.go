@@ -16,9 +16,10 @@
 // evaluation tables.
 //
 // A Session is process-global, like expvar: the CLIs start one from
-// their flags (-trace, -hotsites, -metrics) and the subsystems pick it
-// up through Current() without any signature plumbing. Libraries that
-// want per-machine forensics without a session set vm.Config.Flight
+// their observability flags (-journal, -trace, -coverage, -attribution,
+// -hotsites, -metrics, -serve) and the subsystems pick it up through
+// Current() without any signature plumbing. Libraries that want
+// per-machine forensics without a session set vm.Config.Flight
 // directly (package attack does this for every attacked run).
 package obs
 
@@ -41,14 +42,9 @@ const DefaultFlightWindow = 16
 // left nil/zero disable the corresponding feature individually.
 type Session struct {
 	// Journal receives the causal event stream (spans with explicit
-	// parent links, plus points). When set it supersedes Trace as the
-	// span sink; the Chrome trace becomes a derived view of the journal
-	// (Journal.WriteTrace).
+	// parent links, plus points); the Chrome trace is a derived view of
+	// it (Journal.WriteTrace).
 	Journal *Journal
-	// Trace receives compile/harden/run/bench spans and instant events
-	// directly in Chrome trace_event form (goroutine-id lanes). Used
-	// only when Journal is nil.
-	Trace *TraceLog
 	// Coverage aggregates per-check-site execution counts across runs
 	// (pythia-bench -coverage, /api/coverage).
 	Coverage *CoverageAgg
@@ -84,14 +80,6 @@ func Stop() { current.Store(nil) }
 
 // Current returns the active session, or nil when observability is off.
 func Current() *Session { return current.Load() }
-
-// ActiveTrace returns the active session's trace log, or nil.
-func ActiveTrace() *TraceLog {
-	if s := Current(); s != nil {
-		return s.Trace
-	}
-	return nil
-}
 
 // CurrentMetrics returns the active session's metrics registry, or nil.
 func CurrentMetrics() *Registry {
@@ -147,45 +135,31 @@ func ObserveMS(name string, d time.Duration) {
 
 func noopEnd() {}
 
-// TraceSpan opens a span — journal-first: with a journal armed the span
-// lands in the causal journal (and the Chrome trace derives from it);
-// otherwise it falls back to the direct trace log. Disabled, it returns
-// a no-op, so call sites reduce to `defer obs.TraceSpan("name", "cat")()`.
+// TraceSpan opens a span in the active session's journal. Disabled, it
+// returns a no-op, so call sites reduce to
+// `defer obs.TraceSpan("name", "cat")()`.
 func TraceSpan(name, cat string) func() {
-	s := Current()
-	if s == nil {
-		return noopEnd
-	}
-	if s.Journal != nil {
-		return s.Journal.Begin(name, cat)
-	}
-	if s.Trace != nil {
-		return s.Trace.Span(name, cat)
+	if j := CurrentJournal(); j != nil {
+		return j.Begin(name, cat)
 	}
 	return noopEnd
 }
 
-// TraceInstant records an instant event: a journal point under the
-// current span when a journal is armed, a trace_event instant otherwise.
+// TraceInstant records a journal point under the current span, with
+// args rendered as string attributes.
 func TraceInstant(name, cat string, args map[string]any) {
-	s := Current()
-	if s == nil {
+	j := CurrentJournal()
+	if j == nil {
 		return
 	}
-	if s.Journal != nil {
-		var attrs map[string]string
-		if len(args) > 0 {
-			attrs = make(map[string]string, len(args))
-			for k, v := range args {
-				attrs[k] = fmt.Sprint(v)
-			}
+	var attrs map[string]string
+	if len(args) > 0 {
+		attrs = make(map[string]string, len(args))
+		for k, v := range args {
+			attrs[k] = fmt.Sprint(v)
 		}
-		s.Journal.Point(name, cat, attrs)
-		return
 	}
-	if s.Trace != nil {
-		s.Trace.Instant(name, cat, args)
-	}
+	j.Point(name, cat, attrs)
 }
 
 // Point records a journal point under the calling goroutine's current

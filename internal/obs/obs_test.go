@@ -11,86 +11,6 @@ import (
 	"repro/internal/ir"
 )
 
-// TestTraceJSON: the emitted document must be valid Chrome trace_event
-// JSON — a traceEvents array of complete/instant events with the
-// required fields.
-func TestTraceJSON(t *testing.T) {
-	tr := NewTraceLog()
-	end := tr.Span("outer", "test")
-	tr.Instant("ping", "test", map[string]any{"k": "v"})
-	end()
-	tr.Span("later", "test")() // zero-duration span
-
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name  string  `json:"name"`
-			Phase string  `json:"ph"`
-			TS    float64 `json:"ts"`
-			PID   int64   `json:"pid"`
-			TID   int64   `json:"tid"`
-			Scope string  `json:"s"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if doc.DisplayTimeUnit != "ms" {
-		t.Fatalf("displayTimeUnit = %q", doc.DisplayTimeUnit)
-	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("want 3 events, got %d", len(doc.TraceEvents))
-	}
-	byName := map[string]int{}
-	for _, e := range doc.TraceEvents {
-		byName[e.Name]++
-		if e.PID != 1 || e.TID == 0 {
-			t.Errorf("%s: pid/tid not set: %+v", e.Name, e)
-		}
-		if e.TS < 0 {
-			t.Errorf("%s: negative timestamp", e.Name)
-		}
-		switch e.Name {
-		case "outer", "later":
-			if e.Phase != "X" {
-				t.Errorf("span %s has phase %q", e.Name, e.Phase)
-			}
-		case "ping":
-			if e.Phase != "i" || e.Scope != "t" {
-				t.Errorf("instant has phase %q scope %q", e.Phase, e.Scope)
-			}
-		}
-	}
-	if byName["outer"] != 1 || byName["ping"] != 1 || byName["later"] != 1 {
-		t.Fatalf("event names wrong: %v", byName)
-	}
-}
-
-// TestTraceLanes: spans from different goroutines get distinct tids.
-func TestTraceLanes(t *testing.T) {
-	tr := NewTraceLog()
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tr.Span("work", "test")()
-		}()
-	}
-	wg.Wait()
-	tids := map[int64]bool{}
-	for _, e := range tr.events {
-		tids[e.TID] = true
-	}
-	if len(tids) != 4 {
-		t.Fatalf("want 4 lanes, got %d", len(tids))
-	}
-}
-
 func TestRegistryConcurrency(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -234,18 +154,18 @@ func TestSessionLifecycle(t *testing.T) {
 	} else {
 		end()
 	}
-	s := Start(&Session{Trace: NewTraceLog(), Metrics: NewRegistry(), FlightDepth: 8})
+	s := Start(&Session{Journal: NewJournal(), Metrics: NewRegistry(), FlightDepth: 8})
 	defer Stop()
-	if Current() != s || ActiveTrace() != s.Trace || CurrentMetrics() != s.Metrics {
+	if Current() != s || CurrentJournal() != s.Journal || CurrentMetrics() != s.Metrics {
 		t.Fatal("session accessors disagree")
 	}
 	TraceSpan("span", "test")()
 	TraceInstant("inst", "test", nil)
-	if s.Trace.Len() != 2 {
-		t.Fatalf("trace has %d events", s.Trace.Len())
+	if n := len(s.Journal.Events()); n != 3 {
+		t.Fatalf("journal has %d events, want begin+end+point", n)
 	}
 	Stop()
-	if Current() != nil || ActiveTrace() != nil || CurrentMetrics() != nil || CurrentSites() != nil {
+	if Current() != nil || CurrentJournal() != nil || CurrentMetrics() != nil || CurrentSites() != nil {
 		t.Fatal("Stop did not clear the session")
 	}
 }

@@ -42,7 +42,7 @@ func TestServerEndpoints(t *testing.T) {
 		Progress: &Progress{},
 	}
 	sess.Metrics.Add("server_test.counter", 3)
-	sess.Sites.Add("main", "add %1, %2", 10, 42.5)
+	sess.Sites.Add(perf.SiteKey{Module: "prog", Func: "main", Instr: "add %1, %2"}, 10, 42.5)
 	sess.Progress.Begin(4, 2)
 	sess.Progress.StartExperiment("fig4a", 1)
 	sess.Progress.FinishExperiment("fig4a", 1, 15*time.Millisecond)
@@ -78,7 +78,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal(get(t, ts.URL, "/hotsites?n=10"), &hot); err != nil {
 		t.Fatalf("/hotsites does not parse: %v", err)
 	}
-	if len(hot.Sites) != 1 || hot.Sites[0].Func != "main" || hot.Sites[0].Cycles != 42.5 {
+	if len(hot.Sites) != 1 || hot.Sites[0].Module != "prog" || hot.Sites[0].Func != "main" || hot.Sites[0].Cycles != 42.5 {
 		t.Errorf("/hotsites wrong content: %+v", hot.Sites)
 	}
 
@@ -272,7 +272,7 @@ func TestServerRace(t *testing.T) {
 				sess.Metrics.Add("race.counter", 1)
 				sess.Metrics.Gauge("race.gauge").Set(float64(i))
 				Default().Add("race.default.counter", 1)
-				sess.Sites.Add("fn", fmt.Sprintf("instr%d", i%8), 1, 1.5)
+				sess.Sites.Add(perf.SiteKey{Module: "m", Func: "fn", Instr: fmt.Sprintf("instr%d", i%8)}, 1, 1.5)
 				id := fmt.Sprintf("exp%d", i%8)
 				sess.Progress.StartExperiment(id, w+1)
 				sess.Progress.FinishExperiment(id, w+1, time.Microsecond)

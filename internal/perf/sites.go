@@ -2,9 +2,10 @@ package perf
 
 // Per-IR-site cycle attribution: the hot-site profiler behind
 // `pythia-bench -hotsites`. Each executed instruction's dynamic count
-// and modeled cycle cost is accumulated under its (function,
+// and modeled cycle cost is accumulated under its (module, function,
 // instruction) key, aggregated across every machine run while an
-// observability session is active.
+// observability session is active. The module name keeps programs
+// apart whose functions render an identical instruction.
 
 import (
 	"sort"
@@ -13,8 +14,9 @@ import (
 
 // SiteKey identifies one static IR site by rendered text.
 type SiteKey struct {
-	Func  string `json:"func"`
-	Instr string `json:"instr"`
+	Module string `json:"module"`
+	Func   string `json:"func"`
+	Instr  string `json:"instr"`
 }
 
 // SiteStat is the accumulated dynamic profile of one site.
@@ -35,8 +37,7 @@ func NewSiteProf() *SiteProf {
 }
 
 // Add folds count executions worth cycles into the site's stat.
-func (p *SiteProf) Add(fn, instr string, count int64, cycles float64) {
-	k := SiteKey{Func: fn, Instr: instr}
+func (p *SiteProf) Add(k SiteKey, count int64, cycles float64) {
 	p.mu.Lock()
 	st, ok := p.sites[k]
 	if !ok {
@@ -50,10 +51,10 @@ func (p *SiteProf) Add(fn, instr string, count int64, cycles float64) {
 
 // Get returns a copy of the site's accumulated stat, and whether the
 // site has been recorded at all.
-func (p *SiteProf) Get(fn, instr string) (SiteStat, bool) {
+func (p *SiteProf) Get(k SiteKey) (SiteStat, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st, ok := p.sites[SiteKey{Func: fn, Instr: instr}]
+	st, ok := p.sites[k]
 	if !ok {
 		return SiteStat{}, false
 	}
@@ -74,7 +75,7 @@ type HotSite struct {
 }
 
 // Top returns the n most cycle-expensive sites, descending by cycles
-// with a deterministic (func, instr) tie-break.
+// with a deterministic (module, func, instr) tie-break.
 func (p *SiteProf) Top(n int) []HotSite {
 	p.mu.Lock()
 	all := make([]HotSite, 0, len(p.sites))
@@ -85,6 +86,9 @@ func (p *SiteProf) Top(n int) []HotSite {
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Cycles != all[j].Cycles {
 			return all[i].Cycles > all[j].Cycles
+		}
+		if all[i].Module != all[j].Module {
+			return all[i].Module < all[j].Module
 		}
 		if all[i].Func != all[j].Func {
 			return all[i].Func < all[j].Func

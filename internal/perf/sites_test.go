@@ -7,10 +7,10 @@ import (
 
 func TestSiteProfTopOrdering(t *testing.T) {
 	p := NewSiteProf()
-	p.Add("f", "store 1, %a", 10, 100)
-	p.Add("f", "store 2, %b", 5, 300)
-	p.Add("g", "load %c", 1, 300) // ties with store 2 on cycles
-	p.Add("f", "ret void", 2, 50)
+	p.Add(SiteKey{Func: "f", Instr: "store 1, %a"}, 10, 100)
+	p.Add(SiteKey{Func: "f", Instr: "store 2, %b"}, 5, 300)
+	p.Add(SiteKey{Func: "g", Instr: "load %c"}, 1, 300) // ties with store 2 on cycles
+	p.Add(SiteKey{Func: "f", Instr: "ret void"}, 2, 50)
 
 	top := p.Top(3)
 	if len(top) != 3 {
@@ -42,7 +42,7 @@ func TestSiteProfAccumulatesAndIsConcurrencySafe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				p.Add("f", "add", 1, 2.5)
+				p.Add(SiteKey{Func: "f", Instr: "add"}, 1, 2.5)
 			}
 		}()
 	}
@@ -57,16 +57,17 @@ func TestSiteProfAccumulatesAndIsConcurrencySafe(t *testing.T) {
 // inspect a stat while writers keep folding into the same key.
 func TestSiteProfGet(t *testing.T) {
 	p := NewSiteProf()
-	if _, ok := p.Get("f", "add"); ok {
+	k := SiteKey{Module: "m", Func: "f", Instr: "add"}
+	if _, ok := p.Get(k); ok {
 		t.Fatal("Get on empty prof reported a stat")
 	}
-	p.Add("f", "add", 2, 5)
-	st, ok := p.Get("f", "add")
+	p.Add(k, 2, 5)
+	st, ok := p.Get(k)
 	if !ok || st.Count != 2 || st.Cycles != 5 {
 		t.Fatalf("Get = %+v, %v", st, ok)
 	}
 	st.Count = 999 // mutating the copy must not touch the profiler
-	if got, _ := p.Get("f", "add"); got.Count != 2 {
+	if got, _ := p.Get(k); got.Count != 2 {
 		t.Fatalf("Get handed out shared state: %+v", got)
 	}
 	var wg sync.WaitGroup
@@ -75,13 +76,13 @@ func TestSiteProfGet(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				p.Add("f", "add", 1, 1)
-				p.Get("f", "add")
+				p.Add(k, 1, 1)
+				p.Get(k)
 			}
 		}()
 	}
 	wg.Wait()
-	if st, _ := p.Get("f", "add"); st.Count != 802 {
+	if st, _ := p.Get(k); st.Count != 802 {
 		t.Fatalf("concurrent Add/Get lost updates: %+v", st)
 	}
 }

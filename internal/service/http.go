@@ -58,8 +58,9 @@ type SubmitResponse struct {
 	Stdout  string `json:"stdout"`
 	// Fault details the terminating fault, nil on clean runs.
 	Fault *FaultInfo `json:"fault,omitempty"`
-	// CacheHit: this (source, scheme) was already resolved by this
-	// engine — repeat submissions pay zero compile/harden work.
+	// CacheHit: this (source, scheme) was already in the engine's
+	// in-process pipeline memo — the submission paid zero compile/harden
+	// work.
 	CacheHit    bool    `json:"cache_hit"`
 	QueueWaitMS float64 `json:"queue_wait_ms"`
 	// Modeled execution counters and footprint.

@@ -149,7 +149,6 @@ type Engine struct {
 	mu       sync.Mutex
 	draining bool
 	tenants  map[string]*tenant
-	built    map[string]bool // digest×scheme resolved at least once
 
 	pruneMu sync.Mutex
 	start   time.Time
@@ -191,7 +190,6 @@ func New(cfg Config) (*Engine, error) {
 		pl:      pl,
 		queue:   make(chan *job, cfg.QueueDepth),
 		tenants: make(map[string]*tenant),
-		built:   make(map[string]bool),
 		start:   time.Now(),
 	}
 	if cfg.CacheMaxBytes > 0 && pl.Store() != nil {
@@ -387,12 +385,6 @@ func shortDigest(d string) string {
 // it on a fresh, quota'd machine.
 func (e *Engine) execute(j *job) (*SubmitResponse, error) {
 	name := "submit-" + shortDigest(j.digest)
-	key := j.digest + "|" + j.req.Scheme
-
-	e.mu.Lock()
-	hit := e.built[key]
-	e.mu.Unlock()
-
 	prog, err := e.pl.Build(name, j.req.Source, j.scheme)
 	if err != nil {
 		// A compile or harden failure is the client's program, not the
@@ -400,10 +392,7 @@ func (e *Engine) execute(j *job) (*SubmitResponse, error) {
 		// pipeline outcome, so resubmitting it stays cheap.
 		return nil, badRequest("build: %v", err)
 	}
-	e.mu.Lock()
-	e.built[key] = true
-	e.mu.Unlock()
-	if !hit {
+	if !prog.MemoHit {
 		e.maybePrune()
 	}
 
@@ -428,7 +417,7 @@ func (e *Engine) execute(j *job) (*SubmitResponse, error) {
 		Scheme:        j.req.Scheme,
 		Ret:           int64(res.Ret),
 		Stdout:        string(res.Stdout),
-		CacheHit:      hit,
+		CacheHit:      prog.MemoHit,
 		Cycles:        res.Counters.Cycles,
 		Instrs:        res.Counters.Instrs,
 		PAInstrs:      res.Counters.PAInstrs,

@@ -64,7 +64,7 @@ type dgep struct {
 type dinstr struct {
 	op     ir.Op
 	dst    int32 // result slot, -1 when none
-	site   int32 // hardening-site index for first-hit tracking, -1 otherwise
+	pc     int32 // index into the function's profile
 	succ0  int32 // br/condbr target block indices
 	succ1  int32
 	size   int    // load/store width; sext source width
@@ -80,6 +80,7 @@ type dinstr struct {
 // dphi is one decoded phi: incoming edges as (pred block index, operand).
 type dphi struct {
 	dst   int32
+	pc    int32
 	in    *ir.Instr
 	preds []int32
 	vals  []operand
@@ -102,10 +103,9 @@ type dfunc struct {
 	maxPhis   int // phi scratch slots appended after the value slots
 	blocks    []dblock
 
-	// siteSeen is the fast already-counted filter per hardening site;
-	// the first hit also records the instruction in m.siteHits so
-	// SitesExecuted is computed identically for both engines.
-	siteSeen []bool
+	// prof is the function's profile, shared with the reference
+	// interpreter and with any later re-decode.
+	prof *profile
 
 	// refOnly routes this function to the reference interpreter: the
 	// decoder could not prove def-before-use (or met an operand kind it
@@ -143,7 +143,7 @@ func opWritesResult(op ir.Op) bool {
 
 // decode lowers f for execution under this machine.
 func (m *Machine) decode(f *ir.Func) *dfunc {
-	d := &dfunc{f: f, planSrc: f.Plan, covBase: covHash(f.FName)}
+	d := &dfunc{f: f, planSrc: f.Plan, covBase: covHash(f.FName), prof: m.profileOf(f)}
 	d.plan = m.planOf(f)
 	d.frameSize = frameSize(d.plan)
 
@@ -220,7 +220,7 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 		return operand{kind: opdSlot, idx: slot}
 	}
 
-	nsites := 0
+	ord := 0 // instruction ordinal in block order: the pc, unless re-hardened
 	d.blocks = make([]dblock, len(f.Blocks))
 	for bi, b := range f.Blocks {
 		db := &d.blocks[bi]
@@ -234,7 +234,8 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 			if !ok {
 				d.refOnly = true
 			}
-			dp := dphi{dst: dst, in: p}
+			dp := dphi{dst: dst, pc: d.prof.at(ord, p), in: p}
+			ord++
 			for _, e := range p.Incoming {
 				pi, known := blockIdx[e.Pred]
 				if !known {
@@ -248,20 +249,20 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 
 		db.code = make([]dinstr, 0, len(b.Instrs)-len(phis)+1)
 		for ii := len(phis); ii < len(b.Instrs); ii++ {
-			db.code = append(db.code, m.decodeInstr(d, num, blockIdx, decodeVal, b, ii, &nsites))
+			db.code = append(db.code, m.decodeInstr(d, num, blockIdx, decodeVal, b, ii, d.prof.at(ord, b.Instrs[ii])))
+			ord++
 		}
-		db.code = append(db.code, dinstr{op: opFall, dst: -1, site: -1})
+		db.code = append(db.code, dinstr{op: opFall, dst: -1})
 	}
-	d.siteSeen = make([]bool, nsites)
 	return d
 }
 
 // decodeInstr lowers the instruction at b.Instrs[ii].
 func (m *Machine) decodeInstr(d *dfunc, num *ir.Numbering, blockIdx map[*ir.Block]int32,
-	decodeVal func(ir.Value, *ir.Block, int) operand, b *ir.Block, ii int, nsites *int) dinstr {
+	decodeVal func(ir.Value, *ir.Block, int) operand, b *ir.Block, ii int, pc int32) dinstr {
 
 	in := b.Instrs[ii]
-	di := dinstr{op: in.Op, dst: -1, site: -1, aux: -1, pred: in.Pred, in: in}
+	di := dinstr{op: in.Op, dst: -1, pc: pc, aux: -1, pred: in.Pred, in: in}
 	if in.HasResult() {
 		if s, ok := num.SlotOf(in); ok {
 			di.dst = s
@@ -271,10 +272,6 @@ func (m *Machine) decodeInstr(d *dfunc, num *ir.Numbering, blockIdx map[*ir.Bloc
 	}
 	if di.dst < 0 && opWritesResult(in.Op) {
 		d.refOnly = true
-	}
-	if in.Op.IsHardening() {
-		di.site = int32(*nsites)
-		*nsites++
 	}
 	if len(in.Args) > 0 {
 		di.args = make([]operand, len(in.Args))

@@ -59,17 +59,17 @@ func (m *Machine) putSlots(s []uint64) {
 }
 
 // dtick is the decoded engine's per-instruction charge, equivalent to
-// tick: trace, first-hit site tracking, meter, fuel.
-func (m *Machine) dtick(d *dfunc, in *ir.Instr, site int32) {
+// tick: trace, profile, meter, fuel. site is true at the hardening
+// opcodes' call sites, whose pcs every machine counts (SitesExecuted);
+// other pcs are counted only when a session arms the full profile.
+func (m *Machine) dtick(d *dfunc, in *ir.Instr, pc int32, site bool) {
 	if m.Trace != nil {
 		m.Trace(d.f, in)
 	}
 	if m.obs != nil {
-		m.obsTick(d.f, in)
-	}
-	if site >= 0 && !d.siteSeen[site] {
-		d.siteSeen[site] = true
-		m.siteHits[in] = true
+		m.obsTick(d.f, in, d.prof, pc, site)
+	} else if site {
+		d.prof.n[pc].execs++
 	}
 	m.Meter.OnInstr(in.Op)
 	m.Fuel--
@@ -124,14 +124,14 @@ blockLoop:
 			for i := range blk.phis {
 				p := &blk.phis[i]
 				slots[p.dst] = scratch[i]
-				m.dtick(d, p.in, -1)
+				m.dtick(d, p.in, p.pc, false)
 			}
 		}
 		for ci := range blk.code {
 			di := &blk.code[ci]
 			switch di.op {
 			case ir.OpBr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				prev, bi = bi, di.succ0
 				if m.cov != nil {
 					m.cov.hit(d.covBase, prev, bi)
@@ -139,7 +139,7 @@ blockLoop:
 				continue blockLoop
 
 			case ir.OpCondBr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				prev = bi
 				if fr.get(di.args[0])&1 != 0 {
 					bi = di.succ0
@@ -152,21 +152,21 @@ blockLoop:
 				continue blockLoop
 
 			case ir.OpRet:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				if len(di.args) == 1 {
 					return fr.get(di.args[0])
 				}
 				return 0
 
 			case ir.OpAlloca:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				if di.aux < 0 {
 					panic(m.fault(FaultRuntime, f, di.in, fmt.Errorf("alloca %%%s missing from stack plan", di.in.Nam)))
 				}
 				slots[di.dst] = base + uint64(di.aux)
 
 			case ir.OpLoad:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				addr := fr.get(di.args[0])
 				m.Meter.OnLoad(addr)
 				v, err := m.Mem.ReadUint(addr, di.size)
@@ -176,7 +176,7 @@ blockLoop:
 				slots[di.dst] = signExtend(v, di.size)
 
 			case ir.OpStore:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				val := fr.get(di.args[0])
 				addr := fr.get(di.args[1])
 				m.Meter.OnStore(addr)
@@ -185,7 +185,7 @@ blockLoop:
 				}
 
 			case ir.OpGEP:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				g := di.gep
 				if g.generic {
 					slots[di.dst] = m.execGEPGeneric(&fr, f, di)
@@ -199,46 +199,46 @@ blockLoop:
 				}
 
 			case ir.OpAdd:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) + int64(fr.get(di.args[1])))
 			case ir.OpSub:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) - int64(fr.get(di.args[1])))
 			case ir.OpMul:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) * int64(fr.get(di.args[1])))
 			case ir.OpSDiv:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				b := int64(fr.get(di.args[1]))
 				if b == 0 {
 					panic(m.fault(FaultRuntime, f, di.in, errors.New("division by zero")))
 				}
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) / b)
 			case ir.OpSRem:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				b := int64(fr.get(di.args[1]))
 				if b == 0 {
 					panic(m.fault(FaultRuntime, f, di.in, errors.New("remainder by zero")))
 				}
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) % b)
 			case ir.OpAnd:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0]) & fr.get(di.args[1])
 			case ir.OpOr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0]) | fr.get(di.args[1])
 			case ir.OpXor:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0]) ^ fr.get(di.args[1])
 			case ir.OpShl:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) << uint(fr.get(di.args[1])&63))
 			case ir.OpAShr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) >> uint(fr.get(di.args[1])&63))
 
 			case ir.OpICmp:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				a := int64(fr.get(di.args[0]))
 				b := int64(fr.get(di.args[1]))
 				var r bool
@@ -263,17 +263,17 @@ blockLoop:
 				}
 
 			case ir.OpTrunc, ir.OpZExt:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0]) & di.umask
 			case ir.OpSExt:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = signExtend(fr.get(di.args[0]), di.size)
 			case ir.OpPtrToInt, ir.OpIntToPtr:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0])
 
 			case ir.OpSelect:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				if fr.get(di.args[0])&1 != 0 {
 					slots[di.dst] = fr.get(di.args[1])
 				} else {
@@ -281,7 +281,7 @@ blockLoop:
 				}
 
 			case ir.OpCall:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				cargs := make([]uint64, len(di.args))
 				for i := range di.args {
 					cargs[i] = fr.get(di.args[i])
@@ -305,11 +305,11 @@ blockLoop:
 				}
 
 			case ir.OpPacSign:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				slots[di.dst] = pa.Sign(fr.get(di.args[0]), fr.get(di.args[1]), m.Keys.APDA)
 
 			case ir.OpPacAuth:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				ptr := fr.get(di.args[0])
 				mod := fr.get(di.args[1])
 				out, ok := pa.Auth(ptr, mod, m.Keys.APDA)
@@ -319,11 +319,11 @@ blockLoop:
 				slots[di.dst] = out
 
 			case ir.OpPacStrip:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				slots[di.dst] = pa.Strip(fr.get(di.args[0]))
 
 			case ir.OpSealStore:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				val := fr.get(di.args[0])
 				addr := fr.get(di.args[1])
 				m.Meter.OnStore(addr)
@@ -337,7 +337,7 @@ blockLoop:
 				}
 
 			case ir.OpCheckLoad:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				addr := fr.get(di.args[0])
 				m.Meter.OnLoad(addr)
 				val, err := m.Mem.ReadUint(addr, 8)
@@ -357,13 +357,13 @@ blockLoop:
 				slots[di.dst] = val
 
 			case ir.OpObjSeal:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				addr := fr.get(di.args[0])
 				size := int(fr.get(di.args[1]))
 				m.objMAC[addr] = m.objectMAC(f, di.in, addr, size)
 
 			case ir.OpObjCheck:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				addr := fr.get(di.args[0])
 				size := int(fr.get(di.args[1]))
 				if want, sealed := m.objMAC[addr]; sealed {
@@ -374,19 +374,19 @@ blockLoop:
 				}
 
 			case ir.OpCanarySet:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				m.canarySetAt(f, di.in, fr.get(di.args[0]))
 
 			case ir.OpCanaryCheck:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				m.canaryCheckAt(f, di.in, fr.get(di.args[0]))
 
 			case ir.OpSetDef:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				m.dfiRDT[fr.get(di.args[0])] = di.in.DefID
 
 			case ir.OpChkDef:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, true)
 				addr := fr.get(di.args[0])
 				if id, ok := m.dfiRDT[addr]; ok {
 					allowed := id == DFIWildcard
@@ -410,7 +410,7 @@ blockLoop:
 				panic(m.fault(FaultRuntime, f, nil, fmt.Errorf("block %%%s fell through", blk.b.Name)))
 
 			default:
-				m.dtick(d, di.in, di.site)
+				m.dtick(d, di.in, di.pc, false)
 				panic(m.fault(FaultRuntime, f, di.in, fmt.Errorf("unimplemented opcode %s", di.in.Op)))
 			}
 		}

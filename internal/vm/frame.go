@@ -18,6 +18,7 @@ import (
 // refFrame is one activation record of the reference interpreter.
 type refFrame struct {
 	f    *ir.Func
+	prof *profile
 	args []uint64
 	regs map[*ir.Instr]uint64
 
@@ -187,6 +188,7 @@ func (m *Machine) newRefFrame(f *ir.Func, args []uint64) *refFrame {
 	size := frameSize(plan)
 	fr := &refFrame{
 		f:    f,
+		prof: m.profileOf(f),
 		args: args,
 		regs: make(map[*ir.Instr]uint64, 16),
 		size: size,

@@ -1,10 +1,15 @@
 package vm
 
-// Observability wiring for the interpreter. Both engines' tick paths
-// gained exactly one extra branch — `if m.obs != nil` — so with
-// observability off the hot loop is unchanged; with it on, obsTick feeds
-// the fault flight recorder, the per-opcode dynamic histogram, and the
-// per-site cycle attribution that backs `pythia-bench -hotsites`.
+// The machine profile and the observability wiring for the
+// interpreter. Each executed function has one dense counter per
+// instruction, indexed by pc — the instruction's ordinal in block
+// order, phis included — holding {execs, cycles, faults}. Both engines
+// write it from their tick: every machine counts hardening pcs, which
+// is all SitesExecuted needs; a session that arms Sites or Metrics
+// makes machines count every pc, and one that arms Sites or Attrib
+// makes them also charge each cycle delta to the previous pc.
+// Result.Coverage, Result.SiteCosts, the -hotsites rows and the
+// vm.op.* counters are all derived from the profile at flush.
 //
 // Observability is strictly read-only: it inspects the meter and the IR
 // but never touches memory, the RNG, or the counters, so arming it
@@ -89,13 +94,99 @@ func faultAddress(err error) (uint64, bool) {
 	return 0, false
 }
 
-// siteAccum buffers one instruction's dynamic profile machine-locally;
-// obsFlush folds the buffer into the shared SiteProf in one pass so the
-// hot loop never takes the profiler's lock.
-type siteAccum struct {
-	f      *ir.Func
-	count  int64
-	cycles float64
+// pcCount is one instruction's entry in a profile.
+type pcCount struct {
+	execs  int64   // ticks retired at this pc
+	cycles float64 // meter charge from each tick to the next (cycle charging armed)
+	faults int64   // faults raised here (coverage armed, hardening pcs only)
+}
+
+// profile is one function's share of the machine profile. It is
+// cumulative over the machine's runs and outlives re-decodes.
+type profile struct {
+	ins   []*ir.Instr // pc -> instruction
+	n     []pcCount   // pc -> counters
+	sites []int32     // the hardening pcs
+
+	// flushed is n as of the last flush, so session aggregates receive
+	// only what is new.
+	flushed []pcCount
+
+	// index maps instruction -> pc for the reference interpreter and the
+	// fault path; built on first use.
+	index map[*ir.Instr]int32
+}
+
+// profileOf returns f's profile, numbering its instructions on first
+// use.
+func (m *Machine) profileOf(f *ir.Func) *profile {
+	p := m.prof[f]
+	if p == nil {
+		p = &profile{ins: make([]*ir.Instr, 0, f.NumInstrs())}
+		for _, b := range f.Blocks {
+			p.ins = append(p.ins, b.Instrs...)
+		}
+		p.n = make([]pcCount, len(p.ins))
+		for pc, in := range p.ins {
+			if in.Op.IsHardening() {
+				p.sites = append(p.sites, int32(pc))
+			}
+		}
+		m.prof[f] = p
+	}
+	return p
+}
+
+// add gives in the next pc.
+func (p *profile) add(in *ir.Instr) int32 {
+	pc := int32(len(p.ins))
+	p.ins = append(p.ins, in)
+	p.n = append(p.n, pcCount{})
+	if in.Op.IsHardening() {
+		p.sites = append(p.sites, pc)
+	}
+	if p.index != nil {
+		p.index[in] = pc
+	}
+	return pc
+}
+
+// pcOf returns in's pc. An instruction a hardening pass inserted after
+// the profile was made gets the next free pc, so re-decoding after a
+// stack-plan change neither drops nor double-counts what already ran.
+func (p *profile) pcOf(in *ir.Instr) int32 {
+	if p.index == nil {
+		p.index = make(map[*ir.Instr]int32, len(p.ins))
+		for pc, x := range p.ins {
+			p.index[x] = int32(pc)
+		}
+	}
+	if pc, ok := p.index[in]; ok {
+		return pc
+	}
+	return p.add(in)
+}
+
+// at returns the pc of in, the ord-th instruction in block order: ord
+// itself unless the function changed after the profile was made.
+func (p *profile) at(ord int, in *ir.Instr) int32 {
+	if ord < len(p.ins) && p.ins[ord] == in {
+		return int32(ord)
+	}
+	return p.pcOf(in)
+}
+
+// sitesExecuted counts the hardening pcs that ran at least once.
+func (m *Machine) sitesExecuted() int {
+	n := 0
+	for _, p := range m.prof {
+		for _, pc := range p.sites {
+			if p.n[pc].execs > 0 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // obsState is a machine's observability attachment; nil when disabled.
@@ -104,32 +195,15 @@ type obsState struct {
 	reg    *obs.Registry
 	sites  *perf.SiteProf
 
-	// hist counts dynamic executions per opcode (flushed to the registry
-	// as vm.op.<name> counters).
-	hist []int64
+	// cover and attrib derive Result.Coverage and Result.SiteCosts; all
+	// counts every pc; cycles charges each cycle delta to the previous
+	// tick's pc (tick runs before the opcode's own work, so the charge
+	// between two ticks belongs to the earlier one).
+	cover, attrib, all, cycles bool
 
-	// local accumulates per-site counts and attributed cycles. Cycle
-	// attribution is by delta: the meter charge between two consecutive
-	// ticks belongs to the earlier instruction (tick runs before the
-	// opcode's own work), so each tick closes out the previous site.
-	local   map[*ir.Instr]*siteAccum
-	prevF   *ir.Func
-	prevIn  *ir.Instr
+	prev    *profile
+	prevPC  int32
 	prevCyc float64
-
-	// cover counts executions and fault outcomes per hardening check
-	// site; armed only when the session carries a CoverageAgg. The run
-	// exit path folds it into Result.Coverage keyed by the sites' stable
-	// Meta ids.
-	cover map[*ir.Instr]*obs.SiteCount
-
-	// attrib accumulates per-hardening-site execution counts and
-	// attributed cycles for this run; armed only when the session
-	// carries an AttribAgg. It shares the prev-tick cycle-delta chain
-	// with `local`, so a site's cost includes its own expansion plus
-	// the memory traffic it causes. The run exit path folds it into
-	// Result.SiteCosts keyed by stable site id.
-	attrib map[*ir.Instr]*obs.SiteCost
 
 	// decodedCalls/refCalls count engine routing decisions.
 	decodedCalls, refCalls int64
@@ -150,96 +224,54 @@ type obsState struct {
 
 // newObsState arms observability for a machine being built: an explicit
 // Config.Flight always arms the flight recorder; an active session adds
-// its registry/site profiler (and its FlightDepth when the config did
-// not set one). Returns nil when every feature is off.
+// its registry, site profiler, coverage and attribution (and its
+// FlightDepth when the config did not set one). Returns nil when every
+// feature is off.
 func newObsState(cfg Config) *obsState {
 	s := obs.Current()
 	depth := cfg.Flight
 	if depth <= 0 && s != nil {
 		depth = s.FlightDepth
 	}
-	var st *obsState
+	var st obsState
 	if depth > 0 {
-		st = &obsState{flight: obs.NewFlight(depth)}
+		st.flight = obs.NewFlight(depth)
 	}
-	if s != nil && (s.Metrics != nil || s.Sites != nil) {
-		if st == nil {
-			st = &obsState{}
-		}
-		st.reg = s.Metrics
-		st.sites = s.Sites
-		if st.reg != nil {
-			st.hist = make([]int64, ir.NumOps())
-		}
-		if st.sites != nil {
-			st.local = make(map[*ir.Instr]*siteAccum)
-		}
+	if s != nil {
+		st.reg, st.sites = s.Metrics, s.Sites
+		st.cover, st.attrib = s.Coverage != nil, s.Attrib != nil
 	}
-	if s != nil && s.Coverage != nil {
-		if st == nil {
-			st = &obsState{}
-		}
-		st.cover = make(map[*ir.Instr]*obs.SiteCount)
+	st.all = st.reg != nil || st.sites != nil
+	st.cycles = st.sites != nil || st.attrib
+	if st.flight == nil && !st.all && !st.cycles && !st.cover {
+		return nil
 	}
-	if s != nil && s.Attrib != nil {
-		if st == nil {
-			st = &obsState{}
-		}
-		st.attrib = make(map[*ir.Instr]*obs.SiteCost)
-	}
-	return st
+	armed := st // only an armed machine pays the allocation
+	return &armed
 }
 
-// obsTick observes one retired instruction (both engines call it from
-// their tick under a nil guard).
-func (m *Machine) obsTick(f *ir.Func, in *ir.Instr) {
+// obsTick observes one retired instruction at pc of p (both engines
+// call it from their tick under a nil guard): the flight recorder, the
+// count, and the cycle charge of the previous tick.
+func (m *Machine) obsTick(f *ir.Func, in *ir.Instr, p *profile, pc int32, site bool) {
 	o := m.obs
 	if o.flight != nil {
 		o.flight.Record(f, in)
 	}
-	if o.hist != nil {
-		o.hist[in.Op]++
+	if site || o.all {
+		p.n[pc].execs++
 	}
-	if o.cover != nil && in.Op.IsHardening() {
-		c, ok := o.cover[in]
-		if !ok {
-			c = &obs.SiteCount{}
-			o.cover[in] = c
-		}
-		c.Execs++
-	}
-	if o.local != nil || o.attrib != nil {
+	if o.cycles {
 		cyc := m.Meter.C.Cycles
-		if o.prevIn != nil {
-			o.closePrev(cyc)
-		}
-		o.prevF, o.prevIn, o.prevCyc = f, in, cyc
+		o.closePrev(cyc)
+		o.prev, o.prevPC, o.prevCyc = p, pc, cyc
 	}
 }
 
-// closePrev attributes the meter charge since the previous tick to the
-// previous instruction: into the session site profiler (when -hotsites
-// armed it) and, for hardening instructions, into the per-run
-// attribution profile (when -attribution armed it).
+// closePrev charges the meter delta since the previous tick to its pc.
 func (o *obsState) closePrev(cyc float64) {
-	d := cyc - o.prevCyc
-	if o.local != nil {
-		acc, ok := o.local[o.prevIn]
-		if !ok {
-			acc = &siteAccum{f: o.prevF}
-			o.local[o.prevIn] = acc
-		}
-		acc.count++
-		acc.cycles += d
-	}
-	if o.attrib != nil && o.prevIn.Op.IsHardening() {
-		c, ok := o.attrib[o.prevIn]
-		if !ok {
-			c = &obs.SiteCost{}
-			o.attrib[o.prevIn] = c
-		}
-		c.Count++
-		c.Cycles += d
+	if o.prev != nil {
+		o.prev.n[o.prevPC].cycles += cyc - o.prevCyc
 	}
 }
 
@@ -266,95 +298,86 @@ func (m *Machine) obsForensics(flt *Fault, in *ir.Instr) *obs.FaultReport {
 	return r
 }
 
-// obsCoverFault counts a fault outcome at a hardening check site.
-func (m *Machine) obsCoverFault(in *ir.Instr) {
-	if m.obs == nil || m.obs.cover == nil || in == nil || !in.Op.IsHardening() {
-		return
-	}
-	c, ok := m.obs.cover[in]
-	if !ok {
-		c = &obs.SiteCount{}
-		m.obs.cover[in] = c
-	}
-	c.Faults++
-}
-
-// obsCoverage folds the machine-local per-site counts into a map keyed
-// by stable site id — the Result.Coverage payload. Sites without an id
-// (un-instrumented modules) are dropped.
-func (m *Machine) obsCoverage() map[string]obs.SiteCount {
-	if m.obs == nil || m.obs.cover == nil {
-		return nil
-	}
-	out := make(map[string]obs.SiteCount, len(m.obs.cover))
-	for in, c := range m.obs.cover {
-		id := in.GetMeta("site")
-		if id == "" {
+// foldSites adds p's hardening pcs into res's per-site maps, keyed by
+// stable site id. Sites without an id (un-instrumented modules) are
+// dropped.
+func (p *profile) foldSites(res *Result) {
+	for _, pc := range p.sites {
+		id, n := p.ins[pc].GetMeta("site"), p.n[pc]
+		if id == "" || n.execs == 0 && n.faults == 0 {
 			continue
 		}
-		prev := out[id]
-		prev.Execs += c.Execs
-		prev.Faults += c.Faults
-		out[id] = prev
+		if res.Coverage != nil {
+			sc := res.Coverage[id]
+			sc.Execs += n.execs
+			sc.Faults += n.faults
+			res.Coverage[id] = sc
+		}
+		if res.SiteCosts != nil && n.execs > 0 {
+			sc := res.SiteCosts[id]
+			sc.Count += n.execs
+			sc.Cycles += n.cycles
+			res.SiteCosts[id] = sc
+		}
 	}
-	return out
 }
 
-// obsSiteCosts folds the machine-local per-hardening-site cost profile
-// into a map keyed by stable site id — the Result.SiteCosts payload.
-// Sites without an id (un-instrumented modules) are dropped. Unlike
-// obsCoverage this is only meaningful after obsFlush has closed the
-// trailing instruction, which Run guarantees.
-func (m *Machine) obsSiteCosts() map[string]obs.SiteCost {
-	if m.obs == nil || m.obs.attrib == nil {
-		return nil
-	}
-	out := make(map[string]obs.SiteCost, len(m.obs.attrib))
-	for in, c := range m.obs.attrib {
-		id := in.GetMeta("site")
-		if id == "" {
+// publish hands the session what p counted since the last flush: one
+// -hotsites row per executed pc, and the opcode histogram into ops
+// (nil when metrics are off).
+func (o *obsState) publish(mod, fn string, p *profile, ops []int64) {
+	p.flushed = append(p.flushed, make([]pcCount, len(p.n)-len(p.flushed))...)
+	for pc := range p.n {
+		now, was := p.n[pc], &p.flushed[pc]
+		if now.execs == was.execs {
 			continue
 		}
-		prev := out[id]
-		prev.Count += c.Count
-		prev.Cycles += c.Cycles
-		out[id] = prev
+		in := p.ins[pc]
+		if ops != nil {
+			ops[in.Op] += now.execs - was.execs
+		}
+		if o.sites != nil {
+			o.sites.Add(perf.SiteKey{Module: mod, Func: fn, Instr: in.String()}, now.execs-was.execs, now.cycles-was.cycles)
+		}
+		*was = now
 	}
-	return out
 }
 
-// obsFlush publishes everything accumulated since the last flush: the
-// trailing cycle delta, the site profile, the opcode histogram, engine
-// routing, curated counter deltas, and heap arena stats.
-func (m *Machine) obsFlush() {
+// obsFlush closes the trailing cycle charge, derives res's Coverage and
+// SiteCosts from the profile, and publishes what is new since the last
+// flush: the -hotsites rows, the opcode histogram, engine routing,
+// curated counter deltas, and heap arena stats.
+func (m *Machine) obsFlush(res *Result) {
 	o := m.obs
-	if o == nil {
-		return
-	}
 	c := m.Meter.C
-	// Attribute the cycles charged after the last tick (the final
-	// instruction's own work) before folding into the shared profile.
-	if o.prevIn != nil {
-		o.closePrev(c.Cycles)
-		o.prevIn = nil
+	// Charge the cycles after the last tick (the final instruction's own
+	// work) before anything reads the profile.
+	o.closePrev(c.Cycles)
+	o.prev = nil
+	if o.cover {
+		res.Coverage = make(map[string]obs.SiteCount)
 	}
-	if o.local != nil {
-		for in, acc := range o.local {
-			fn := ""
-			if acc.f != nil {
-				fn = acc.f.FName
-			}
-			o.sites.Add(fn, in.String(), acc.count, acc.cycles)
-			delete(o.local, in)
+	if o.attrib {
+		res.SiteCosts = make(map[string]obs.SiteCost)
+	}
+	var ops []int64
+	if o.reg != nil {
+		ops = make([]int64, ir.NumOps())
+	}
+	for f, p := range m.prof {
+		if o.cover || o.attrib {
+			p.foldSites(res)
+		}
+		if o.all {
+			o.publish(m.Mod.Name, f.FName, p, ops)
 		}
 	}
 	if o.reg == nil {
 		return
 	}
-	for op, n := range o.hist {
+	for op, n := range ops {
 		if n != 0 {
 			o.reg.Add("vm.op."+ir.Op(op).String(), n)
-			o.hist[op] = 0
 		}
 	}
 	o.reg.Add("vm.instrs", c.Instrs-o.flushedInstrs)

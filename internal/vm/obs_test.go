@@ -7,9 +7,11 @@ package vm_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/minic"
 	"repro/internal/obs"
 	"repro/internal/perf"
@@ -82,14 +84,8 @@ func TestObsDoesNotPerturbExecution(t *testing.T) {
 	if snap.Counters["vm.engine.decoded_calls"] == 0 {
 		t.Error("decoded engine routing not counted")
 	}
-	var opSum int64
-	for name, v := range snap.Counters {
-		if strings.HasPrefix(name, "vm.op.") {
-			opSum += v
-		}
-	}
-	if opSum != base.Counters.Instrs {
-		t.Errorf("opcode histogram sums to %d, want %d", opSum, base.Counters.Instrs)
+	if n := opSum(sess.Metrics); n != base.Counters.Instrs {
+		t.Errorf("opcode histogram sums to %d, want %d", n, base.Counters.Instrs)
 	}
 	var cycSum float64
 	for _, h := range sess.Sites.Top(0) {
@@ -116,6 +112,205 @@ func TestObsSessionReferenceEngine(t *testing.T) {
 	}
 	if snap.Counters["vm.engine.reference_calls"] == 0 {
 		t.Error("reference engine routing not counted")
+	}
+}
+
+// opSum totals a registry's vm.op.* counters.
+func opSum(reg *obs.Registry) int64 {
+	var n int64
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "vm.op.") {
+			n += v
+		}
+	}
+	return n
+}
+
+// profileRun is one way to run a machine twice: on either engine,
+// optionally forcing a re-decode of every function between the runs.
+type profileRun struct {
+	name                string
+	reference, redecode bool
+}
+
+var profileRuns = []profileRun{{"decoded", false, false}, {"redecoded", false, true}, {"reference", true, false}}
+
+// runTwice runs main twice on one machine built from a fresh compile of
+// obsProg, protected with scheme, under an armed session.
+func runTwice(t *testing.T, scheme core.Scheme, pr profileRun) (first, second *vm.Result, sess *obs.Session) {
+	t.Helper()
+	mod, err := minic.Compile("t", obsProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Protect(mod, scheme); err != nil {
+		t.Fatal(err)
+	}
+	sess = obs.Start(&obs.Session{
+		Metrics:  obs.NewRegistry(),
+		Sites:    perf.NewSiteProf(),
+		Coverage: obs.NewCoverageAgg(),
+		Attrib:   obs.NewAttribAgg(),
+	})
+	defer obs.Stop()
+	m := vm.New(mod, vm.Config{Seed: 7, Reference: pr.reference})
+	for i, res := range []**vm.Result{&first, &second} {
+		if i == 1 && pr.redecode {
+			// A fresh plan with the same layout makes the machine
+			// decode every function again.
+			for _, f := range mod.Funcs {
+				if !f.IsDecl() {
+					f.Plan = vm.DefaultPlan(f)
+				}
+			}
+		}
+		r, err := m.Run("main")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Fault != nil {
+			t.Fatalf("unexpected fault: %v", r.Fault)
+		}
+		*res = r
+	}
+	return first, second, sess
+}
+
+// TestProfileCumulativeAcrossRuns: a machine's profile accumulates over
+// its Runs, and over a re-decode between them — distinct sites stay
+// distinct, per-site counts double on a second identical run — while
+// the session receives each tick once, and both engines agree on every
+// figure.
+func TestProfileCumulativeAcrossRuns(t *testing.T) {
+	var seconds []*vm.Result
+	for _, pr := range profileRuns {
+		first, second, sess := runTwice(t, core.SchemeCPA, pr)
+		if first.SitesExecuted == 0 || len(first.Coverage) != first.SitesExecuted {
+			t.Fatalf("%s: %d sites executed, coverage %v", pr.name, first.SitesExecuted, first.Coverage)
+		}
+		if second.SitesExecuted != first.SitesExecuted {
+			t.Errorf("%s: sites executed %d after the second run, want %d", pr.name, second.SitesExecuted, first.SitesExecuted)
+		}
+		for id, c := range first.Coverage {
+			if got := second.Coverage[id]; got.Execs != 2*c.Execs || got.Faults != 0 {
+				t.Errorf("%s: coverage %s = %+v after two runs, want execs %d", pr.name, id, got, 2*c.Execs)
+			}
+			cost, cost2 := first.SiteCosts[id], second.SiteCosts[id]
+			if cost.Count != c.Execs || cost2.Count != 2*c.Execs || cost.Cycles <= 0 || cost2.Cycles <= cost.Cycles {
+				t.Errorf("%s: site cost %s = %+v then %+v for %d execs per run", pr.name, id, cost, cost2, c.Execs)
+			}
+		}
+		// Hardening ops expand to several machine instructions, so the
+		// histogram counts ticks: one per IR instruction retired.
+		var ticks int64
+		for _, h := range sess.Sites.Top(0) {
+			ticks += h.Count
+		}
+		if n := opSum(sess.Metrics); n != ticks || n == 0 {
+			t.Errorf("%s: vm.op.* sums to %d, site profile to %d", pr.name, n, ticks)
+		}
+		if got := sess.Metrics.Counter("vm.instrs").Value(); got != second.Counters.Instrs {
+			t.Errorf("%s: vm.instrs = %d, meter %d", pr.name, got, second.Counters.Instrs)
+		}
+		seconds = append(seconds, second)
+	}
+	for i, res := range seconds[1:] {
+		if !reflect.DeepEqual(res.Coverage, seconds[0].Coverage) || !reflect.DeepEqual(res.SiteCosts, seconds[0].SiteCosts) {
+			t.Errorf("%s diverged from %s:\n  %v %v\n  %v %v", profileRuns[i+1].name, profileRuns[0].name,
+				res.Coverage, res.SiteCosts, seconds[0].Coverage, seconds[0].SiteCosts)
+		}
+	}
+
+	// On an unhardened program every tick charges exactly one machine
+	// instruction, so the histogram must sum to the meter's Instrs.
+	for _, pr := range profileRuns {
+		_, second, sess := runTwice(t, core.SchemeVanilla, pr)
+		if n := opSum(sess.Metrics); n != second.Counters.Instrs {
+			t.Errorf("%s: vm.op.* sums to %d after two runs, want %d", pr.name, n, second.Counters.Instrs)
+		}
+	}
+}
+
+// TestCoverageCountsDetections: the hardening check that trips is the
+// one site whose coverage records the fault, on both engines.
+func TestCoverageCountsDetections(t *testing.T) {
+	const victim = `int main() { char buf[16]; int admin; admin = 0; gets(buf); if (admin != 0) { return 99; } return 0; }`
+	for _, reference := range []bool{false, true} {
+		mod, err := minic.Compile("victim", victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Protect(mod, core.SchemePythia); err != nil {
+			t.Fatal(err)
+		}
+		obs.Start(&obs.Session{Coverage: obs.NewCoverageAgg(), FlightDepth: 4})
+		m := vm.New(mod, vm.Config{Seed: 7, Reference: reference})
+		m.Stdin.SetInput([]byte(strings.Repeat("A", 40) + "\n"))
+		res, err := m.Run("main")
+		obs.Stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fault == nil || res.Fault.Forensics == nil || res.Fault.Forensics.Site == "" {
+			t.Fatalf("reference=%v: overflow not detected at a site: %+v", reference, res.Fault)
+		}
+		var faults int64
+		for _, c := range res.Coverage {
+			faults += c.Faults
+		}
+		if site := res.Fault.Forensics.Site; faults != 1 || res.Coverage[site].Faults != 1 {
+			t.Errorf("reference=%v: fault at %s, coverage %v", reference, site, res.Coverage)
+		}
+	}
+}
+
+// TestHotSitesKeepProgramsApart: two programs whose shared function
+// renders identical instructions stay separate -hotsites rows.
+func TestHotSitesKeepProgramsApart(t *testing.T) {
+	sess := obs.Start(&obs.Session{Sites: perf.NewSiteProf()})
+	defer obs.Stop()
+	const work = `
+int work(int n) {
+	int s;
+	int i;
+	s = 0;
+	for (i = 0; i < n; i = i + 1) {
+		s = s + i;
+	}
+	return s;
+}
+`
+	for name, n := range map[string]string{"alpha": "10", "beta": "30"} {
+		mod, err := minic.Compile(name, work+"int main() { return work("+n+"); }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := vm.New(mod, vm.Config{Seed: 7}).Run("main"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every instruction of the shared function keeps one row per
+	// program; the loop body's rows count 10 and 30 iterations.
+	rows := map[string]map[string]int64{} // work's instruction -> program -> count
+	for _, h := range sess.Sites.Top(0) {
+		if h.Func == "work" {
+			if rows[h.Instr] == nil {
+				rows[h.Instr] = map[string]int64{}
+			}
+			rows[h.Instr][h.Module] += h.Count
+		}
+	}
+	body := 0
+	for instr, by := range rows {
+		if len(by) != 2 {
+			t.Errorf("work's %q rows by program = %v, want alpha and beta", instr, by)
+		}
+		if by["alpha"] == 10 && by["beta"] == 30 {
+			body++
+		}
+	}
+	if body == 0 {
+		t.Errorf("no row counts the loop body apart per program: %v", rows)
 	}
 }
 

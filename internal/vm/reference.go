@@ -37,7 +37,7 @@ func (m *Machine) refInvoke(f *ir.Func, args []uint64) uint64 {
 		}
 		for i, p := range phis {
 			fr.regs[p] = phiVals[i]
-			m.tick(f, p)
+			m.tick(fr, p)
 		}
 		next, done, retv := m.refExecBlock(fr, blk, len(phis))
 		if done {
@@ -72,16 +72,16 @@ func (m *Machine) refExecBlock(fr *refFrame, blk *ir.Block, skip int) (next *ir.
 		case ir.OpPhi:
 			panic(m.fault(FaultRuntime, f, in, errors.New("phi after non-phi")))
 		case ir.OpBr:
-			m.tick(f, in)
+			m.tick(fr, in)
 			return in.Succs[0], false, 0
 		case ir.OpCondBr:
-			m.tick(f, in)
+			m.tick(fr, in)
 			if m.refEval(fr, in.Args[0])&1 != 0 {
 				return in.Succs[0], false, 0
 			}
 			return in.Succs[1], false, 0
 		case ir.OpRet:
-			m.tick(f, in)
+			m.tick(fr, in)
 			if len(in.Args) == 1 {
 				return nil, true, m.refEval(fr, in.Args[0])
 			}
@@ -96,7 +96,7 @@ func (m *Machine) refExecBlock(fr *refFrame, blk *ir.Block, skip int) (next *ir.
 // refExecInstr handles every non-control opcode.
 func (m *Machine) refExecInstr(fr *refFrame, in *ir.Instr) {
 	f := fr.f
-	m.tick(f, in)
+	m.tick(fr, in)
 	switch in.Op {
 	case ir.OpAlloca:
 		fr.regs[in] = fr.slotAddr(m, in)

@@ -75,11 +75,9 @@ type Machine struct {
 	// stack-range entries.
 	objMAC map[uint64]uint64
 
-	// siteHits records which static hardening instructions executed at
-	// least once — the Fig. 6(b) "PA instructions executed dynamically"
-	// metric. The decoded engine filters through per-function bitsets
-	// (dfunc.siteSeen) so the map is touched once per site.
-	siteHits map[*ir.Instr]bool
+	// prof holds each executed function's profile: one counter per
+	// instruction, written by both engines (see obs.go).
+	prof map[*ir.Func]*profile
 
 	// decoded caches the pre-decoded form of every executed function;
 	// plans caches DefaultPlan results for plan-less functions.
@@ -173,7 +171,7 @@ func New(mod *ir.Module, cfg Config) *Machine {
 		funcByAddr:   make(map[uint64]*ir.Func),
 		canaryShadow: make(map[uint64]uint64),
 		objMAC:       make(map[uint64]uint64),
-		siteHits:     make(map[*ir.Instr]bool),
+		prof:         make(map[*ir.Func]*profile),
 		decoded:      make(map[*ir.Func]*dfunc),
 		plans:        make(map[*ir.Func]*ir.StackPlan),
 		ref:          cfg.Reference,
@@ -298,18 +296,20 @@ type Result struct {
 	Stdout   []byte
 
 	// SitesExecuted counts the distinct static hardening instructions
-	// that ran at least once.
+	// that ran at least once — the Fig. 6(b) "PA instructions executed
+	// dynamically" metric.
 	SitesExecuted int
 
 	// Coverage maps each hardening check site's stable id to its
-	// execution and fault counts for this run. Populated only when the
-	// active obs.Session carries a CoverageAgg; nil otherwise.
+	// execution and fault counts over the machine's runs so far.
+	// Populated only when the active obs.Session carries a CoverageAgg;
+	// nil otherwise.
 	Coverage map[string]obs.SiteCount
 
 	// SiteCosts maps each hardening check site's stable id to its
-	// execution count and attributed modeled cycles for this run.
-	// Populated only when the active obs.Session carries an AttribAgg;
-	// nil otherwise.
+	// execution count and attributed modeled cycles over the machine's
+	// runs so far. Populated only when the active obs.Session carries an
+	// AttribAgg; nil otherwise.
 	SiteCosts map[string]obs.SiteCost
 }
 
@@ -336,12 +336,10 @@ func (m *Machine) Run(fname string, args ...uint64) (*Result, error) {
 		m.sectionInitDone = true
 	}
 	ret, fault := m.call(f, args)
+	res := &Result{Ret: ret, Fault: fault, Counters: m.Meter.C, Stdout: m.Stdout, SitesExecuted: m.sitesExecuted()}
 	if m.obs != nil {
-		m.obsFlush()
+		m.obsFlush(res)
 	}
-	res := &Result{Ret: ret, Fault: fault, Counters: m.Meter.C, Stdout: m.Stdout, SitesExecuted: len(m.siteHits)}
-	res.Coverage = m.obsCoverage()
-	res.SiteCosts = m.obsSiteCosts()
 	return res, nil
 }
 
@@ -358,7 +356,11 @@ func (m *Machine) fault(kind FaultKind, f *ir.Func, in *ir.Instr, err error) *ex
 	if in != nil {
 		flt.Instr = in.String()
 	}
-	m.obsCoverFault(in)
+	if m.obs != nil && m.obs.cover && in != nil && in.Op.IsHardening() {
+		p := m.profileOf(f)
+		pc := p.pcOf(in)
+		p.n[pc].faults++
+	}
 	flt.Forensics = m.obsForensics(flt, in)
 	return &execError{f: flt}
 }
@@ -407,21 +409,24 @@ func (m *Machine) invoke(f *ir.Func, args []uint64) uint64 {
 }
 
 // tick charges one retired instruction and burns fuel (reference-
-// interpreter path; the decoded engine uses dtick).
-func (m *Machine) tick(f *ir.Func, in *ir.Instr) {
+// interpreter path; the decoded engine uses dtick). The pc comes from
+// the profile's index, so an unarmed machine looks it up only for
+// hardening instructions.
+func (m *Machine) tick(fr *refFrame, in *ir.Instr) {
 	if m.Trace != nil {
-		m.Trace(f, in)
+		m.Trace(fr.f, in)
 	}
+	site := in.Op.IsHardening()
 	if m.obs != nil {
-		m.obsTick(f, in)
-	}
-	if in.Op.IsHardening() {
-		m.siteHits[in] = true
+		m.obsTick(fr.f, in, fr.prof, fr.prof.pcOf(in), site)
+	} else if site {
+		pc := fr.prof.pcOf(in)
+		fr.prof.n[pc].execs++
 	}
 	m.Meter.OnInstr(in.Op)
 	m.Fuel--
 	if m.Fuel <= 0 {
-		panic(m.fault(FaultOOF, f, in, ErrOutOfFuel))
+		panic(m.fault(FaultOOF, fr.f, in, ErrOutOfFuel))
 	}
 }
 

@@ -3,8 +3,11 @@ package vm_test
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/minic"
+	"repro/internal/obs"
+	"repro/internal/perf"
 	"repro/internal/vm"
 )
 
@@ -45,8 +48,7 @@ func benchModule(b *testing.B) *ir.Module {
 	return mod
 }
 
-func runDispatch(b *testing.B, reference bool) {
-	mod := benchModule(b)
+func runDispatch(b *testing.B, mod *ir.Module, reference bool) {
 	want := uint64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -70,8 +72,28 @@ func runDispatch(b *testing.B, reference bool) {
 // BenchmarkVMDispatch measures the pre-decoded slot engine on an
 // interpretation-bound program (the tentpole metric for the execution
 // engine rewrite).
-func BenchmarkVMDispatch(b *testing.B) { runDispatch(b, false) }
+func BenchmarkVMDispatch(b *testing.B) { runDispatch(b, benchModule(b), false) }
 
 // BenchmarkVMDispatchReference measures the same program on the
 // pre-decode tree-walking interpreter for comparison.
-func BenchmarkVMDispatchReference(b *testing.B) { runDispatch(b, true) }
+func BenchmarkVMDispatchReference(b *testing.B) { runDispatch(b, benchModule(b), true) }
+
+// BenchmarkVMDispatchArmed measures the slot engine on the
+// Pythia-hardened program under a session that arms every
+// per-instruction observer: metrics, site profile, coverage,
+// attribution and a flight recorder.
+func BenchmarkVMDispatchArmed(b *testing.B) {
+	mod := benchModule(b)
+	if _, err := core.Protect(mod, core.SchemePythia); err != nil {
+		b.Fatal(err)
+	}
+	obs.Start(&obs.Session{
+		Metrics:     obs.NewRegistry(),
+		Sites:       perf.NewSiteProf(),
+		Coverage:    obs.NewCoverageAgg(),
+		Attrib:      obs.NewAttribAgg(),
+		FlightDepth: 16,
+	})
+	defer obs.Stop()
+	runDispatch(b, mod, false)
+}

@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // builtBinary compiles the named cmd package once per test process and
@@ -44,10 +46,10 @@ func builtBinary(t *testing.T, pkg string) string {
 	return bin
 }
 
-// expectExit2 runs the built pythia-bench with args and asserts the
-// PR 1 flag-validation convention: exit status 2, the diagnostic, a
-// usage dump, and no experiment output.
-func expectExit2(t *testing.T, bin string, wantDiag string, args ...string) {
+// expectExit2 runs the built binary with args and asserts the
+// flag-validation convention: exit status 2, the diagnostic, a usage
+// dump, and no experiment output. It returns the combined output.
+func expectExit2(t *testing.T, bin string, wantDiag string, args ...string) string {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
 	cmd.Dir = ".."
@@ -62,6 +64,7 @@ func expectExit2(t *testing.T, bin string, wantDiag string, args ...string) {
 	if strings.Contains(string(out), "E[tries]") {
 		t.Fatalf("experiment must not run under invalid flags:\n%s", out)
 	}
+	return string(out)
 }
 
 func run(t *testing.T, args ...string) string {
@@ -185,7 +188,7 @@ func TestPythiaBenchRejectsUnknownFormat(t *testing.T) {
 		"-experiment", "bruteforce", "-format", "bogus")
 }
 
-// TestPythiaBenchRejectsBadRepeat / UnwritableSave / UnwritableMetrics /
+// TestPythiaBenchRejectsBadRepeat / UnwritableSave /
 // CompareWithoutBaseline: every continuous-benchmarking flag error must
 // follow the -format convention — descriptive diagnostic, usage, exit 2,
 // nothing executed.
@@ -199,9 +202,93 @@ func TestPythiaBenchRejectsUnwritableSave(t *testing.T) {
 		"-experiment", "bruteforce", "-save", "/nonexistent-dir-pythia/x.json")
 }
 
-func TestPythiaBenchRejectsUnwritableMetrics(t *testing.T) {
-	expectExit2(t, builtBinary(t, "pythia-bench"), "unwritable -metrics path",
-		"-experiment", "bruteforce", "-metrics", "/nonexistent-dir-pythia/m.json")
+// TestCLIsRejectUnwritableOutputs: every CLI checks its -journal,
+// -trace and -metrics paths before any work runs, so a bad one is a
+// usage error (exit 2) naming its flag rather than a failure after a
+// full run.
+func TestCLIsRejectUnwritableOutputs(t *testing.T) {
+	const bad = "/nonexistent-dir-pythia/out"
+	work := map[string][]string{
+		"pythia-bench":  {"-experiment", "bruteforce"},
+		"pythiac":       {"-stdin", "testdata/benign.txt", "testdata/demo.c"},
+		"pythia-attack": {"-case", "scanf-scalar-taint", "-scheme", "pythia"},
+		"pythia-fuzz":   {"-quick", "-seed", "1", "-execs", "200"},
+		"pythiad":       {"-addr", "127.0.0.1:0"},
+	}
+	for _, c := range []struct{ cli, flag, diag string }{
+		{"pythia-bench", "-metrics", "unwritable -metrics path"},
+		{"pythiac", "-metrics", "unwritable -metrics path"},
+		{"pythia-attack", "-metrics", "unwritable -metrics path"},
+		{"pythia-fuzz", "-metrics", "unwritable -metrics path"},
+		{"pythia-bench", "-trace", "unwritable -trace path"},
+		{"pythiac", "-trace", "unwritable -trace path"},
+		{"pythia-bench", "-journal", "invalid -journal"},
+		{"pythiac", "-journal", "invalid -journal"},
+		{"pythia-attack", "-journal", "invalid -journal"},
+		{"pythia-fuzz", "-journal", "invalid -journal"},
+		{"pythiad", "-journal", "invalid -journal"},
+	} {
+		t.Run(c.cli+c.flag, func(t *testing.T) {
+			// Flags go before pythiac's positional source file.
+			args := append([]string{c.flag, bad}, work[c.cli]...)
+			out := expectExit2(t, builtBinary(t, c.cli), c.diag, args...)
+			if c.cli == "pythia-fuzz" && strings.Contains(out, "  execs ") {
+				t.Fatalf("fuzz campaign ran under a bad %s path:\n%s", c.flag, out)
+			}
+		})
+	}
+}
+
+// TestPythiacFailureWritesOutputs: a compile error still leaves a valid
+// journal holding the failed compile span and a parseable metrics dump.
+func TestPythiacFailureWritesOutputs(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(dir+"/bad.c", []byte("int main() { return undefined_var; }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(builtBinary(t, "pythiac"), "-journal", "j.jsonl", "-metrics", "m.json", "bad.c")
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if exit, isExit := err.(*exec.ExitError); !isExit || exit.ExitCode() != 1 {
+		t.Fatalf("compile error must exit 1, got %v:\n%s", err, out)
+	}
+
+	raw, err := os.ReadFile(dir + "/j.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.ValidateJournal(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("journal invalid after a failed run: %v\n%s", err, raw)
+	}
+	var events []obs.JournalEvent
+	for dec := json.NewDecoder(bytes.NewReader(raw)); dec.More(); {
+		var ev obs.JournalEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
+	found := false
+	for _, sp := range obs.SpansOf(events) {
+		found = found || sp.Name == "compile bad.c"
+	}
+	if !found {
+		t.Fatalf("journal lacks the failed compile span:\n%s", raw)
+	}
+
+	b, err := os.ReadFile(dir + "/m.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatalf("metrics dump does not parse after a failed run: %v\n%s", err, b)
+	}
+	if _, ok := doc.Counters["pipeline.compile.misses"]; !ok {
+		t.Fatalf("metrics dump lacks pipeline.compile.misses: %s", b)
+	}
 }
 
 func TestPythiaBenchCompareWithoutBaseline(t *testing.T) {

@@ -30,12 +30,9 @@ import (
 	"repro/internal/obs"
 )
 
-var schemeNames = map[string]core.Scheme{
-	"vanilla": core.SchemeVanilla,
-	"cpa":     core.SchemeCPA,
-	"pythia":  core.SchemePythia,
-	"dfi":     core.SchemeDFI,
-}
+// outs carries the observability flags; exit writes them on every path
+// out of main after outs.Start.
+var outs obs.Outputs
 
 func main() {
 	var (
@@ -48,62 +45,6 @@ func main() {
 		journalOut = flag.String("journal", "", "stream the causal run journal to this file as JSONL")
 	)
 	flag.Parse()
-
-	// writeMetrics dumps the registry and journal populated during the
-	// run; called explicitly before the final exit because os.Exit skips
-	// defers.
-	writeMetrics := func() {}
-	if *metrics != "" || *journalOut != "" {
-		if *metrics != "" && *metrics != "-" {
-			if f, err := os.OpenFile(*metrics, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "pythia-attack: unwritable -metrics path: %v\n", err)
-				flag.Usage()
-				os.Exit(2)
-			} else {
-				f.Close()
-			}
-		}
-		sess := &obs.Session{}
-		if *metrics != "" {
-			sess.Metrics = obs.Default()
-		}
-		if *journalOut != "" {
-			j, err := obs.OpenJournal(*journalOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pythia-attack: invalid -journal: %v\n", err)
-				flag.Usage()
-				os.Exit(2)
-			}
-			sess.Journal = j
-		}
-		obs.Start(sess)
-		path := *metrics
-		writeMetrics = func() {
-			obs.Stop()
-			if err := sess.Journal.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "pythia-attack:", err)
-				os.Exit(1)
-			}
-			if sess.Metrics == nil {
-				return
-			}
-			if path == "-" {
-				sess.Metrics.WriteText(os.Stderr)
-				return
-			}
-			f, err := os.Create(path)
-			if err == nil {
-				err = sess.Metrics.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pythia-attack:", err)
-				os.Exit(1)
-			}
-		}
-	}
 
 	if *list {
 		for _, c := range attack.Corpus() {
@@ -123,12 +64,19 @@ func main() {
 	}
 	schemes := core.Schemes
 	if *schemeName != "" {
-		s, ok := schemeNames[*schemeName]
+		s, ok := core.ParseScheme(*schemeName)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "pythia-attack: unknown scheme %q\n", *schemeName)
 			os.Exit(2)
 		}
 		schemes = []core.Scheme{s}
+	}
+
+	outs = obs.Outputs{Journal: *journalOut, Metrics: *metrics}
+	if err := outs.Start(&obs.Session{}); err != nil {
+		fmt.Fprintln(os.Stderr, "pythia-attack:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 
 	var outcomes []jsonOutcome
@@ -142,7 +90,7 @@ func main() {
 			o, err := attack.Run(&c, s)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "pythia-attack: %s/%v: %v\n", c.Name, s, err)
-				os.Exit(1)
+				exit(1)
 			}
 			if *jsonOut {
 				outcomes = append(outcomes, toJSON(o))
@@ -172,12 +120,21 @@ func main() {
 		}{outcomes}, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "pythia-attack:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Println(string(out))
 	}
-	writeMetrics()
-	os.Exit(exitCode)
+	exit(exitCode)
+}
+
+// exit writes the observability outputs and ends the process; a failed
+// write turns a clean exit into exit 1.
+func exit(code int) {
+	if err := outs.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "pythia-attack:", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
 }
 
 // jsonOutcome is one row of the -json matrix.

@@ -120,12 +120,32 @@ type jsonDoc struct {
 	Compare     *jsonCompare         `json:"compare,omitempty"`
 }
 
+// outs carries the observability flags; exit writes them on every
+// failing path out of main after outs.Start, and main closes them
+// before its normal return.
+var outs obs.Outputs
+
 // usageError prints the diagnostic plus usage and exits 2 — the flag
 // validation convention shared by every error path below.
 func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "pythia-bench: "+format+"\n", args...)
 	flag.Usage()
-	os.Exit(2)
+	exit(2)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "pythia-bench:", err)
+	exit(1)
+}
+
+// exit writes the observability outputs and ends the process; a failed
+// write turns a clean exit into exit 1.
+func exit(code int) {
+	if err := outs.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "pythia-bench:", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
 }
 
 // checkWritable verifies the file at path can be created or appended
@@ -207,58 +227,14 @@ func main() {
 			usageError("unwritable -save path: %v", err)
 		}
 	}
-	if *metrics != "" && *metrics != "-" {
-		if err := checkWritable(*metrics); err != nil {
-			usageError("unwritable -metrics path: %v", err)
-		}
-	}
-
-	var sess *obs.Session
-	if *traceOut != "" || *journal != "" || *coverage || *hotsites > 0 || *attribution > 0 || *metrics != "" || *savePath != "" || *compare || *serveAddr != "" {
-		sess = &obs.Session{}
-		if *traceOut != "" || *journal != "" {
-			// The journal is the primary record; -trace renders a derived
-			// Chrome timeline from it at exit.
-			if *journal != "" {
-				j, err := obs.OpenJournal(*journal)
-				if err != nil {
-					usageError("invalid -journal: %v", err)
-				}
-				sess.Journal = j
-			} else {
-				sess.Journal = obs.NewJournal()
-			}
-		}
-		if *coverage {
-			sess.Coverage = obs.NewCoverageAgg()
-		}
-		if *hotsites > 0 || *serveAddr != "" {
-			sess.Sites = perf.NewSiteProf()
-		}
-		if *metrics != "" || *savePath != "" || *serveAddr != "" {
-			sess.Metrics = obs.Default()
-		}
-		// Attribution arms for -save and -compare too, so every history
-		// record carries blame data and the perf gate can use it.
-		if *attribution > 0 || *savePath != "" || *compare || *serveAddr != "" {
-			sess.Attrib = obs.NewAttribAgg()
-		}
-		if *serveAddr != "" {
-			sess.Progress = &obs.Progress{}
-		}
-		obs.Start(sess)
-		defer obs.Stop()
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pythia-bench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "pythia-bench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -288,22 +264,35 @@ func main() {
 	if *expID != "" {
 		e, err := bench.ByID(*expID)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pythia-bench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		exps = []bench.Experiment{e}
 	}
 
-	if *serveAddr != "" {
-		srv, err := obs.StartServer(*serveAddr, sess)
-		if err != nil {
-			usageError("-serve %s: %v", *serveAddr, err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "# serving observability on http://%s (/healthz /metricz /debug/vars /debug/pprof/ /hotsites /progress /api/journal /api/spans /api/coverage /api/attribution /api/histo)\n", srv.Addr())
+	// outs arms the journal, the registry and progress for its flags;
+	// the bench adds its own collectors. -serve arms every collector its
+	// endpoints read, -save snapshots the registry into its record, and
+	// attribution arms for -save and -compare too, so every history
+	// record carries blame data for the perf gate.
+	sess := &obs.Session{}
+	if *coverage {
+		sess.Coverage = obs.NewCoverageAgg()
+	}
+	if *hotsites > 0 || *serveAddr != "" {
+		sess.Sites = perf.NewSiteProf()
+	}
+	if *savePath != "" {
+		sess.Metrics = obs.Default()
+	}
+	if *attribution > 0 || *savePath != "" || *compare || *serveAddr != "" {
+		sess.Attrib = obs.NewAttribAgg()
+	}
+	outs = obs.Outputs{Journal: *journal, Trace: *traceOut, Metrics: *metrics, Serve: *serveAddr}
+	if err := outs.Start(sess); err != nil {
+		usageError("%v", err)
 	}
 
-	if sess != nil && sess.Progress != nil {
+	if sess.Progress != nil {
 		sess.Progress.Begin(len(exps)**repeat, *repeat)
 	}
 
@@ -331,8 +320,7 @@ func main() {
 			// harden stages come warm from disk.
 			pl, err := core.OpenPipeline(*cacheDir)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "pythia-bench:", err)
-				os.Exit(1)
+				fail(err)
 			}
 			cfg.Pipeline = pl
 		}
@@ -348,7 +336,7 @@ func main() {
 
 		for i, e := range exps {
 			before := cfg.Runner().Stats()
-			if sess != nil && sess.Progress != nil {
+			if sess.Progress != nil {
 				sess.Progress.StartExperiment(e.ID, rep)
 			}
 			t0 := time.Now()
@@ -356,12 +344,11 @@ func main() {
 			tbl, err := e.Run(cfg)
 			endSpan()
 			elapsed := time.Since(t0)
-			if sess != nil && sess.Progress != nil {
+			if sess.Progress != nil {
 				sess.Progress.FinishExperiment(e.ID, rep, elapsed)
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "pythia-bench: %s: %v\n", e.ID, err)
-				os.Exit(1)
+				fail(fmt.Errorf("%s: %v", e.ID, err))
 			}
 			wallSamples[i] = append(wallSamples[i], ms(elapsed))
 			if rep > 1 {
@@ -388,7 +375,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "# repeat %d/%d %7.3fs\n", rep, *repeat, time.Since(repStart).Seconds())
 		}
 	}
-	if sess != nil && sess.Progress != nil {
+	if sess.Progress != nil {
 		sess.Progress.Finish()
 	}
 
@@ -428,18 +415,17 @@ func main() {
 				WallMS:      wallSamples[i],
 			})
 		}
-		if sess != nil && sess.Metrics != nil {
+		if sess.Metrics != nil {
 			snap := sess.Metrics.Snapshot()
 			rec.Metrics = &snap
 		}
-		if sess != nil && sess.Attrib != nil {
+		if sess.Attrib != nil {
 			rec.Attribution = bench.AttribRecordsFrom(sess.Attrib)
 		}
 	}
 	if *savePath != "" {
 		if err := bench.AppendRecord(*savePath, rec); err != nil {
-			fmt.Fprintln(os.Stderr, "pythia-bench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "# saved history record -> %s\n", *savePath)
 	}
@@ -471,29 +457,31 @@ func main() {
 	if *jsonOut {
 		out, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pythia-bench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Println(string(out))
 	}
 
-	if sess != nil {
-		finishObs(sess, *traceOut, *journal, *metrics, *hotsites, *attribution, *coverage)
+	if err := reportObs(sess, *hotsites, *attribution, *coverage); err != nil {
+		fail(err)
 	}
 	if regressed {
-		os.Exit(1)
+		exit(1)
+	}
+	// A normal return keeps the -cpuprofile/-memprofile defers running.
+	if err := outs.Close(); err != nil {
+		fail(err)
 	}
 }
 
-// finishObs writes the session's trace, journal, metrics, hot-site,
-// attribution and coverage outputs. Everything goes to files or stderr
-// so the table stream on stdout stays byte-identical with and without
-// observability. A reconciliation failure in the attribution accounting
-// is a hard error (exit 1): it means cycles were dropped or
-// double-counted between the VM and the report.
-func finishObs(sess *obs.Session, traceOut, journal, metrics string, hotsites, attribution int, coverage bool) {
-	// Attribution first: its journal points must land before the journal
-	// is closed and the trace derived.
+// reportObs renders the session's attribution, hot-site and coverage
+// reports to stderr, so the table stream on stdout stays byte-identical
+// with and without observability, and records the attribution rows as
+// journal points before outs.Close writes the journal and the trace.
+// It returns the first attribution reconciliation failure, a hard
+// error (exit 1): it means cycles were dropped or double-counted
+// between the VM and the report.
+func reportObs(sess *obs.Session, hotsites, attribution int, coverage bool) error {
 	var reconcileErr error
 	if sess.Attrib != nil {
 		rows := sess.Attrib.Rows()
@@ -522,37 +510,6 @@ func finishObs(sess *obs.Session, traceOut, journal, metrics string, hotsites, a
 			}
 		}
 	}
-	if traceOut != "" {
-		if err := sess.Journal.WriteTraceFile(traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, "pythia-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# trace: %d journal events -> %s\n", sess.Journal.Len(), traceOut)
-	}
-	if journal != "" {
-		if err := sess.Journal.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "pythia-bench:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "# journal: %d events -> %s\n", sess.Journal.Len(), journal)
-	}
-	if metrics != "" {
-		if metrics == "-" {
-			sess.Metrics.WriteText(os.Stderr)
-		} else {
-			f, err := os.Create(metrics)
-			if err == nil {
-				err = sess.Metrics.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "pythia-bench:", err)
-				os.Exit(1)
-			}
-		}
-	}
 	if hotsites > 0 {
 		top := sess.Sites.Top(hotsites)
 		fmt.Fprintf(os.Stderr, "# hot sites (top %d of %d by attributed cycles)\n", len(top), sess.Sites.Len())
@@ -564,10 +521,7 @@ func finishObs(sess *obs.Session, traceOut, journal, metrics string, hotsites, a
 	if coverage {
 		sess.Coverage.WriteReport(os.Stderr)
 	}
-	if reconcileErr != nil {
-		fmt.Fprintln(os.Stderr, "pythia-bench:", reconcileErr)
-		os.Exit(1)
-	}
+	return reconcileErr
 }
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }

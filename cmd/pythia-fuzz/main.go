@@ -34,17 +34,31 @@ import (
 	"repro/internal/obs"
 )
 
+// outs carries the observability flags; exit writes them on every path
+// out of main after outs.Start.
+var outs obs.Outputs
+
 // usageError prints the diagnostic plus usage and exits 2 — the flag
 // validation convention shared with the other CLIs.
 func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "pythia-fuzz: "+format+"\n", args...)
 	flag.Usage()
-	os.Exit(2)
+	exit(2)
 }
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "pythia-fuzz:", err)
-	os.Exit(1)
+	exit(1)
+}
+
+// exit writes the observability outputs and ends the process; a failed
+// write turns a clean exit into exit 1.
+func exit(code int) {
+	if err := outs.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "pythia-fuzz:", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
 }
 
 func main() {
@@ -137,56 +151,11 @@ func main() {
 		}
 	}
 
-	// Observability session: metrics for -metrics/-serve, the causal
-	// journal for -journal (fuzz rounds and findings become spans and
-	// points), progress for the server's /progress endpoint.
-	writeMetrics := func() {}
-	if *metrics != "" || *serveAddr != "" || *journalOut != "" {
-		sess := &obs.Session{Metrics: obs.Default()}
-		if *serveAddr != "" {
-			sess.Progress = &obs.Progress{}
-		}
-		if *journalOut != "" {
-			j, err := obs.OpenJournal(*journalOut)
-			if err != nil {
-				usageError("invalid -journal: %v", err)
-			}
-			sess.Journal = j
-		}
-		obs.Start(sess)
-		defer obs.Stop()
-		if *serveAddr != "" {
-			srv, err := obs.StartServer(*serveAddr, sess)
-			if err != nil {
-				usageError("-serve %s: %v", *serveAddr, err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "# serving observability on http://%s (/healthz /metricz /debug/vars /progress /api/journal /api/spans /api/histo)\n", srv.Addr())
-		}
-		reg, metricsPath := sess.Metrics, *metrics
-		writeMetrics = func() {
-			obs.Stop()
-			if err := sess.Journal.Close(); err != nil {
-				fail(err)
-			}
-			if metricsPath == "" {
-				return
-			}
-			if metricsPath == "-" {
-				reg.WriteText(os.Stderr)
-				return
-			}
-			f, err := os.Create(metricsPath)
-			if err == nil {
-				err = reg.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fail(err)
-			}
-		}
+	// Fuzz rounds and findings become journal spans and points; -serve
+	// adds the server's /progress endpoint.
+	outs = obs.Outputs{Journal: *journalOut, Metrics: *metrics, Serve: *serveAddr}
+	if err := outs.Start(&obs.Session{}); err != nil {
+		usageError("%v", err)
 	}
 
 	opts := fuzz.Options{
@@ -269,8 +238,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "pythia-fuzz: %s: new finding %s not in %s\n", tag, fd.Key(), *knownPath)
 		}
 	}
-	writeMetrics()
-	os.Exit(exitCode)
+	exit(exitCode)
 }
 
 // repro replays one reproducer file through the full scheme matrix.

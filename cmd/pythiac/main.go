@@ -26,12 +26,9 @@ import (
 	"repro/internal/slice"
 )
 
-var schemeNames = map[string]core.Scheme{
-	"vanilla": core.SchemeVanilla,
-	"cpa":     core.SchemeCPA,
-	"pythia":  core.SchemePythia,
-	"dfi":     core.SchemeDFI,
-}
+// outs carries the observability flags; exit writes them on every path
+// out of main after outs.Start.
+var outs obs.Outputs
 
 func main() {
 	var (
@@ -51,76 +48,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *metrics != "" && *metrics != "-" {
-		f, err := os.OpenFile(*metrics, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pythiac: unwritable -metrics path: %v\n", err)
-			flag.Usage()
-			os.Exit(2)
-		}
-		f.Close()
-	}
-	// flushObs writes the trace file and metrics dump; called explicitly
-	// on every exit path because os.Exit skips deferred functions.
-	// (Kept as writeTrace's successor: one closure for both outputs.)
-	flushObs := func() {}
-	if *traceOut != "" || *journalOut != "" || *metrics != "" {
-		sess := &obs.Session{}
-		if *traceOut != "" || *journalOut != "" {
-			// The journal is the primary record; -trace renders the derived
-			// Chrome timeline from it on exit.
-			if *journalOut != "" {
-				j, err := obs.OpenJournal(*journalOut)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "pythiac: invalid -journal: %v\n", err)
-					flag.Usage()
-					os.Exit(2)
-				}
-				sess.Journal = j
-			} else {
-				sess.Journal = obs.NewJournal()
-			}
-		}
-		if *metrics != "" {
-			sess.Metrics = obs.Default()
-		}
-		obs.Start(sess)
-		tracePath, metricsPath := *traceOut, *metrics
-		flushObs = func() {
-			obs.Stop()
-			if tracePath != "" {
-				if err := sess.Journal.WriteTraceFile(tracePath); err != nil {
-					fmt.Fprintf(os.Stderr, "pythiac: %v\n", err)
-					os.Exit(1)
-				}
-			}
-			if err := sess.Journal.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "pythiac: %v\n", err)
-				os.Exit(1)
-			}
-			if sess.Metrics == nil {
-				return
-			}
-			if metricsPath == "-" {
-				sess.Metrics.WriteText(os.Stderr)
-				return
-			}
-			f, err := os.Create(metricsPath)
-			if err == nil {
-				err = sess.Metrics.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pythiac: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-	scheme, ok := schemeNames[*schemeName]
+	scheme, ok := core.ParseScheme(*schemeName)
 	if !ok {
 		fatal("unknown scheme %q", *schemeName)
+	}
+	outs = obs.Outputs{Journal: *journalOut, Trace: *traceOut, Metrics: *metrics}
+	if err := outs.Start(&obs.Session{}); err != nil {
+		fmt.Fprintln(os.Stderr, "pythiac:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -156,8 +92,7 @@ func main() {
 			fatal("compile: %v", err)
 		}
 		printAnalysis(mod)
-		flushObs()
-		return
+		exit(0)
 	}
 
 	var prog *core.Program
@@ -180,8 +115,7 @@ func main() {
 
 	if *emitIR {
 		fmt.Print(prog.Mod.String())
-		flushObs()
-		return
+		exit(0)
 	}
 
 	stdin := ""
@@ -204,11 +138,10 @@ func main() {
 	fmt.Fprintf(os.Stderr, "binary size: %d bytes   static defense instrs: %d\n", core.BinarySize(prog.Mod), prog.Protection.PAInstrs())
 	if res.Fault != nil {
 		fmt.Fprintf(os.Stderr, "FAULT: %v\n", res.Fault)
-		flushObs()
-		os.Exit(1)
+		exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "exit value: %d\n", int64(res.Ret))
-	flushObs()
+	exit(0)
 }
 
 func printAnalysis(mod *ir.Module) {
@@ -248,5 +181,15 @@ func printAnalysis(mod *ir.Module) {
 
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "pythiac: "+format+"\n", args...)
-	os.Exit(1)
+	exit(1)
+}
+
+// exit writes the observability outputs and ends the process; a failed
+// write turns a clean exit into exit 1.
+func exit(code int) {
+	if err := outs.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "pythiac:", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
 }

@@ -65,24 +65,19 @@ func main() {
 	}
 
 	// The daemon's whole observability set is armed unconditionally: a
-	// service is long-running by nature, so metrics, coverage and the
-	// fault flight recorder are part of its contract, not an opt-in.
+	// service is long-running by nature, so metrics, coverage, the
+	// journal (in memory unless -journal streams it) and the fault
+	// flight recorder are part of its contract, not an opt-in.
 	sess := &obs.Session{
+		Journal:     obs.NewJournal(),
 		Metrics:     obs.Default(),
 		Coverage:    obs.NewCoverageAgg(),
 		FlightDepth: obs.DefaultFlightWindow,
 	}
-	if *journalPath != "" {
-		j, err := obs.OpenJournal(*journalPath)
-		if err != nil {
-			usageError("invalid -journal: %v", err)
-		}
-		sess.Journal = j
-	} else {
-		sess.Journal = obs.NewJournal()
+	outs = obs.Outputs{Journal: *journalPath}
+	if err := outs.Start(sess); err != nil {
+		usageError("%v", err)
 	}
-	obs.Start(sess)
-	defer obs.Stop()
 
 	engine, err := service.New(service.Config{
 		Workers:        *workers,
@@ -94,16 +89,14 @@ func main() {
 		CacheMaxBytes:  *cacheMax,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pythiad:", err)
-		os.Exit(1)
+		fail(err)
 	}
 
 	mux := obs.NewMux(sess)
 	engine.Mount(mux)
 	srv, err := obs.StartServerHandler(*addr, mux)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "pythiad:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	// The listen line goes to stderr so harnesses (and the cmd tests)
 	// can scrape the bound port under -addr :0.
@@ -116,22 +109,39 @@ func main() {
 
 	// Shutdown order: stop admissions first so late HTTP requests get
 	// 503, let the HTTP server finish in-flight handlers (2s grace),
-	// then drain the engine's queue and close the journal.
+	// then drain the engine's queue; exit closes the journal.
 	engine.BeginDrain()
 	if err := srv.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "pythiad: shutdown:", err)
 	}
 	engine.Close()
-	if err := sess.Journal.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "pythiad: journal:", err)
-	}
 	fmt.Fprintln(os.Stderr, "pythiad: drained, bye")
+	exit(0)
 }
+
+// outs carries the -journal flag; exit closes the journal on every path
+// out of main after outs.Start.
+var outs obs.Outputs
 
 // usageError prints the diagnostic plus usage and exits 2 — the flag
 // contract shared by every CLI in this repo.
 func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "pythiad: "+format+"\n", args...)
 	flag.Usage()
-	os.Exit(2)
+	exit(2)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "pythiad:", err)
+	exit(1)
+}
+
+// exit writes the observability outputs and ends the process; a failed
+// write turns a clean exit into exit 1.
+func exit(code int) {
+	if err := outs.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "pythiad:", err)
+		code = max(code, 1)
+	}
+	os.Exit(code)
 }

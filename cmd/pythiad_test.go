@@ -317,18 +317,11 @@ func TestPythiadRejectsPositionalArgs(t *testing.T) {
 // schemeByName maps the wire scheme name to the core enum.
 func schemeByName(t *testing.T, name string) core.Scheme {
 	t.Helper()
-	switch name {
-	case "vanilla":
-		return core.SchemeVanilla
-	case "cpa":
-		return core.SchemeCPA
-	case "pythia":
-		return core.SchemePythia
-	case "dfi":
-		return core.SchemeDFI
+	s, ok := core.ParseScheme(name)
+	if !ok {
+		t.Fatalf("unknown scheme %q", name)
 	}
-	t.Fatalf("unknown scheme %q", name)
-	return 0
+	return s
 }
 
 // getJSON fetches and decodes a JSON endpoint.

@@ -43,6 +43,17 @@ const (
 // Schemes lists the four headline configurations in evaluation order.
 var Schemes = []Scheme{SchemeVanilla, SchemeCPA, SchemePythia, SchemeDFI}
 
+// ParseScheme resolves a headline scheme by its String() name, the
+// spelling every CLI flag and the service API accept.
+func ParseScheme(name string) (Scheme, bool) {
+	for _, s := range Schemes {
+		if s.String() == name {
+			return s, true
+		}
+	}
+	return 0, false
+}
+
 // Protection describes what a scheme instrumented.
 type Protection struct {
 	Scheme Scheme
@@ -128,7 +139,7 @@ func (p *Program) Run(stdin string, args ...uint64) (*vm.Result, error) {
 	obs.ObserveMS("vm.run.ms", time.Since(start))
 	end()
 	if res != nil && res.Fault != nil {
-		obs.TraceInstant("fault: "+res.Fault.Kind.String(), "vm", map[string]any{
+		obs.Point("fault: "+res.Fault.Kind.String(), "vm", map[string]string{
 			"func": res.Fault.Func, "instr": res.Fault.Instr,
 		})
 	}

@@ -100,6 +100,17 @@ func TestSchemeNames(t *testing.T) {
 	if joined != "vanilla,cpa,pythia,dfi" {
 		t.Fatalf("scheme order/names: %s", joined)
 	}
+	for _, s := range core.Schemes {
+		if got, ok := core.ParseScheme(s.String()); !ok || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, ok, s)
+		}
+	}
+	// Only the headline schemes are a CLI/API surface, spelled exactly.
+	for _, name := range []string{"pythia-fields", "", "PYTHIA"} {
+		if s, ok := core.ParseScheme(name); ok {
+			t.Errorf("ParseScheme(%q) accepted as %v", name, s)
+		}
+	}
 }
 
 func TestRunsAreIsolated(t *testing.T) {

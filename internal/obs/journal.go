@@ -378,16 +378,6 @@ func (j *Journal) WriteTrace(w io.Writer) error {
 	return enc.Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
-// WriteTraceFile writes the derived Chrome trace to path.
-func (j *Journal) WriteTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: journal trace: %w", err)
-	}
-	defer f.Close()
-	return j.WriteTrace(f)
-}
-
 // JournalStats summarizes a validated journal.
 type JournalStats struct {
 	Events int // total lines

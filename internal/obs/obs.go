@@ -15,16 +15,18 @@
 // RNG, or memory, so enabling it cannot change a single byte of the
 // evaluation tables.
 //
-// A Session is process-global, like expvar: the CLIs start one from
-// their observability flags (-journal, -trace, -coverage, -attribution,
-// -hotsites, -metrics, -serve) and the subsystems pick it up through
-// Current() without any signature plumbing. Libraries that want
-// per-machine forensics without a session set vm.Config.Flight
-// directly (package attack does this for every attacked run).
+// A Session is process-global, like expvar, and the subsystems pick it
+// up through Current() without any signature plumbing. Every CLI starts
+// its session through Outputs, which arms the collectors its -journal,
+// -trace, -metrics and -serve flags need and writes their files on
+// every exit, failures included; pythia-bench hands Outputs a session
+// that already carries its -coverage, -attribution and -hotsites
+// collectors. Libraries that want per-machine forensics without a
+// session set vm.Config.Flight directly (package attack does this for
+// every attacked run).
 package obs
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -89,14 +91,6 @@ func CurrentMetrics() *Registry {
 	return nil
 }
 
-// CurrentSites returns the active session's site profiler, or nil.
-func CurrentSites() *perf.SiteProf {
-	if s := Current(); s != nil {
-		return s.Sites
-	}
-	return nil
-}
-
 // CurrentJournal returns the active session's journal, or nil.
 func CurrentJournal() *Journal {
 	if s := Current(); s != nil {
@@ -145,26 +139,10 @@ func TraceSpan(name, cat string) func() {
 	return noopEnd
 }
 
-// TraceInstant records a journal point under the current span, with
-// args rendered as string attributes.
-func TraceInstant(name, cat string, args map[string]any) {
-	j := CurrentJournal()
-	if j == nil {
-		return
-	}
-	var attrs map[string]string
-	if len(args) > 0 {
-		attrs = make(map[string]string, len(args))
-		for k, v := range args {
-			attrs[k] = fmt.Sprint(v)
-		}
-	}
-	j.Point(name, cat, attrs)
-}
-
 // Point records a journal point under the calling goroutine's current
 // span, when a journal is armed — the artifact store and the pipeline
-// use it to attribute cache hits and misses to their requesting span.
+// use it to attribute cache hits and misses to their requesting span,
+// and Program.Run to mark a VM fault.
 func Point(name, cat string, attrs map[string]string) {
 	if j := CurrentJournal(); j != nil {
 		j.Point(name, cat, attrs)

@@ -160,12 +160,12 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatal("session accessors disagree")
 	}
 	TraceSpan("span", "test")()
-	TraceInstant("inst", "test", nil)
+	Point("inst", "test", nil)
 	if n := len(s.Journal.Events()); n != 3 {
 		t.Fatalf("journal has %d events, want begin+end+point", n)
 	}
 	Stop()
-	if Current() != nil || CurrentJournal() != nil || CurrentMetrics() != nil || CurrentSites() != nil {
+	if Current() != nil || CurrentJournal() != nil || CurrentMetrics() != nil {
 		t.Fatal("Stop did not clear the session")
 	}
 }

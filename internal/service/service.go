@@ -127,14 +127,6 @@ func badRequest(format string, args ...any) error {
 	return &RequestError{Msg: fmt.Sprintf(format, args...)}
 }
 
-// schemeNames mirrors the CLI scheme surface.
-var schemeNames = map[string]core.Scheme{
-	"vanilla": core.SchemeVanilla,
-	"cpa":     core.SchemeCPA,
-	"pythia":  core.SchemePythia,
-	"dfi":     core.SchemeDFI,
-}
-
 // Engine is the running service: a pipeline, a worker pool, and the
 // tenant registry. Construct with New; Close drains it.
 type Engine struct {
@@ -264,7 +256,7 @@ func (e *Engine) prepare(req *SubmitRequest) (*job, error) {
 	if len(req.Source) > e.cfg.MaxSourceBytes {
 		return nil, badRequest("source is %d bytes, cap is %d", len(req.Source), e.cfg.MaxSourceBytes)
 	}
-	scheme, ok := schemeNames[req.Scheme]
+	scheme, ok := core.ParseScheme(req.Scheme)
 	if !ok {
 		return nil, badRequest("unknown scheme %q (want vanilla, cpa, pythia, dfi)", req.Scheme)
 	}

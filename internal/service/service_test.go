@@ -59,7 +59,8 @@ func TestSubmitVerdictMatrix(t *testing.T) {
 	e := newEngine(t, Config{Workers: 4})
 
 	for _, scheme := range []string{"vanilla", "cpa", "pythia", "dfi"} {
-		truth, err := attack.RunWith(core.NewPipeline(), &c, schemeNames[scheme])
+		s, _ := core.ParseScheme(scheme)
+		truth, err := attack.RunWith(core.NewPipeline(), &c, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,21 +60,17 @@ func RunWith(pl *core.Pipeline, c *Case, scheme core.Scheme) (*Outcome, error) {
 	defer obs.TraceSpan(fmt.Sprintf("attack %s [%v]", c.Name, scheme), "attack")()
 	out := &Outcome{Case: c.Name, Scheme: scheme}
 
-	benignProg, err := pl.Build(c.Name, c.Source, scheme)
+	prog, err := pl.Build(c.Name, c.Source, scheme)
 	if err != nil {
 		return nil, fmt.Errorf("attack: build %s/%v: %w", c.Name, scheme, err)
 	}
-	bres, err := runArmed(benignProg, c.Benign)
+	bres, err := runArmed(prog, c.Benign)
 	if err != nil {
 		return nil, err
 	}
 	out.Benign = Classify(bres)
 
-	attackProg, err := pl.Build(c.Name, c.Source, scheme)
-	if err != nil {
-		return nil, err
-	}
-	ares, err := runArmed(attackProg, c.Malicious)
+	ares, err := runArmed(prog, c.Malicious)
 	if err != nil {
 		return nil, err
 	}
@@ -90,8 +86,9 @@ func RunWith(pl *core.Pipeline, c *Case, scheme core.Scheme) (*Outcome, error) {
 	// contribute dynamic site counts under the case's name (no-op unless
 	// a session armed a CoverageAgg).
 	if agg := obs.CurrentCoverage(); agg != nil {
-		agg.Record(c.Name, scheme.String(), harden.SiteIDs(benignProg.Mod), benignProg.Mod.NumInstrs(), bres.Coverage)
-		agg.Record(c.Name, scheme.String(), harden.SiteIDs(attackProg.Mod), attackProg.Mod.NumInstrs(), ares.Coverage)
+		ids, n := harden.SiteIDs(prog.Mod), prog.Mod.NumInstrs()
+		agg.Record(c.Name, scheme.String(), ids, n, bres.Coverage)
+		agg.Record(c.Name, scheme.String(), ids, n, ares.Coverage)
 	}
 	return out, nil
 }

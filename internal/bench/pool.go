@@ -98,7 +98,7 @@ func forEach(workers, n int, fn func(i int)) {
 //
 //  1. compile: every distinct profile front-end compile, once
 //  2. harden:  every distinct (profile, scheme) instrumentation,
-//     cloned from stage 1's shared vanilla IR
+//     each decoded from stage 1's vanilla IR bytes
 //  3. run:     every execution and analysis, all stages warm
 //
 // The old single-batch pool funneled whole Build+Run tasks through the

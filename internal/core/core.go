@@ -116,10 +116,9 @@ func Protect(mod *ir.Module, scheme Scheme) (*Protection, error) {
 }
 
 // Build compiles src and protects it with the scheme, pulling both
-// stages through the process-wide pipeline: the vanilla compile of a
-// source is paid once per process and shared across schemes via a deep
-// IR clone, and each (source, scheme) instrumentation is paid once.
-// The returned Program owns its module outright.
+// stages through the process-wide pipeline: each source's vanilla
+// compile and each (source, scheme) instrumentation is paid once per
+// process, and each call returns a freshly decoded module.
 func Build(name, src string, scheme Scheme) (*Program, error) {
 	return defaultPipeline.Build(name, src, scheme)
 }

@@ -13,17 +13,17 @@ package core
 // Both stages coalesce concurrent requests in-process (singleflight)
 // and, when the pipeline is opened over a cache directory, persist
 // their outputs in a content-addressed artifact store shared across
-// processes. The harden stage derives each scheme's module from the
-// shared vanilla compile via a deep IR clone instead of recompiling.
+// processes. The harden stage derives each scheme's module by decoding
+// the shared vanilla compile's bytes instead of recompiling.
 //
 // Determinism invariant: a Program built through any mix of cold
 // stages, warm in-process stages, and warm on-disk stages is
 // bit-identical in behavior. The pipeline enforces this by
-// construction — every Build returns a module decoded from the stage's
-// canonical encoding, so the cold path exercises exactly the
-// serialize/deserialize round-trip the warm path depends on, and each
-// caller owns its module outright (machines write global addresses
-// into the module, so sharing one across concurrent VMs is a race).
+// construction — both memo stages hold only their canonical encodings,
+// and every module a stage hands on is decoded from them, so the cold
+// path exercises exactly the serialize/deserialize round-trip the warm
+// path depends on. A decoded module takes about 11x the heap of its
+// encoding, so the memo keeps no modules at all.
 
 import (
 	"encoding/binary"
@@ -58,19 +58,18 @@ type Pipeline struct {
 	hardens  map[string]*hardenEntry
 }
 
-// compileEntry is one memoized vanilla compile. mod is shared across
-// every downstream harden as read-only clone source.
+// compileEntry is one memoized vanilla compile: the canonical encoding
+// every downstream harden decodes its module from.
 type compileEntry struct {
 	once   sync.Once
-	mod    *ir.Module
 	enc    []byte
 	digest string // artifact.Key of enc: the harden stage's upstream key
 	err    error
 }
 
-// hardenEntry is one memoized (vanilla IR, scheme) instrumentation. It
-// holds the canonical encoding, not a module: every Build decodes a
-// fresh module so callers own what they get.
+// hardenEntry is one memoized (vanilla IR, scheme) instrumentation: the
+// canonical encoding every Build decodes its module from, and the
+// protection report every Build of the key shares.
 type hardenEntry struct {
 	once sync.Once
 	enc  []byte
@@ -100,8 +99,8 @@ func OpenPipeline(dir string) (*Pipeline, error) {
 
 // defaultPipeline serves the package-level Build/CompileC convenience
 // entry points, giving every caller in the process — the attack matrix,
-// the fuzzer's per-worker program tables, examples — shared compile and
-// harden stages for free.
+// the fuzzer's program tables, examples — shared compile and harden
+// stages for free.
 var defaultPipeline = NewPipeline()
 
 // DefaultPipeline returns the process-wide pipeline (no persistent
@@ -151,8 +150,7 @@ func hardenKey(compileDigest string, scheme Scheme) string {
 }
 
 // compile resolves the compile stage for (name, src): in-process memo,
-// then persistent store, then the real front-end. The returned entry's
-// mod is shared and must be treated as read-only; Harden clones it.
+// then persistent store, then the real front-end.
 func (pl *Pipeline) compile(name, src string) *compileEntry {
 	key := compileKey(name, src)
 	pl.mu.Lock()
@@ -168,13 +166,13 @@ func (pl *Pipeline) compile(name, src string) *compileEntry {
 	e.once.Do(func() {
 		if pl.store != nil {
 			if enc, ok := pl.store.Get(key); ok {
-				mod, err := ir.DecodeModule(enc)
-				if err == nil {
+				// The shared directory is outside input: serve only an
+				// entry that decodes, else fall through and recompile.
+				if _, err := ir.DecodeModule(enc); err == nil {
 					count("pipeline.compile.disk_hits", map[string]string{"name": name, "key": key})
-					e.mod, e.enc, e.digest = mod, enc, artifact.Key(string(enc))
+					e.enc, e.digest = enc, artifact.Key(string(enc))
 					return
 				}
-				// Undecodable entry: fall through and recompile.
 			}
 		}
 		count("pipeline.compile.misses", map[string]string{"name": name})
@@ -189,14 +187,6 @@ func (pl *Pipeline) compile(name, src string) *compileEntry {
 			e.err = fmt.Errorf("core: encode compiled %s: %w", name, err)
 			return
 		}
-		// Hand out the decoded form, not the compiler's: cold and warm
-		// paths then flow through the identical bytes, and the codec is
-		// validated on every fresh compile.
-		e.mod, err = ir.DecodeModule(enc)
-		if err != nil {
-			e.err = fmt.Errorf("core: reload compiled %s: %w", name, err)
-			return
-		}
 		e.enc, e.digest = enc, artifact.Key(string(enc))
 		if pl.store != nil {
 			if err := pl.store.Put(key, enc); err != nil {
@@ -207,9 +197,9 @@ func (pl *Pipeline) compile(name, src string) *compileEntry {
 	return e
 }
 
-// Compile returns the optimized vanilla module for src. The module is
-// owned by the caller (a fresh decode of the stage's canonical bytes),
-// so hardening or analyzing it never perturbs the shared cache.
+// Compile returns the optimized vanilla module for src, a fresh decode
+// of the stage's canonical bytes: the memo holds no module, so hardening
+// or analyzing the result never perturbs it.
 func (pl *Pipeline) Compile(name, src string) (*ir.Module, error) {
 	e := pl.compile(name, src)
 	if e.err != nil {
@@ -249,7 +239,11 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (*harde
 		}
 		count("pipeline.harden.misses", map[string]string{"name": name, "scheme": scheme.String()})
 		defer func(start time.Time) { obs.ObserveMS("pipeline.harden.ms", time.Since(start)) }(time.Now())
-		mod := ce.mod.Clone()
+		mod, err := ir.DecodeModule(ce.enc)
+		if err != nil {
+			e.err = fmt.Errorf("core: reload compiled %s: %w", name, err)
+			return
+		}
 		prot, err := Protect(mod, scheme)
 		if err != nil {
 			e.err = err
@@ -295,10 +289,11 @@ func (pl *Pipeline) PrewarmHarden(name, src string, scheme Scheme) error {
 }
 
 // Build compiles src and protects it with the scheme, pulling both
-// stages through the pipeline's caches. The returned Program is owned
-// by the caller: its module shares nothing mutable with other Builds,
-// so programs from separate calls may run concurrently. Its MemoHit
-// reports whether the harden stage was already in the in-process memo.
+// stages through the pipeline's caches. Every call decodes a fresh
+// module, because the memo keeps none and some callers write theirs:
+// bench.Runner.Analyze renumbers its module in place. The Protection is
+// shared by every Build of the key and is read-only. MemoHit reports
+// whether the harden stage was already in the in-process memo.
 func (pl *Pipeline) Build(name, src string, scheme Scheme) (*Program, error) {
 	ce := pl.compile(name, src)
 	if ce.err != nil {
@@ -312,16 +307,7 @@ func (pl *Pipeline) Build(name, src string, scheme Scheme) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reload hardened %s: %w", name, err)
 	}
-	prot := he.prot // copy; reports below are re-pointed at copies
-	if he.prot.Harden != nil {
-		h := *he.prot.Harden
-		prot.Harden = &h
-	}
-	if he.prot.DFI != nil {
-		d := *he.prot.DFI
-		prot.DFI = &d
-	}
-	return &Program{Mod: mod, Protection: &prot, Seed: 42, MemoHit: hit}, nil
+	return &Program{Mod: mod, Protection: &he.prot, Seed: 42, MemoHit: hit}, nil
 }
 
 // protMeta is the persisted shape of a Protection: the scheme plus

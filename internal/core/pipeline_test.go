@@ -3,11 +3,14 @@ package core_test
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // withMetrics runs fn under a fresh obs metrics session and returns the
@@ -58,8 +61,8 @@ func TestPipelineOneCompilePerSource(t *testing.T) {
 	}
 }
 
-// TestBuildReturnsOwnedModules: machines write global addresses into
-// their module, so two Builds of the same key must not share one.
+// TestBuildReturnsOwnedModules: bench.Runner.Analyze renumbers its
+// module in place, so two Builds of the same key must not share one.
 func TestBuildReturnsOwnedModules(t *testing.T) {
 	pl := core.NewPipeline()
 	a, err := pl.Build("t", prog, core.SchemePythia)
@@ -73,9 +76,6 @@ func TestBuildReturnsOwnedModules(t *testing.T) {
 	if a.Mod == b.Mod {
 		t.Fatal("cached Build handed out a shared module")
 	}
-	if a.Protection == b.Protection || a.Protection.Harden == b.Protection.Harden {
-		t.Fatal("cached Build handed out shared protection reports")
-	}
 	ra, err := a.Run("bob\n")
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +86,45 @@ func TestBuildReturnsOwnedModules(t *testing.T) {
 	}
 	if ra.Ret != rb.Ret || string(ra.Stdout) != string(rb.Stdout) || *ra.Counters != *rb.Counters {
 		t.Fatal("cached Build must be observationally identical to a fresh one")
+	}
+}
+
+// TestPipelineMemoHoldsBytes: the memo keeps each stage's canonical
+// encoding and no decoded module, which takes several times the heap of
+// its bytes. After building the suite under two schemes, the live heap
+// the pipeline adds stays within a small multiple of the built modules'
+// encodings.
+func TestPipelineMemoHoldsBytes(t *testing.T) {
+	profiles := workload.DefaultSuite().Profiles()
+	srcs := make([]string, len(profiles))
+	for i := range profiles {
+		srcs[i] = workload.Source(&profiles[i]) // generated outside the measurement
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pl := core.NewPipeline()
+	encoded := 0
+	for i, p := range profiles {
+		for _, s := range []core.Scheme{core.SchemeVanilla, core.SchemePythia} {
+			prog, err := pl.Build(p.Name, srcs[i], s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc, err := ir.EncodeModule(prog.Mod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			encoded += len(enc)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(pl)
+	growth := float64(after.HeapAlloc) - float64(before.HeapAlloc)
+	t.Logf("heap growth %.0f B = %.1fx the %d B of built encodings", growth, growth/float64(encoded), encoded)
+	if growth >= 3*float64(encoded) {
+		t.Errorf("pipeline memo grew the heap by %.1fx its built modules' encodings, want under 3x", growth/float64(encoded))
 	}
 }
 

@@ -59,6 +59,7 @@ type Result struct {
 // tstate is the per-target evolving state.
 type tstate struct {
 	target Target
+	progs  *programs
 	mut    *Mutator
 	dict   [][]byte
 	corpus [][]byte
@@ -100,24 +101,29 @@ func Run(targets []Target, opts Options) (*Result, error) {
 			seeds = seeds[:1]
 		}
 		t.Seeds = seeds
+		ps, err := buildPrograms(&t)
+		if err != nil {
+			return nil, err
+		}
 		states[i] = &tstate{
 			target: t,
+			progs:  ps,
 			mut:    NewMutator(opts.Seed ^ int64(covSeed(t.Name))),
 			dict:   Dictionary(&t),
 			seen:   make(map[uint64]bool),
 		}
 	}
 
-	workers := make([]*worker, opts.Parallel)
-	for i := range workers {
-		workers[i] = newWorker()
+	covs := make([]*vm.Coverage, opts.Parallel)
+	for i := range covs {
+		covs[i] = vm.NewCoverage()
 	}
 
 	f := &fuzzer{
 		opts:     opts,
 		logf:     logf,
 		states:   states,
-		workers:  workers,
+		covs:     covs,
 		findings: make(map[string]*Finding),
 		start:    time.Now(),
 		metrics:  obs.CurrentMetrics(),
@@ -136,7 +142,7 @@ type fuzzer struct {
 	opts     Options
 	logf     func(string, ...any)
 	states   []*tstate
-	workers  []*worker
+	covs     []*vm.Coverage // one per worker
 	findings map[string]*Finding
 	order    []*Finding
 	execs    int
@@ -226,12 +232,11 @@ func (f *fuzzer) round(jobs []job) error {
 	feed := make(chan int)
 	done := make(chan struct{})
 	parent := obs.CurrentSpanID()
-	for _, w := range f.workers {
-		w := w
+	for _, cov := range f.covs {
 		go func() {
 			defer obs.AdoptSpan(parent)()
 			for i := range feed {
-				results[i], errs[i] = w.eval(&f.states[jobs[i].ti].target, jobs[i].input)
+				results[i], errs[i] = f.states[jobs[i].ti].progs.eval(jobs[i].input, cov)
 			}
 			done <- struct{}{}
 		}()
@@ -240,7 +245,7 @@ func (f *fuzzer) round(jobs []job) error {
 		feed <- i
 	}
 	close(feed)
-	for range f.workers {
+	for range f.covs {
 		<-done
 	}
 

@@ -212,15 +212,17 @@ const rediscoveryExecs = 1500
 // --- minimizer --------------------------------------------------------
 
 func TestMinimizeShrinksAndStaysStable(t *testing.T) {
-	tgt := TargetByName("dfi-blindspot")
-	w := newWorker()
+	ps, err := buildPrograms(TargetByName("dfi-blindspot"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The scheme index of dfi in the oracle's order.
 	dfiIdx := len(schemes) - 1
 	if schemes[dfiIdx].String() != "dfi" {
 		t.Fatalf("scheme order changed; fix the test: %v", schemes)
 	}
 	pred := func(cand []byte) bool {
-		c, err := w.pair(tgt, dfiIdx, cand)
+		c, err := ps.pair(dfiIdx, cand)
 		return err == nil && c == classBypass
 	}
 	// A deliberately bloated bypass input.

@@ -1,17 +1,18 @@
 package fuzz
 
-// The differential oracle and the per-worker evaluation state. Each
-// worker owns its own compiled programs — vm.New writes global
-// addresses into the shared *ir.Module, so machines built from one
-// module must not run concurrently — plus one reusable coverage map.
-// An evaluation runs the input under all four schemes on fresh
-// machines, harvests branch coverage from the vanilla run (the schemes
-// insert no user-visible branches, so vanilla coverage is the cheapest
-// complete signal), and classifies each defense verdict against the
-// vanilla ground truth.
+// The differential oracle. Each target's four programs are built once
+// per run and shared by every worker: no code writes a module after the
+// pipeline builds it, so machines built from one module may run
+// concurrently. Each worker keeps only a reusable coverage map. An
+// evaluation runs the input under all four schemes on fresh machines,
+// harvests branch coverage from the vanilla run (the schemes insert no
+// user-visible branches, so vanilla coverage is the cheapest complete
+// signal), and classifies each defense verdict against the vanilla
+// ground truth.
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/attack"
 	"repro/internal/core"
@@ -93,34 +94,26 @@ func classifyPair(vanilla, defense verdict) string {
 // and is swapped at most once, at startup, by UsePipeline.
 var buildPipeline = core.DefaultPipeline()
 
-// UsePipeline routes all program builds — worker tables, replay, the
-// -repro matrix — through pl (e.g. one opened over a -cache-dir). Call
-// before Run/Replay; the pipeline is read without synchronization.
+// UsePipeline routes all program builds — each run's program tables and
+// the -repro matrix — through pl (e.g. one opened over a -cache-dir).
+// Call before Run/Replay; the pipeline is read without synchronization.
 func UsePipeline(pl *core.Pipeline) { buildPipeline = pl }
 
-// worker is one evaluation lane of the pool.
-type worker struct {
-	progs map[string]*core.Program
-	cov   *vm.Coverage
-}
+// programs is one target's program under every scheme, indexed like
+// schemes.
+type programs [4]*core.Program
 
-func newWorker() *worker {
-	return &worker{progs: make(map[string]*core.Program), cov: vm.NewCoverage()}
-}
-
-// program returns the worker-local compiled program for (target,
-// scheme), building it on first use.
-func (w *worker) program(t *Target, s core.Scheme) (*core.Program, error) {
-	key := t.Name + "/" + s.String()
-	if p, ok := w.progs[key]; ok {
-		return p, nil
+// buildPrograms builds t under every scheme.
+func buildPrograms(t *Target) (*programs, error) {
+	var ps programs
+	for i, s := range schemes {
+		p, err := buildPipeline.Build(t.Name, t.Source, s)
+		if err != nil {
+			return nil, err
+		}
+		ps[i] = p
 	}
-	p, err := buildPipeline.Build(t.Name, t.Source, s)
-	if err != nil {
-		return nil, err
-	}
-	w.progs[key] = p
-	return p, nil
+	return &ps, nil
 }
 
 // run executes input on a fresh machine for the program. cov, when
@@ -144,37 +137,38 @@ func classifyRun(res *vm.Result) verdict {
 }
 
 // eval runs input under every scheme and reports verdicts + coverage.
-func (w *worker) eval(t *Target, input []byte) (*evalOut, error) {
+// cov is the calling worker's coverage map, reset for the vanilla run.
+func (ps *programs) eval(input []byte, cov *vm.Coverage) (*evalOut, error) {
 	out := &evalOut{input: input}
-	for i, s := range schemes {
-		p, err := w.program(t, s)
-		if err != nil {
-			return nil, err
-		}
-		var cov *vm.Coverage
+	for i, p := range ps {
+		var c *vm.Coverage
 		if i == 0 {
-			w.cov.Reset()
-			cov = w.cov
+			cov.Reset()
+			c = cov
 		}
-		res, err := runInput(p, input, cov, 0)
+		res, err := runInput(p, input, c, 0)
 		if err != nil {
-			return nil, fmt.Errorf("fuzz: run %s/%v: %w", t.Name, s, err)
+			return nil, fmt.Errorf("fuzz: run %s/%v: %w", p.Mod.Name, schemes[i], err)
 		}
 		out.verdicts[i] = classifyRun(res)
 	}
-	out.edges = w.cov.Edges()
-	out.hits = append([]int32(nil), w.cov.Hits(nil)...)
-	out.digest = w.cov.Digest()
+	out.edges = cov.Edges()
+	out.hits = append([]int32(nil), cov.Hits(nil)...)
+	out.digest = cov.Digest()
 	return out, nil
 }
 
-// replay re-runs input under one scheme with the flight recorder armed
-// and returns the result — the triage path that attaches forensics to
-// a finding.
-func replay(t *Target, s core.Scheme, input []byte) (*vm.Result, error) {
-	p, err := buildPipeline.Build(t.Name, t.Source, s)
-	if err != nil {
-		return nil, err
+// replay re-runs input under scheme index i with the flight recorder
+// armed — how triage and Replay attach forensics. It returns the
+// rendered fault report and the detecting check's stable site id, both
+// empty when the run raises no fault.
+func (ps *programs) replay(i int, input []byte) (string, string) {
+	res, err := runInput(ps[i], input, nil, obs.DefaultFlightWindow)
+	if err != nil || res.Fault == nil || res.Fault.Forensics == nil {
+		return "", ""
 	}
-	return runInput(p, input, nil, obs.DefaultFlightWindow)
+	res.Fault.Forensics.Scheme = schemes[i].String()
+	var b strings.Builder
+	res.Fault.Forensics.Render(&b, "  ")
+	return b.String(), res.Fault.Forensics.Site
 }

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/core"
+	"repro/internal/vm"
 )
 
 // minimizeBudget bounds predicate evaluations per finding; each
@@ -60,14 +61,10 @@ func (fd *Finding) Key() string {
 
 // pair evaluates input under vanilla and scheme index si only — the
 // minimizer's cheap predicate.
-func (w *worker) pair(t *Target, si int, input []byte) (string, error) {
+func (ps *programs) pair(si int, input []byte) (string, error) {
 	var vd [2]verdict
 	for k, idx := range [2]int{0, si} {
-		p, err := w.program(t, schemes[idx])
-		if err != nil {
-			return "", err
-		}
-		res, err := runInput(p, input, nil, 0)
+		res, err := runInput(ps[idx], input, nil, 0)
 		if err != nil {
 			return "", err
 		}
@@ -78,11 +75,10 @@ func (w *worker) pair(t *Target, si int, input []byte) (string, error) {
 
 // triage minimizes and annotates a fresh finding.
 func (f *fuzzer) triage(st *tstate, si int, class string, input []byte, _ *evalOut) (*Finding, error) {
-	w := f.workers[0]
 	t := &st.target
 	var perr error
 	pred := func(cand []byte) bool {
-		c, err := w.pair(t, si, cand)
+		c, err := st.progs.pair(si, cand)
 		if err != nil {
 			perr = err
 			return false
@@ -94,7 +90,7 @@ func (f *fuzzer) triage(st *tstate, si int, class string, input []byte, _ *evalO
 		return nil, perr
 	}
 
-	fin, err := w.eval(t, min)
+	fin, err := st.progs.eval(min, f.covs[0])
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +108,7 @@ func (f *fuzzer) triage(st *tstate, si int, class string, input []byte, _ *evalO
 	for i := range schemes {
 		fd.Verdicts[i] = fin.verdicts[i].String()
 	}
-	fd.Forensics, fd.Site = forensicsFor(t, fin)
+	fd.Forensics, fd.Site = forensicsFor(st.progs, fin)
 	return fd, nil
 }
 
@@ -121,7 +117,7 @@ func (f *fuzzer) triage(st *tstate, si int, class string, input []byte, _ *evalO
 // (for a bypass, the defense that works where the finding's scheme
 // fails), else the first that crashes. The second return is the
 // detecting check's stable site id, when the fault carries one.
-func forensicsFor(t *Target, fin *evalOut) (string, string) {
+func forensicsFor(ps *programs, fin *evalOut) (string, string) {
 	pick := -1
 	for i := 1; i < len(schemes); i++ {
 		if v := fin.verdicts[i]; !v.hang && v.v == attack.VerdictDetected {
@@ -140,14 +136,7 @@ func forensicsFor(t *Target, fin *evalOut) (string, string) {
 	if pick < 0 {
 		return "", ""
 	}
-	res, err := replay(t, schemes[pick], fin.input)
-	if err != nil || res.Fault == nil || res.Fault.Forensics == nil {
-		return "", ""
-	}
-	res.Fault.Forensics.Scheme = schemes[pick].String()
-	var b strings.Builder
-	res.Fault.Forensics.Render(&b, "  ")
-	return b.String(), res.Fault.Forensics.Site
+	return ps.replay(pick, fin.input)
 }
 
 // Report renders the finding as a human-readable triage block.
@@ -262,8 +251,11 @@ type ReplayOutcome struct {
 // forensics set, detecting and crashing runs are replayed with the
 // flight recorder armed.
 func Replay(t *Target, input []byte, forensics bool) ([]ReplayOutcome, error) {
-	w := newWorker()
-	out, err := w.eval(t, input)
+	ps, err := buildPrograms(t)
+	if err != nil {
+		return nil, err
+	}
+	out, err := ps.eval(input, vm.NewCoverage())
 	if err != nil {
 		return nil, err
 	}
@@ -275,13 +267,7 @@ func Replay(t *Target, input []byte, forensics bool) ([]ReplayOutcome, error) {
 		}
 		v := out.verdicts[i]
 		if forensics && !v.hang && (v.v == attack.VerdictDetected || v.v == attack.VerdictCrashed) {
-			rres, err := replay(t, s, input)
-			if err == nil && rres.Fault != nil && rres.Fault.Forensics != nil {
-				rres.Fault.Forensics.Scheme = s.String()
-				var b strings.Builder
-				rres.Fault.Forensics.Render(&b, "  ")
-				res[i].Forensics = b.String()
-			}
+			res[i].Forensics, _ = ps.replay(i, input)
 		}
 	}
 	return res, nil

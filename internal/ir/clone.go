@@ -2,10 +2,10 @@ package ir
 
 // Deep module cloning. The hardening passes mutate modules in place
 // (inserting instructions, widening alloca/global types, installing
-// stack plans), so deriving several per-scheme modules from one shared
-// vanilla compile requires a full structural copy. Clone is the
-// foundation of the staged compile/harden pipeline in internal/core:
-// compile once, clone per scheme, harden each clone independently.
+// stack plans), so hardening a module that must also stay unchanged
+// needs a full structural copy. The staged pipeline in internal/core
+// does not use Clone: each harden decodes its own module from the
+// compile stage's bytes. The perfbench replay and tests do.
 //
 // Types and constants are immutable after construction (passes build
 // fresh Type values instead of editing them), so clones share them;
@@ -14,8 +14,7 @@ package ir
 // every internal reference is remapped onto the copies.
 
 // Clone returns a deep copy of the module. The copy shares no mutable
-// state with the original: hardening one clone never affects another,
-// and machines built from different clones may run concurrently.
+// state with the original: hardening one clone never affects another.
 func (m *Module) Clone() *Module {
 	out := NewModule(m.Name)
 

@@ -45,9 +45,6 @@ type Global struct {
 	// Sealed marks a scalar global widened to a [value|PAC] pair by the
 	// CPA pass; the loader writes the initial MAC.
 	Sealed bool
-
-	// Addr is assigned when the module is loaded into a machine image.
-	Addr uint64
 }
 
 func (g *Global) Name() string    { return g.GName }

@@ -164,6 +164,16 @@ func writeJSON(w http.ResponseWriter, v any) {
 // shutdownTimeout bounds how long Close waits for in-flight handlers.
 const shutdownTimeout = 2 * time.Second
 
+// Read timeouts bound how long a client may hold a connection without
+// finishing its request, so a stalled client cannot pin a connection
+// and its goroutine forever. There is no write timeout: the
+// /debug/pprof/profile response streams for 30 s.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // Server is a running observability HTTP server.
 type Server struct {
 	ln       net.Listener
@@ -189,7 +199,8 @@ func StartServerHandler(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: h}, serveErr: make(chan error, 1)}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
+	s := &Server{ln: ln, srv: srv, serveErr: make(chan error, 1)}
 	go func() { s.serveErr <- s.srv.Serve(ln) }()
 	return s, nil
 }

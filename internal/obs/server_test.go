@@ -336,3 +336,21 @@ func TestStartServerHandler(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 }
+
+// TestServerSetsReadTimeouts: the server bounds how long a client may
+// take to send a request or sit idle, and sets no write timeout, which
+// would cut the streamed /debug/pprof/profile response.
+func TestServerSetsReadTimeouts(t *testing.T) {
+	srv, err := StartServer("127.0.0.1:0", &Session{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := srv.srv
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("read header %v, read %v, idle %v: want all three set", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("write timeout %v, want none", hs.WriteTimeout)
+	}
+}

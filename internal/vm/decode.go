@@ -96,7 +96,6 @@ type dblock struct {
 // dfunc is the decoded form of one function under one machine.
 type dfunc struct {
 	f         *ir.Func
-	planSrc   *ir.StackPlan // f.Plan observed at decode; re-decode when it changes
 	plan      *ir.StackPlan
 	frameSize int64
 	nslots    int
@@ -104,7 +103,7 @@ type dfunc struct {
 	blocks    []dblock
 
 	// prof is the function's profile, shared with the reference
-	// interpreter and with any later re-decode.
+	// interpreter.
 	prof *profile
 
 	// refOnly routes this function to the reference interpreter: the
@@ -118,10 +117,10 @@ type dfunc struct {
 	covBase uint32
 }
 
-// decodedFunc returns the cached decoding of f, refreshing it when a
-// hardening pass installed a new stack plan since the last decode.
+// decodedFunc returns the cached decoding of f, decoding it on first
+// use.
 func (m *Machine) decodedFunc(f *ir.Func) *dfunc {
-	if d, ok := m.decoded[f]; ok && d.planSrc == f.Plan {
+	if d, ok := m.decoded[f]; ok {
 		return d
 	}
 	d := m.decode(f)
@@ -143,7 +142,7 @@ func opWritesResult(op ir.Op) bool {
 
 // decode lowers f for execution under this machine.
 func (m *Machine) decode(f *ir.Func) *dfunc {
-	d := &dfunc{f: f, planSrc: f.Plan, covBase: covHash(f.FName), prof: m.profileOf(f)}
+	d := &dfunc{f: f, covBase: covHash(f.FName), prof: m.profileOf(f)}
 	d.plan = m.planOf(f)
 	d.frameSize = frameSize(d.plan)
 
@@ -220,7 +219,7 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 		return operand{kind: opdSlot, idx: slot}
 	}
 
-	ord := 0 // instruction ordinal in block order: the pc, unless re-hardened
+	var pc int32 // instruction ordinal in block order: the profile's pc
 	d.blocks = make([]dblock, len(f.Blocks))
 	for bi, b := range f.Blocks {
 		db := &d.blocks[bi]
@@ -234,8 +233,8 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 			if !ok {
 				d.refOnly = true
 			}
-			dp := dphi{dst: dst, pc: d.prof.at(ord, p), in: p}
-			ord++
+			dp := dphi{dst: dst, pc: pc, in: p}
+			pc++
 			for _, e := range p.Incoming {
 				pi, known := blockIdx[e.Pred]
 				if !known {
@@ -249,8 +248,8 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 
 		db.code = make([]dinstr, 0, len(b.Instrs)-len(phis)+1)
 		for ii := len(phis); ii < len(b.Instrs); ii++ {
-			db.code = append(db.code, m.decodeInstr(d, num, blockIdx, decodeVal, b, ii, d.prof.at(ord, b.Instrs[ii])))
-			ord++
+			db.code = append(db.code, m.decodeInstr(d, num, blockIdx, decodeVal, b, ii, pc))
+			pc++
 		}
 		db.code = append(db.code, dinstr{op: opFall, dst: -1})
 	}

@@ -101,8 +101,10 @@ type pcCount struct {
 	faults int64   // faults raised here (coverage armed, hardening pcs only)
 }
 
-// profile is one function's share of the machine profile. It is
-// cumulative over the machine's runs and outlives re-decodes.
+// profile is one function's share of the machine profile, cumulative
+// over the machine's runs. A pc is the instruction's ordinal in block
+// order, which is fixed because no code writes a module after it is
+// built.
 type profile struct {
 	ins   []*ir.Instr // pc -> instruction
 	n     []pcCount   // pc -> counters
@@ -137,23 +139,7 @@ func (m *Machine) profileOf(f *ir.Func) *profile {
 	return p
 }
 
-// add gives in the next pc.
-func (p *profile) add(in *ir.Instr) int32 {
-	pc := int32(len(p.ins))
-	p.ins = append(p.ins, in)
-	p.n = append(p.n, pcCount{})
-	if in.Op.IsHardening() {
-		p.sites = append(p.sites, pc)
-	}
-	if p.index != nil {
-		p.index[in] = pc
-	}
-	return pc
-}
-
-// pcOf returns in's pc. An instruction a hardening pass inserted after
-// the profile was made gets the next free pc, so re-decoding after a
-// stack-plan change neither drops nor double-counts what already ran.
+// pcOf returns in's pc, building the index on first use.
 func (p *profile) pcOf(in *ir.Instr) int32 {
 	if p.index == nil {
 		p.index = make(map[*ir.Instr]int32, len(p.ins))
@@ -161,19 +147,7 @@ func (p *profile) pcOf(in *ir.Instr) int32 {
 			p.index[x] = int32(pc)
 		}
 	}
-	if pc, ok := p.index[in]; ok {
-		return pc
-	}
-	return p.add(in)
-}
-
-// at returns the pc of in, the ord-th instruction in block order: ord
-// itself unless the function changed after the profile was made.
-func (p *profile) at(ord int, in *ir.Instr) int32 {
-	if ord < len(p.ins) && p.ins[ord] == in {
-		return int32(ord)
-	}
-	return p.pcOf(in)
+	return p.index[in]
 }
 
 // sitesExecuted counts the hardening pcs that ran at least once.

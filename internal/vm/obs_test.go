@@ -126,14 +126,13 @@ func opSum(reg *obs.Registry) int64 {
 	return n
 }
 
-// profileRun is one way to run a machine twice: on either engine,
-// optionally forcing a re-decode of every function between the runs.
+// profileRun is one way to run a machine twice: on either engine.
 type profileRun struct {
-	name                string
-	reference, redecode bool
+	name      string
+	reference bool
 }
 
-var profileRuns = []profileRun{{"decoded", false, false}, {"redecoded", false, true}, {"reference", true, false}}
+var profileRuns = []profileRun{{"decoded", false}, {"reference", true}}
 
 // runTwice runs main twice on one machine built from a fresh compile of
 // obsProg, protected with scheme, under an armed session.
@@ -154,16 +153,7 @@ func runTwice(t *testing.T, scheme core.Scheme, pr profileRun) (first, second *v
 	})
 	defer obs.Stop()
 	m := vm.New(mod, vm.Config{Seed: 7, Reference: pr.reference})
-	for i, res := range []**vm.Result{&first, &second} {
-		if i == 1 && pr.redecode {
-			// A fresh plan with the same layout makes the machine
-			// decode every function again.
-			for _, f := range mod.Funcs {
-				if !f.IsDecl() {
-					f.Plan = vm.DefaultPlan(f)
-				}
-			}
-		}
+	for _, res := range []**vm.Result{&first, &second} {
 		r, err := m.Run("main")
 		if err != nil {
 			t.Fatal(err)
@@ -177,10 +167,9 @@ func runTwice(t *testing.T, scheme core.Scheme, pr profileRun) (first, second *v
 }
 
 // TestProfileCumulativeAcrossRuns: a machine's profile accumulates over
-// its Runs, and over a re-decode between them — distinct sites stay
-// distinct, per-site counts double on a second identical run — while
-// the session receives each tick once, and both engines agree on every
-// figure.
+// its Runs — distinct sites stay distinct, per-site counts double on a
+// second identical run — while the session receives each tick once,
+// and both engines agree on every figure.
 func TestProfileCumulativeAcrossRuns(t *testing.T) {
 	var seconds []*vm.Result
 	for _, pr := range profileRuns {

@@ -193,7 +193,6 @@ func New(mod *ir.Module, cfg Config) *Machine {
 func (m *Machine) layoutImage() {
 	addr := mem.GlobalBase
 	for _, g := range m.Mod.Globals {
-		g.Addr = addr
 		m.globalAddrs[g] = addr
 		if len(g.Init) > 0 {
 			if err := m.Mem.WriteBytes(addr, g.Init); err != nil {

@@ -2,8 +2,10 @@ package vm_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/pa"
@@ -464,6 +466,59 @@ int main() {
 	a, b := run(), run()
 	if a.Ret != b.Ret || string(a.Stdout) != string(b.Stdout) || a.Counters.Cycles != b.Counters.Cycles {
 		t.Fatal("identical machines must produce identical runs")
+	}
+}
+
+// TestMachinesShareModule: vm.New writes nothing into its module, so
+// machines built from one module run concurrently, on either engine,
+// and agree on every result.
+func TestMachinesShareModule(t *testing.T) {
+	mod, err := minic.Compile("t", `
+int total;
+int main() {
+	char buf[16];
+	fgets(buf, 16);
+	for (int i = 0; buf[i] != 0; i++) { total = total + buf[i]; }
+	printf("%s %d\n", buf, total);
+	return total % 256;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Protect(mod, core.SchemePythia); err != nil {
+		t.Fatal(err)
+	}
+	res := make([]*vm.Result, 8)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := vm.New(mod, vm.Config{Seed: 7, Reference: i%2 == 1})
+			m.Stdin.SetInput([]byte("shared\n"))
+			r, err := m.Run("main")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			res[i] = r
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, r := range res {
+		if r.Fault != nil {
+			t.Fatalf("machine %d faulted: %v", i, r.Fault)
+		}
+		if r.Ret != res[0].Ret || string(r.Stdout) != string(res[0].Stdout) || *r.Counters != *res[0].Counters {
+			t.Errorf("machine %d: ret %d stdout %q counters %+v, machine 0: ret %d stdout %q counters %+v",
+				i, r.Ret, r.Stdout, *r.Counters, res[0].Ret, res[0].Stdout, *res[0].Counters)
+		}
+	}
+	if res[0].Counters.CanaryOps == 0 {
+		t.Error("the Pythia module ran no canary checks")
 	}
 }
 

@@ -57,7 +57,7 @@ func Apply(mod *ir.Module) (*Report, error) {
 					continue
 				}
 				for i, arg := range in.Args {
-					if params[arg] && destArg(in.Callee, i) {
+					if params[arg] && inputchan.WritesArg(in.Callee, i) {
 						forwarded[f] = append(forwarded[f], in)
 						break
 					}
@@ -79,7 +79,7 @@ func Apply(mod *ir.Module) (*Report, error) {
 				siteID[in] = id
 				resolved := true
 				for i, arg := range in.Args {
-					if destArg(in.Callee, i) && dfiMemRoot(arg) == nil {
+					if inputchan.WritesArg(in.Callee, i) && dfiMemRoot(arg) == nil {
 						resolved = false
 					}
 				}
@@ -145,7 +145,7 @@ func Apply(mod *ir.Module) (*Report, error) {
 					continue
 				}
 				for i, arg := range in.Args {
-					if !destArg(in.Callee, i) {
+					if !inputchan.WritesArg(in.Callee, i) {
 						continue
 					}
 					if root := dfiMemRoot(arg); root != nil {
@@ -246,21 +246,5 @@ func dfiMemRoot(addr ir.Value) ir.Value {
 		default:
 			return nil
 		}
-	}
-}
-
-func destArg(callee *ir.Func, i int) bool {
-	switch callee.FName {
-	case "scanf":
-		return i >= 1
-	case "read":
-		return i == 1
-	case "printf", "puts":
-		return false
-	default:
-		if callee.Channel == ir.KindPrint {
-			return false
-		}
-		return i == 0
 	}
 }

@@ -149,7 +149,7 @@ func rootsWrittenBy(a *slice.Analysis, site inputchan.CallSite, vuln map[ir.Valu
 		}
 	}
 	for i, arg := range site.Call.Args {
-		if !icDestArg(site.Call.Callee, i) {
+		if !inputchan.WritesArg(site.Call.Callee, i) {
 			continue
 		}
 		add(dataflow.MemRoot(arg))
@@ -165,21 +165,4 @@ func rootsWrittenBy(a *slice.Analysis, site inputchan.CallSite, vuln map[ir.Valu
 		}
 	}
 	return out
-}
-
-// icDestArg mirrors the destination-argument table of package inputchan.
-func icDestArg(callee *ir.Func, i int) bool {
-	switch callee.FName {
-	case "scanf":
-		return i >= 1
-	case "read":
-		return i == 1
-	case "printf", "puts":
-		return false
-	default:
-		if callee.Channel == ir.KindPrint {
-			return false
-		}
-		return i == 0
-	}
 }

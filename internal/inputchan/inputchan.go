@@ -206,6 +206,27 @@ func isDestArg(callee *ir.Func, i int) bool {
 	}
 }
 
+// WritesArg reports whether argument i of a call to the channel callee
+// is a destination the call writes through: scanf's pointer varargs,
+// read's buffer, and argument 0 of every other channel that is not a
+// print channel. The slicer, the hardening passes and the DFI baseline
+// all resolve writes with it. Wrapper discovery uses isDestArg instead,
+// which has no print-channel case and so also counts the buffers of
+// sprintf and snprintf as destinations; the Fig. 5b channel counts
+// depend on that.
+func WritesArg(callee *ir.Func, i int) bool {
+	switch callee.FName {
+	case "scanf":
+		return i >= 1
+	case "read":
+		return i == 1
+	case "printf", "puts":
+		return false
+	default:
+		return callee.Channel != ir.KindPrint && i == 0
+	}
+}
+
 // Distribution counts call sites per kind — the Fig. 5(b) data.
 type Distribution struct {
 	Total  int

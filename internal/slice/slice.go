@@ -18,6 +18,8 @@
 package slice
 
 import (
+	"slices"
+
 	"repro/internal/alias"
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
@@ -49,7 +51,9 @@ const (
 	GroundDepth = 6
 )
 
-// Analysis caches the per-module structures slicing needs.
+// Analysis caches the per-module structures slicing needs. It is never
+// written after NewAnalysis returns, so one analysis serves concurrent
+// queries; each decomposition keeps its scratch state in a walker.
 type Analysis struct {
 	Mod   *ir.Module
 	AA    *alias.Result
@@ -64,54 +68,175 @@ type Analysis struct {
 	chains    map[*ir.Func]*dataflow.Chains
 	graphs    map[*ir.Func]*cfg.Graph
 	callersOf map[*ir.Func][]*ir.Instr
-	// globalStores maps each global to every store writing it anywhere.
-	globalStores map[*ir.Global][]*ir.Instr
-	// unresolvedStores lists stores whose address has no static root,
-	// per function — candidates for alias-based slice extension.
-	unresolvedStores map[*ir.Func][]*ir.Instr
 	// icByCall maps an input-channel call instruction to its site info.
 	icByCall map[*ir.Instr]inputchan.CallSite
+
+	// The dense numbering: globals in module order, then each defined
+	// function's instructions (by ID) followed by its params.
+	globalIdx map[*ir.Global]int32
+	funcIdx   map[*ir.Func]funcBase
+	numValues int
+	// defs holds, by dense index, what expanding each memory root
+	// (global, alloca or heap allocation call) pushes; nil elsewhere.
+	defs []*rootDefs
+}
+
+// funcBase locates one defined function's values in the dense numbering.
+type funcBase struct{ instrs, params int32 }
+
+// rootDefs tabulates every definition of one memory root.
+type rootDefs struct {
+	// stores write the root directly: every store to a global, or the
+	// function's MemDefs of an alloca.
+	stores []*ir.Instr
+	// aliased are the function's stores with no static root whose
+	// address may point to the object or is attacker-tainted; only the
+	// alias-aware modes follow them.
+	aliased []*ir.Instr
+	// writers are the channel sites whose destination may be the root.
+	writers []inputchan.CallSite
 }
 
 // NewAnalysis scans mod and prepares the shared analysis state.
 func NewAnalysis(mod *ir.Module) *Analysis {
 	a := &Analysis{
-		Mod:              mod,
-		AA:               alias.Analyze(mod),
-		Sites:            inputchan.Scan(mod),
-		chains:           make(map[*ir.Func]*dataflow.Chains),
-		graphs:           make(map[*ir.Func]*cfg.Graph),
-		callersOf:        make(map[*ir.Func][]*ir.Instr),
-		globalStores:     make(map[*ir.Global][]*ir.Instr),
-		unresolvedStores: make(map[*ir.Func][]*ir.Instr),
-		icByCall:         make(map[*ir.Instr]inputchan.CallSite),
+		Mod:       mod,
+		AA:        alias.Analyze(mod),
+		Sites:     inputchan.Scan(mod),
+		chains:    make(map[*ir.Func]*dataflow.Chains),
+		graphs:    make(map[*ir.Func]*cfg.Graph),
+		callersOf: make(map[*ir.Func][]*ir.Instr),
+		icByCall:  make(map[*ir.Instr]inputchan.CallSite),
+		globalIdx: make(map[*ir.Global]int32, len(mod.Globals)),
+		funcIdx:   make(map[*ir.Func]funcBase),
 	}
+	for _, g := range mod.Globals {
+		a.globalIdx[g] = int32(a.numValues)
+		a.numValues++
+	}
+	// globalStores maps each global to every store writing it anywhere;
+	// unresolved lists each function's stores whose address has no
+	// static root.
+	globalStores := make(map[*ir.Global][]*ir.Instr)
+	unresolved := make(map[*ir.Func][]*ir.Instr)
 	for _, f := range mod.Defined() {
 		f.Renumber()
 		a.chains[f] = dataflow.Build(f)
 		a.graphs[f] = cfg.New(f)
+		base := funcBase{instrs: int32(a.numValues)}
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
+				a.numValues++
 				switch in.Op {
 				case ir.OpCall:
 					a.callersOf[in.Callee] = append(a.callersOf[in.Callee], in)
 				case ir.OpStore:
 					root := dataflow.MemRoot(in.Args[1])
 					if g, ok := root.(*ir.Global); ok {
-						a.globalStores[g] = append(a.globalStores[g], in)
+						globalStores[g] = append(globalStores[g], in)
 					}
 					if root == nil {
-						a.unresolvedStores[f] = append(a.unresolvedStores[f], in)
+						unresolved[f] = append(unresolved[f], in)
 					}
 				}
 			}
 		}
+		base.params = int32(a.numValues)
+		a.numValues += len(f.Params)
+		a.funcIdx[f] = base
 	}
 	for _, s := range a.Sites {
 		a.icByCall[s.Call] = s
 	}
 	a.Taint = a.InputChannelConstruction()
+	a.tabulateRoots(globalStores, unresolved)
 	return a
+}
+
+// index returns v's dense number, or -1 for a value outside the
+// numbering (a constant, or anything not in the module).
+func (a *Analysis) index(v ir.Value) int32 {
+	switch x := v.(type) {
+	case *ir.Instr:
+		if x.Block == nil {
+			return -1
+		}
+		if b, ok := a.funcIdx[x.Block.Parent]; ok && x.ID < int(b.params-b.instrs) {
+			return b.instrs + int32(x.ID)
+		}
+	case *ir.Param:
+		if b, ok := a.funcIdx[x.Parent]; ok {
+			return b.params + int32(x.Index)
+		}
+	case *ir.Global:
+		if i, ok := a.globalIdx[x]; ok {
+			return i
+		}
+	}
+	return -1
+}
+
+// tabulateRoots fills defs once for the module, so no decomposition
+// rescans stores or channel sites. It needs Taint.
+func (a *Analysis) tabulateRoots(globalStores map[*ir.Global][]*ir.Instr, unresolved map[*ir.Func][]*ir.Instr) {
+	a.defs = make([]*rootDefs, a.numValues)
+	for _, g := range a.Mod.Globals {
+		a.defs[a.index(g)] = &rootDefs{stores: globalStores[g]}
+	}
+	for _, f := range a.Mod.Defined() {
+		var local []*rootDefs
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpAlloca || isAllocCall(in) {
+					d := &rootDefs{stores: a.chains[f].MemDefs[in]}
+					a.defs[a.index(in)] = d
+					local = append(local, d)
+				}
+			}
+		}
+		// A tainted address may reach any object of the frame (the
+		// pointer-misdirection vector of §3); otherwise a store aliases
+		// exactly the function's objects its address may point to.
+		for _, st := range unresolved[f] {
+			if a.taintedAddress(st.Args[1], 0) {
+				for _, d := range local {
+					d.aliased = append(d.aliased, st)
+				}
+				continue
+			}
+			for _, obj := range a.AA.PointsTo(st.Args[1]) {
+				if obj.Fn == f {
+					d := a.defs[a.index(objectRoot(obj))]
+					d.aliased = append(d.aliased, st)
+				}
+			}
+		}
+	}
+	// A channel writes a root when one of its destination arguments is
+	// rooted at it or may point to its object.
+	for _, site := range a.Sites {
+		for i, arg := range site.Call.Args {
+			if !inputchan.WritesArg(site.Call.Callee, i) {
+				continue
+			}
+			a.addWriter(dataflow.MemRoot(arg), site)
+			for _, obj := range a.AA.PointsTo(arg) {
+				a.addWriter(objectRoot(obj), site)
+			}
+		}
+	}
+}
+
+// addWriter records site as a writer of root, once per site.
+func (a *Analysis) addWriter(root ir.Value, site inputchan.CallSite) {
+	i := a.index(root)
+	if i < 0 || a.defs[i] == nil {
+		return // a pointer parameter: not expanded as a root
+	}
+	d := a.defs[i]
+	if n := len(d.writers); n == 0 || d.writers[n-1].Call != site.Call {
+		d.writers = append(d.writers, site)
+	}
 }
 
 // Graph returns the cached CFG for f.
@@ -126,13 +251,15 @@ type BranchSlice struct {
 	Fn     *ir.Func
 	Mode   Mode
 
-	// Instrs is the set of instructions in the slice (all functions).
-	Instrs map[*ir.Instr]bool
+	// Instrs lists the instructions in the slice (all functions) in
+	// discovery order, each once.
+	Instrs []*ir.Instr
 	// Roots is the branch sub-variable set restricted to memory roots
 	// (allocas, globals, pointer params) — the instrumentable variables.
 	Roots map[ir.Value]bool
-	// Values is every SSA value in the sub-variable set.
-	Values map[ir.Value]bool
+	// Values lists every SSA value in the sub-variable set in discovery
+	// order, each once.
+	Values []ir.Value
 	// ICs are the input-channel calls whose writes reach the slice.
 	ICs []inputchan.CallSite
 	// Terminated reports that the slicer stopped early at pointer
@@ -162,7 +289,7 @@ func (s *BranchSlice) Distance() int {
 	minID := s.Branch.ID
 	span := 0
 	perFunc := make(map[*ir.Func][2]int) // min, max IDs of foreign spans
-	for in := range s.Instrs {
+	for _, in := range s.Instrs {
 		if in.Block == nil {
 			continue
 		}
@@ -197,50 +324,65 @@ func (s *BranchSlice) Distance() int {
 // interprocedural depth.
 type task struct {
 	v     ir.Value
+	idx   int32 // v's dense index, or -1
 	depth int
+}
+
+// Mark bits of one value during a walk: bit d records a push at depth
+// d, and inSlice records that the instruction joined Instrs.
+const (
+	depthBits = 1<<(GroundDepth+1) - 1
+	inSlice   = 1 << 7
+)
+
+// Depths 0..GroundDepth take GroundDepth+1 bits, which must fit below
+// inSlice; a negative difference fails to compile.
+const _ uint = 7 - (GroundDepth + 1)
+
+// walker holds the scratch state of branch decomposition. A walker
+// serves one goroutine; reusing it across branches makes resetting
+// cost only as much as the previous slice.
+type walker struct {
+	a       *Analysis
+	marks   []uint8            // by dense index
+	touched []int32            // indexes with a non-zero mark
+	other   map[ir.Value]uint8 // marks of values without a dense index
+	work    []task
+	icSeen  map[*ir.Instr]bool
+	// values and instrs collect the slice's Values and Instrs; each
+	// slice gets an exact-size copy.
+	values []ir.Value
+	instrs []*ir.Instr
+
+	s        *BranchSlice
+	maxDepth int
+}
+
+func (a *Analysis) newWalker() *walker {
+	return &walker{a: a, marks: make([]uint8, a.numValues), icSeen: make(map[*ir.Instr]bool)}
 }
 
 // BranchDecomposition computes the branch sub-variable set of br
 // (Algorithm 1 of the paper) under the given mode.
 func (a *Analysis) BranchDecomposition(br *ir.Instr, mode Mode) *BranchSlice {
-	f := br.Block.Parent
-	s := &BranchSlice{
-		Branch: br,
-		Fn:     f,
-		Mode:   mode,
-		Instrs: make(map[*ir.Instr]bool),
-		Roots:  make(map[ir.Value]bool),
-		Values: make(map[ir.Value]bool),
-	}
-	maxDepth := PythiaDepth
-	switch mode {
-	case ModeDFI:
-		maxDepth = 0
-	case ModeGround:
-		maxDepth = GroundDepth
-	}
-	seen := make(map[task]bool)
-	var work []task
-	push := func(v ir.Value, depth int) {
-		if v == nil || depth > maxDepth {
-			return
-		}
-		if _, isConst := v.(*ir.Const); isConst {
-			return
-		}
-		t := task{v, depth}
-		if !seen[t] {
-			seen[t] = true
-			work = append(work, t)
-		}
-	}
-	push(br.Args[0], 0)
-	icSeen := make(map[*ir.Instr]bool)
+	return a.newWalker().decompose(br, mode)
+}
 
-	for len(work) > 0 {
-		t := work[len(work)-1]
-		work = work[:len(work)-1]
-		s.Values[t.v] = true
+// decompose computes br's slice, first clearing what the walker's
+// previous slice marked.
+func (w *walker) decompose(br *ir.Instr, mode Mode) *BranchSlice {
+	for _, i := range w.touched {
+		w.marks[i] = 0
+	}
+	w.touched, w.values, w.instrs = w.touched[:0], w.values[:0], w.instrs[:0]
+	clear(w.other)
+	clear(w.icSeen)
+	s := &BranchSlice{Branch: br, Fn: br.Block.Parent, Mode: mode, Roots: make(map[ir.Value]bool)}
+	w.s, w.maxDepth = s, maxDepthFor(mode)
+	w.push(br.Args[0], 0)
+	for len(w.work) > 0 {
+		t := w.work[len(w.work)-1]
+		w.work = w.work[:len(w.work)-1]
 		if ir.IsPtr(t.v.Type()) {
 			s.PointerVars++
 		}
@@ -248,32 +390,89 @@ func (a *Analysis) BranchDecomposition(br *ir.Instr, mode Mode) *BranchSlice {
 		case *ir.Param:
 			s.Roots[v] = true
 			// Interprocedural: extend into callers' argument values.
-			if t.depth < maxDepth {
-				for _, call := range a.callersOf[v.Parent] {
+			if t.depth < w.maxDepth {
+				for _, call := range w.a.callersOf[v.Parent] {
 					if v.Index < len(call.Args) {
-						s.Instrs[call] = true
-						push(call.Args[v.Index], t.depth+1)
+						w.join(call)
+						w.push(call.Args[v.Index], t.depth+1)
 					}
 				}
 			}
 		case *ir.Global:
 			s.Roots[v] = true
-			a.expandRoot(s, v, t.depth, push, icSeen)
+			w.expandRoot(t)
 		case *ir.Instr:
-			a.expandInstr(s, v, t.depth, push, icSeen)
+			w.expandInstr(v, t)
 		}
 	}
+	s.Values = slices.Clone(w.values)
+	s.Instrs = slices.Clone(w.instrs)
 	return s
+}
+
+// mark ORs bits into the mark of v (dense index idx) and returns the
+// previous mark.
+func (w *walker) mark(v ir.Value, idx int32, bits uint8) uint8 {
+	if idx < 0 {
+		if w.other == nil {
+			w.other = make(map[ir.Value]uint8)
+		}
+		old := w.other[v]
+		w.other[v] = old | bits
+		return old
+	}
+	old := w.marks[idx]
+	if old == 0 {
+		w.touched = append(w.touched, idx)
+	}
+	w.marks[idx] = old | bits
+	return old
+}
+
+// push queues v at depth once; its first push adds it to Values.
+func (w *walker) push(v ir.Value, depth int) {
+	if v == nil || depth > w.maxDepth {
+		return
+	}
+	if _, isConst := v.(*ir.Const); isConst {
+		return
+	}
+	idx := w.a.index(v)
+	bit := uint8(1) << depth
+	old := w.mark(v, idx, bit)
+	if old&bit != 0 {
+		return
+	}
+	if old&depthBits == 0 {
+		w.values = append(w.values, v)
+	}
+	w.work = append(w.work, task{v, idx, depth})
+}
+
+// join adds in to Instrs once.
+func (w *walker) join(in *ir.Instr) {
+	if w.mark(in, w.a.index(in), inSlice)&inSlice == 0 {
+		w.instrs = append(w.instrs, in)
+	}
+}
+
+// addIC adds a channel site to ICs once.
+func (w *walker) addIC(site inputchan.CallSite) {
+	if !w.icSeen[site.Call] {
+		w.icSeen[site.Call] = true
+		w.s.ICs = append(w.s.ICs, site)
+	}
 }
 
 // expandInstr adds one defining instruction to the slice and pushes the
 // values it depends on.
-func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push func(ir.Value, int), icSeen map[*ir.Instr]bool) {
-	s.Instrs[in] = true
+func (w *walker) expandInstr(in *ir.Instr, t task) {
+	s, depth := w.s, t.depth
+	w.join(in)
 	switch in.Op {
 	case ir.OpAlloca:
 		s.Roots[in] = true
-		a.expandRoot(s, in, depth, push, icSeen)
+		w.expandRoot(t)
 
 	case ir.OpLoad:
 		addr := in.Args[0]
@@ -284,49 +483,46 @@ func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push fun
 		}
 		root := dataflow.MemRoot(addr)
 		if root != nil {
-			push(root, depth)
+			w.push(root, depth)
 		} else if s.Mode != ModeDFI {
 			// Computed address: use alias sets to find the objects this
 			// load may read, then follow their definitions.
-			for _, obj := range a.AA.PointsTo(addr) {
+			for _, obj := range w.a.AA.PointsTo(addr) {
 				if r := objectRoot(obj); r != nil {
-					push(r, depth)
+					w.push(r, depth)
 				}
 			}
 		} else {
 			s.Terminated = true
 		}
-		push(addr, depth) // the address computation is part of the slice
+		w.push(addr, depth) // the address computation is part of the slice
 
 	case ir.OpStore:
 		// A store reached via a root expansion: the stored value and the
 		// address computation both join the slice.
-		push(in.Args[0], depth)
-		push(in.Args[1], depth)
+		w.push(in.Args[0], depth)
+		w.push(in.Args[1], depth)
 
 	case ir.OpCall:
 		if isAllocCall(in) {
 			// A heap allocation site is itself a branch sub-variable
 			// root: the object's contents feed the predicate.
 			s.Roots[in] = true
-			a.expandRoot(s, in, depth, push, icSeen)
+			w.expandRoot(t)
 			return
 		}
-		if site, ok := a.icByCall[in]; ok {
-			if !icSeen[in] {
-				icSeen[in] = true
-				s.ICs = append(s.ICs, site)
-			}
+		if site, ok := w.a.icByCall[in]; ok {
+			w.addIC(site)
 			// The channel's own operands (source buffer etc.) are
 			// attacker-reachable; include them.
 			for _, arg := range in.Args {
-				push(arg, depth)
+				w.push(arg, depth)
 			}
 			return
 		}
 		if in.Callee.IsDecl() {
 			for _, arg := range in.Args {
-				push(arg, depth)
+				w.push(arg, depth)
 			}
 			return
 		}
@@ -334,18 +530,18 @@ func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push fun
 		if s.Mode == ModeDFI {
 			return // DFI does not cross calls
 		}
-		if depth < maxDepthFor(s.Mode) {
+		if depth < w.maxDepth {
 			for _, b := range in.Callee.Blocks {
 				for _, ci := range b.Instrs {
 					if ci.Op == ir.OpRet && len(ci.Args) == 1 {
-						s.Instrs[ci] = true
-						push(ci.Args[0], depth+1)
+						w.join(ci)
+						w.push(ci.Args[0], depth+1)
 					}
 				}
 			}
 		}
 		for _, arg := range in.Args {
-			push(arg, depth)
+			w.push(arg, depth)
 		}
 
 	case ir.OpGEP:
@@ -354,12 +550,12 @@ func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push fun
 			return
 		}
 		for _, arg := range in.Args {
-			push(arg, depth)
+			w.push(arg, depth)
 		}
 
 	case ir.OpPhi:
 		for _, e := range in.Incoming {
-			push(e.Val, depth)
+			w.push(e.Val, depth)
 		}
 
 	case ir.OpIntToPtr, ir.OpPtrToInt:
@@ -367,93 +563,39 @@ func (a *Analysis) expandInstr(s *BranchSlice, in *ir.Instr, depth int, push fun
 			s.Terminated = true
 			return
 		}
-		push(in.Args[0], depth)
+		w.push(in.Args[0], depth)
 
 	default:
 		for _, arg := range in.Args {
-			push(arg, depth)
+			w.push(arg, depth)
 		}
 	}
 }
 
-// expandRoot pushes every definition of a memory root: its direct
-// stores, stores through may-aliasing pointers (ModeFull/Ground), and
-// input-channel calls that write it.
-func (a *Analysis) expandRoot(s *BranchSlice, root ir.Value, depth int, push func(ir.Value, int), icSeen map[*ir.Instr]bool) {
-	obj := a.AA.ObjectOf(root)
-	// Direct stores (same function for allocas; module-wide for globals).
-	switch r := root.(type) {
-	case *ir.Global:
-		for _, st := range a.globalStores[r] {
-			s.Instrs[st] = true
-			push(st.Args[0], depth)
-			push(st.Args[1], depth)
-		}
-	case *ir.Instr: // alloca
-		fn := r.Block.Parent
-		for _, st := range a.chains[fn].MemDefs[root] {
-			s.Instrs[st] = true
-			push(st.Args[0], depth)
-			push(st.Args[1], depth)
-		}
-		if s.Mode != ModeDFI {
-			// Stores through pointers that may alias this object, or
-			// whose address depends on attacker-tainted arithmetic — the
-			// pointer-misdirection vector of §3 can position such a
-			// pointer onto any object in the frame.
-			for _, st := range a.unresolvedStores[fn] {
-				if (obj != nil && a.AA.MayPointToObject(st.Args[1], obj)) || a.taintedAddress(st.Args[1], 0) {
-					s.Instrs[st] = true
-					push(st.Args[0], depth)
-					push(st.Args[1], depth)
-				}
-			}
+// expandRoot pushes every definition of the memory root t.v, from the
+// table NewAnalysis built: its direct stores, stores through
+// may-aliasing or tainted pointers (ModeFull/Ground), and input-channel
+// calls that write it.
+func (w *walker) expandRoot(t task) {
+	if t.idx < 0 {
+		return
+	}
+	d := w.a.defs[t.idx]
+	for _, st := range d.stores {
+		w.join(st)
+		w.push(st.Args[0], t.depth)
+		w.push(st.Args[1], t.depth)
+	}
+	if w.s.Mode != ModeDFI {
+		for _, st := range d.aliased {
+			w.join(st)
+			w.push(st.Args[0], t.depth)
+			w.push(st.Args[1], t.depth)
 		}
 	}
-	// Input channels that write this object.
-	for _, site := range a.Sites {
-		if a.channelWrites(site, root, obj) {
-			if !icSeen[site.Call] {
-				icSeen[site.Call] = true
-				s.ICs = append(s.ICs, site)
-			}
-			s.Instrs[site.Call] = true
-		}
-	}
-}
-
-// channelWrites reports whether the channel call's destination may be
-// the given root object.
-func (a *Analysis) channelWrites(site inputchan.CallSite, root ir.Value, obj *alias.Object) bool {
-	call := site.Call
-	for i, arg := range call.Args {
-		if !destArg(site, i) {
-			continue
-		}
-		if dataflow.MemRoot(arg) == root {
-			return true
-		}
-		if obj != nil && a.AA.MayPointToObject(arg, obj) {
-			return true
-		}
-	}
-	return false
-}
-
-// destArg mirrors inputchan.isDestArg for resolved sites.
-func destArg(site inputchan.CallSite, i int) bool {
-	switch site.Call.Callee.FName {
-	case "scanf":
-		return i >= 1
-	case "read":
-		return i == 1
-	case "printf", "puts":
-		return false
-	default:
-		if site.Kind == ir.KindPrint {
-			return false
-		}
-		return i == 0
+	for _, site := range d.writers {
+		w.addIC(site)
+		w.join(site.Call)
 	}
 }
 

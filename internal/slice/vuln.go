@@ -27,7 +27,7 @@ func (a *Analysis) InputChannelConstruction() *Taint {
 	// Seed: objects written by channels.
 	for _, site := range a.Sites {
 		for i, arg := range site.Call.Args {
-			if !destArg(site, i) {
+			if !inputchan.WritesArg(site.Call.Callee, i) {
 				continue
 			}
 			if root := dataflow.MemRoot(arg); root != nil {
@@ -215,10 +215,11 @@ func AnalyzeVulnerabilities(mod *ir.Module) *VulnReport {
 		CPAVars:    make(map[ir.Value]bool),
 		PythiaVars: make(map[ir.Value]bool),
 	}
+	w := a.newWalker()
 	for _, f := range mod.Defined() {
 		r.TotalRoots += len(f.Allocas())
 		for _, br := range f.Branches() {
-			g := a.BranchDecomposition(br, ModeGround)
+			g := w.decompose(br, ModeGround)
 			info := BranchInfo{Branch: br, Fn: f, Ground: g, Class: classify(g, taint)}
 			r.Branches = append(r.Branches, info)
 			for root := range g.Roots {
@@ -286,7 +287,7 @@ func classify(g *BranchSlice, taint *Taint) BranchClass {
 	}
 	for _, site := range g.ICs {
 		for i, arg := range site.Call.Args {
-			if !destArg(site, i) {
+			if !inputchan.WritesArg(site.Call.Callee, i) {
 				continue
 			}
 			if root := dataflow.MemRoot(arg); root != nil && directRoots[root] {

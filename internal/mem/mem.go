@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/pa"
 )
@@ -207,6 +208,19 @@ func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
 	out := make([]byte, n)
 	m.readInto(out, addr)
 	return out, nil
+}
+
+// AppendBytes appends the n bytes at addr to dst and returns the
+// extended slice, with ReadBytes's checks: a negative or wrapping n
+// faults the same way. A caller that passes its previous result back
+// as dst[:0] reads without allocating once the buffer is large enough.
+func (m *Memory) AppendBytes(dst []byte, addr uint64, n int) ([]byte, error) {
+	if err := m.check(addr, n, "load"); err != nil {
+		return dst, err
+	}
+	dst = slices.Grow(dst, n)
+	m.readInto(dst[len(dst):len(dst)+n], addr)
+	return dst[:len(dst)+n], nil
 }
 
 // WriteBytes stores b at addr.

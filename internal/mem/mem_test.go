@@ -274,3 +274,22 @@ func TestPageCacheInvalidatedByReset(t *testing.T) {
 		t.Fatalf("post-reset read = %d, %v; want 0", v, err)
 	}
 }
+
+// BenchmarkMemReadWriteUint measures one 8-byte store and one 8-byte
+// load, the VM's scalar access pair, walking a 64 KiB stack window so
+// the one-entry page cache sees page transitions.
+func BenchmarkMemReadWriteUint(b *testing.B) {
+	m := mem.New()
+	base := mem.StackTop - 64<<10
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		addr := base + uint64(i*8)%(64<<10)
+		if err := m.WriteUint(addr, uint64(i), 8); err != nil {
+			b.Fatal(err)
+		}
+		if v, err := m.ReadUint(addr, 8); err != nil || v != uint64(i) {
+			b.Fatalf("read %d, %v", v, err)
+		}
+	}
+}

@@ -101,22 +101,30 @@ func (c *Counters) IPC() float64 {
 // Meter charges instruction costs against a Counters under a Model.
 type Meter struct {
 	M     *Model
-	C     *Counters
 	Cache *Cache
 
-	// costs is the per-opcode cost table OnInstr dispatches through: one
-	// precomputed entry per ir.Op, so the VM's hot loop pays an array
-	// index instead of re-deriving the expansion arithmetic per retired
-	// instruction. The entries reproduce the historical switch exactly,
-	// including its float-addition order (cyc2 is a *separate* addition,
-	// matching the old two-step condbr charge), so cycle counts stay
-	// bit-identical.
-	costs []opCost
+	// c holds the counters OnLoad, OnStore and the bookkeeping charges
+	// write directly, and Cycles, which OnInstr adds to per retired
+	// instruction in retirement order (float addition is not
+	// associative, and modeled cycles are compared exactly). The
+	// per-instruction integer counters are folded from ops when read;
+	// see Counters. It is a separate allocation so that a caller
+	// keeping the counters does not keep the meter and its cache.
+	c *Counters
+
+	// ops is the per-opcode table OnInstr dispatches through: one entry
+	// per ir.Op holding the precomputed cost of retiring it and how many
+	// this meter retired. The entries reproduce the historical switch
+	// exactly, including its float-addition order (cyc2 is a *separate*
+	// addition, matching the old two-step condbr charge), so cycle
+	// counts stay bit-identical.
+	ops []opEntry
 }
 
-// opCost is the precomputed effect of retiring one instruction of an
-// opcode: counter increments plus one or two cycle additions.
-type opCost struct {
+// opEntry is one opcode's row: the effect of retiring one instruction
+// of the opcode (counter increments plus one or two cycle additions),
+// and the number retired.
+type opEntry struct {
 	instrs   int64
 	pa       int64
 	canary   int64
@@ -126,19 +134,20 @@ type opCost struct {
 	cyc      float64
 	cyc2     float64 // added separately when twoStep (condbr penalty)
 	twoStep  bool
+	retired  int64
 }
 
 // NewMeter returns a meter with a fresh cache and counters.
 func NewMeter(m *Model) *Meter {
-	return &Meter{M: m, C: &Counters{}, Cache: NewCache(512, 8, 64), costs: buildCosts(m)}
+	return &Meter{M: m, c: &Counters{}, Cache: NewCache(512, 8, 64), ops: buildOps(m)}
 }
 
-// buildCosts precomputes the OnInstr cost entry for every opcode.
-func buildCosts(m *Model) []opCost {
-	costs := make([]opCost, ir.NumOps())
-	for i := range costs {
+// buildOps precomputes the OnInstr cost entry for every opcode.
+func buildOps(m *Model) []opEntry {
+	ops := make([]opEntry, ir.NumOps())
+	for i := range ops {
 		op := ir.Op(i)
-		e := &costs[i]
+		e := &ops[i]
 		switch {
 		case op == ir.OpCanarySet:
 			// Canary refresh = RNG library call + pacga + store (§5:
@@ -178,114 +187,143 @@ func buildCosts(m *Model) []opCost {
 			e.cyc = 1 / m.RetireWidth
 		}
 	}
-	return costs
+	return ops
 }
 
 // OnInstr charges one retired instruction (or, for hardening ops, the
-// machine sequence it expands to) of the given opcode.
+// machine sequence it expands to) of the given opcode. Opcodes outside
+// the table charge the default entry, ir.OpInvalid's, which is also
+// the charge of one plain instruction.
 func (t *Meter) OnInstr(op ir.Op) {
-	if op < 0 || int(op) >= len(t.costs) {
-		op = ir.OpInvalid // unknown opcodes charge the default entry
+	if uint(op) >= uint(len(t.ops)) {
+		op = ir.OpInvalid
 	}
-	e := &t.costs[op]
-	c := t.C
-	c.Instrs += e.instrs
-	c.PAInstrs += e.pa
-	c.CanaryOps += e.canary
-	c.DFIOps += e.dfi
-	c.Branches += e.branches
-	c.Calls += e.calls
-	c.Cycles += e.cyc
+	e := &t.ops[op]
+	e.retired++
+	t.c.Cycles += e.cyc
 	if e.twoStep {
-		c.Cycles += e.cyc2
+		t.c.Cycles += e.cyc2
 	}
 }
 
+// Counters returns the meter's counters with the per-opcode retire
+// counts folded into Instrs, PAInstrs, CanaryOps, DFIOps, Branches and
+// Calls. The result is the meter's own struct, refreshed on every call,
+// so read it again after charging more.
+func (t *Meter) Counters() *Counters {
+	c := t.c
+	c.Instrs, c.PAInstrs, c.CanaryOps, c.DFIOps, c.Branches, c.Calls = 0, 0, 0, 0, 0, 0
+	for i := range t.ops {
+		e := &t.ops[i]
+		n := e.retired
+		c.Instrs += n * e.instrs
+		c.PAInstrs += n * e.pa
+		c.CanaryOps += n * e.canary
+		c.DFIOps += n * e.dfi
+		c.Branches += n * e.branches
+		c.Calls += n * e.calls
+	}
+	return c
+}
+
+// Cycles returns the modeled cycles charged so far, without folding
+// the other counters.
+func (t *Meter) Cycles() float64 { return t.c.Cycles }
+
 // OnLoad charges a memory read at addr.
 func (t *Meter) OnLoad(addr uint64) {
-	t.C.Loads++
-	t.C.LLCAccesses++
-	t.C.Cycles += t.M.LoadExtra
+	t.c.Loads++
+	t.c.LLCAccesses++
+	t.c.Cycles += t.M.LoadExtra
 	if !t.Cache.Access(addr) {
-		t.C.LLCMisses++
-		t.C.Cycles += t.M.LLCMissPenalty
+		t.c.LLCMisses++
+		t.c.Cycles += t.M.LLCMissPenalty
 	}
 }
 
 // OnStore charges a memory write at addr.
 func (t *Meter) OnStore(addr uint64) {
-	t.C.Stores++
-	t.C.LLCAccesses++
+	t.c.Stores++
+	t.c.LLCAccesses++
 	if !t.Cache.Access(addr) {
-		t.C.LLCMisses++
-		t.C.Cycles += t.M.LLCMissPenalty / 2 // store misses partially hidden
+		t.c.LLCMisses++
+		t.c.Cycles += t.M.LLCMissPenalty / 2 // store misses partially hidden
 	}
 }
 
 // OnSecureMalloc charges the extra sectioned-allocation latency.
 func (t *Meter) OnSecureMalloc() {
 	c := t.M.NSToCycles(t.M.SecureMallocNS)
-	t.C.Cycles += c
-	t.C.BookkeepCycles += c
+	t.c.Cycles += c
+	t.c.BookkeepCycles += c
 }
 
 // OnHeapSectionInit charges the one-time arena sectioning setup that even
 // benchmarks with no vulnerable heap variables pay (§6.2, lbm/mcf).
 func (t *Meter) OnHeapSectionInit() {
 	c := t.M.NSToCycles(t.M.HeapSectionInit)
-	t.C.Cycles += c
-	t.C.BookkeepCycles += c
+	t.c.Cycles += c
+	t.c.BookkeepCycles += c
 }
 
 // Cache is a set-associative write-allocate cache with LRU replacement,
 // used only to produce miss statistics for the evaluation discussion.
+// Its sets*ways entries sit in one flat array, set by set.
 type Cache struct {
-	sets     int
 	ways     int
-	lineBits uint
-	tags     [][]uint64
-	age      [][]int64
+	lineBits uint   // log2 of the line size
+	setBits  uint   // log2 of the set count
+	setMask  uint64 // set count - 1
+	lines    []cacheLine
 	clock    int64
 }
 
+// cacheLine is one way of one set. tag holds the line's tag plus one,
+// so the zero value is an empty way no address matches; age is the
+// clock of its last access, 0 while empty.
+type cacheLine struct {
+	tag uint64
+	age int64
+}
+
 // NewCache returns a cache with the given geometry; lineSize is in bytes.
+// sets must be a power of two, so the set index is a mask of the line
+// number and the tag a shift; any other count panics.
 func NewCache(sets, ways, lineSize int) *Cache {
-	bits := uint(0)
-	for 1<<bits < lineSize {
-		bits++
+	if sets <= 0 || sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("perf: cache set count %d is not a power of two", sets))
 	}
-	c := &Cache{sets: sets, ways: ways, lineBits: bits}
-	c.tags = make([][]uint64, sets)
-	c.age = make([][]int64, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.age[i] = make([]int64, ways)
-		for j := range c.tags[i] {
-			c.tags[i][j] = ^uint64(0)
-		}
+	c := &Cache{ways: ways, setMask: uint64(sets - 1), lines: make([]cacheLine, sets*ways)}
+	for 1<<c.lineBits < lineSize {
+		c.lineBits++
+	}
+	for 1<<c.setBits < sets {
+		c.setBits++
 	}
 	return c
 }
 
-// Access touches addr and reports whether it hit.
+// Access touches addr and reports whether it hit. On a miss the victim
+// is the first way with the smallest age: an empty way, else the least
+// recently used.
 func (c *Cache) Access(addr uint64) bool {
 	c.clock++
 	line := addr >> c.lineBits
-	set := int(line % uint64(c.sets))
-	tag := line / uint64(c.sets)
+	tag := line>>c.setBits + 1
+	first := int(line&c.setMask) * c.ways
+	set := c.lines[first : first+c.ways]
 	oldest, oldestAge := 0, c.clock+1
-	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == tag {
-			c.age[set][w] = c.clock
+	for w := range set {
+		if set[w].tag == tag {
+			set[w].age = c.clock
 			return true
 		}
-		if c.age[set][w] < oldestAge {
-			oldestAge = c.age[set][w]
+		if set[w].age < oldestAge {
+			oldestAge = set[w].age
 			oldest = w
 		}
 	}
-	c.tags[set][oldest] = tag
-	c.age[set][oldest] = c.clock
+	set[oldest] = cacheLine{tag: tag, age: c.clock}
 	return false
 }
 

@@ -1,6 +1,7 @@
 package perf_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -11,11 +12,12 @@ import (
 func TestMeterChargesPlainInstr(t *testing.T) {
 	m := perf.NewMeter(perf.DefaultModel())
 	m.OnInstr(ir.OpAdd)
-	if m.C.Instrs != 1 {
-		t.Fatalf("instrs = %d", m.C.Instrs)
+	c := m.Counters()
+	if c.Instrs != 1 {
+		t.Fatalf("instrs = %d", c.Instrs)
 	}
-	if m.C.Cycles <= 0 || m.C.Cycles >= 1 {
-		t.Fatalf("one plain op should cost a fraction of a cycle on a wide core, got %v", m.C.Cycles)
+	if c.Cycles <= 0 || c.Cycles >= 1 {
+		t.Fatalf("one plain op should cost a fraction of a cycle on a wide core, got %v", c.Cycles)
 	}
 }
 
@@ -23,15 +25,16 @@ func TestMeterPAExpansion(t *testing.T) {
 	mdl := perf.DefaultModel()
 	m := perf.NewMeter(mdl)
 	m.OnInstr(ir.OpCheckLoad)
-	if m.C.PAInstrs != 1 {
-		t.Fatalf("PA count = %d", m.C.PAInstrs)
+	c := m.Counters()
+	if c.PAInstrs != 1 {
+		t.Fatalf("PA count = %d", c.PAInstrs)
 	}
-	if m.C.Instrs != int64(mdl.PAExpand) {
-		t.Fatalf("PA op must expand to %v retired instructions, got %d", mdl.PAExpand, m.C.Instrs)
+	if c.Instrs != int64(mdl.PAExpand) {
+		t.Fatalf("PA op must expand to %v retired instructions, got %d", mdl.PAExpand, c.Instrs)
 	}
 	// IPC of PA-dominated code must stay near the core's width — the
 	// Fig. 5(a) property that overhead is mostly extra instructions.
-	ipc := m.C.IPC()
+	ipc := c.IPC()
 	if ipc < mdl.RetireWidth*0.5 {
 		t.Fatalf("PA IPC collapsed to %.2f", ipc)
 	}
@@ -41,13 +44,13 @@ func TestMeterCanaryAndDFI(t *testing.T) {
 	m := perf.NewMeter(perf.DefaultModel())
 	m.OnInstr(ir.OpCanarySet)
 	m.OnInstr(ir.OpCanaryCheck)
-	if m.C.CanaryOps != 2 || m.C.PAInstrs != 2 {
-		t.Fatalf("canary counters: %+v", m.C)
+	if c := m.Counters(); c.CanaryOps != 2 || c.PAInstrs != 2 {
+		t.Fatalf("canary counters: %+v", c)
 	}
 	m.OnInstr(ir.OpSetDef)
 	m.OnInstr(ir.OpChkDef)
-	if m.C.DFIOps != 2 {
-		t.Fatalf("dfi counters: %+v", m.C)
+	if c := m.Counters(); c.DFIOps != 2 {
+		t.Fatalf("dfi counters: %+v", c)
 	}
 }
 
@@ -56,8 +59,8 @@ func TestBranchAndCallCosts(t *testing.T) {
 	m.OnInstr(ir.OpCondBr)
 	m.OnInstr(ir.OpBr)
 	m.OnInstr(ir.OpCall)
-	if m.C.Branches != 2 || m.C.Calls != 1 {
-		t.Fatalf("%+v", m.C)
+	if c := m.Counters(); c.Branches != 2 || c.Calls != 1 {
+		t.Fatalf("%+v", c)
 	}
 }
 
@@ -91,12 +94,13 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestMeterLoadMissPenalty(t *testing.T) {
 	m := perf.NewMeter(perf.DefaultModel())
 	m.OnLoad(0x1000)
-	if m.C.LLCMisses != 1 {
+	c := m.Counters()
+	if c.LLCMisses != 1 {
 		t.Fatal("cold load must miss")
 	}
-	cold := m.C.Cycles
+	cold := c.Cycles
 	m.OnLoad(0x1000)
-	warm := m.C.Cycles - cold
+	warm := m.Counters().Cycles - cold
 	if warm >= cold {
 		t.Fatalf("warm load (%.2f) must be far cheaper than cold (%.2f)", warm, cold)
 	}
@@ -150,11 +154,11 @@ func TestSecureMallocAndSectionInitCosts(t *testing.T) {
 	m := perf.NewMeter(mdl)
 	m.OnSecureMalloc()
 	want := mdl.NSToCycles(mdl.SecureMallocNS)
-	if m.C.Cycles != want {
-		t.Fatalf("secure malloc cost %v, want %v", m.C.Cycles, want)
+	if c := m.Counters(); c.Cycles != want {
+		t.Fatalf("secure malloc cost %v, want %v", c.Cycles, want)
 	}
 	m.OnHeapSectionInit()
-	if m.C.Cycles != want+mdl.NSToCycles(mdl.HeapSectionInit) {
+	if m.Counters().Cycles != want+mdl.NSToCycles(mdl.HeapSectionInit) {
 		t.Fatal("section init cost missing")
 	}
 }
@@ -163,5 +167,116 @@ func TestIPCZeroCycles(t *testing.T) {
 	c := &perf.Counters{}
 	if c.IPC() != 0 {
 		t.Fatal("IPC of an empty run must be 0, not NaN")
+	}
+}
+
+// TestMeterCountersFold retires every opcode, and one past the table, a
+// varying number of times with loads and stores interleaved, and reads
+// the counters along the way: the folded integer counters must equal
+// totals computed here from the model, and Cycles must equal, bit for
+// bit, the same charges summed in retirement order.
+func TestMeterCountersFold(t *testing.T) {
+	mdl := perf.DefaultModel()
+	m := perf.NewMeter(mdl)
+	shadow := perf.NewCache(512, 8, 64) // predicts the meter's hits
+	var want perf.Counters
+	retire := func(op ir.Op) {
+		m.OnInstr(op)
+		switch {
+		case op == ir.OpCanarySet:
+			want.Instrs += int64(mdl.CanaryExpand)
+			want.PAInstrs++
+			want.CanaryOps++
+			want.Cycles += mdl.CanaryExpand/mdl.RetireWidth + mdl.CanaryRNGCost
+		case op == ir.OpCanaryCheck:
+			want.Instrs += int64(mdl.PAExpand)
+			want.PAInstrs++
+			want.CanaryOps++
+			want.Cycles += mdl.PAExpand/mdl.RetireWidth + mdl.PACExtra
+		case op.IsPA():
+			want.Instrs += int64(mdl.PAExpand)
+			want.PAInstrs++
+			want.Cycles += mdl.PAExpand/mdl.RetireWidth + mdl.PACExtra
+		case op == ir.OpSetDef:
+			want.Instrs += int64(mdl.DFISetExpand)
+			want.DFIOps++
+			want.Cycles += mdl.DFISetExpand/mdl.RetireWidth + mdl.DFIExtra
+		case op == ir.OpChkDef:
+			want.Instrs += int64(mdl.DFIChkExpand)
+			want.DFIOps++
+			want.Cycles += mdl.DFIChkExpand/mdl.RetireWidth + mdl.DFIExtra
+		case op == ir.OpCondBr:
+			want.Instrs++
+			want.Branches++
+			want.Cycles += 1 / mdl.RetireWidth
+			want.Cycles += mdl.BranchPenalty
+		case op == ir.OpBr:
+			want.Instrs++
+			want.Branches++
+			want.Cycles += 1 / mdl.RetireWidth
+		case op == ir.OpCall:
+			want.Instrs++
+			want.Calls++
+			want.Cycles += 1/mdl.RetireWidth + mdl.CallOverhead
+		default:
+			want.Instrs++
+			want.Cycles += 1 / mdl.RetireWidth
+		}
+	}
+	access := func(addr uint64, load bool) {
+		want.LLCAccesses++
+		if load {
+			m.OnLoad(addr)
+			want.Loads++
+			want.Cycles += mdl.LoadExtra
+		} else {
+			m.OnStore(addr)
+			want.Stores++
+		}
+		if !shadow.Access(addr) {
+			want.LLCMisses++
+			if load {
+				want.Cycles += mdl.LLCMissPenalty
+			} else {
+				want.Cycles += mdl.LLCMissPenalty / 2
+			}
+		}
+	}
+	check := func(when string) {
+		t.Helper()
+		if got := *m.Counters(); got != want {
+			t.Fatalf("%s: counters\n got %+v\nwant %+v", when, got, want)
+		}
+	}
+
+	check("fresh meter")
+	for round := 0; round < 3; round++ {
+		for op := 0; op <= ir.NumOps(); op++ { // ir.NumOps() itself is out of range
+			for k := 0; k < (op*7+round)%5+1; k++ {
+				retire(ir.Op(op))
+			}
+			access(uint64(0x7eff_0000+op*4096+round*8), op%2 == 0)
+			if op%9 == 0 {
+				check(fmt.Sprintf("round %d, op %d", round, op))
+			}
+		}
+		retire(ir.Op(-1))
+		check(fmt.Sprintf("end of round %d", round))
+	}
+}
+
+func TestNewCacheRejectsNonPowerOfTwoSets(t *testing.T) {
+	for _, sets := range []int{0, -4, 3, 6, 500} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCache(%d, 8, 64) accepted a set count that is not a power of two", sets)
+				}
+			}()
+			perf.NewCache(sets, 8, 64)
+		}()
+	}
+	for _, sets := range []int{1, 2, 512} {
+		perf.NewCache(sets, 8, 64)
 	}
 }

@@ -388,12 +388,14 @@ func (e *Engine) execute(j *job) (*SubmitResponse, error) {
 		e.maybePrune()
 	}
 
-	m := vm.New(prog.Mod, vm.Config{
-		Seed:     e.cfg.Seed,
-		Fuel:     j.fuel,
-		MaxPages: j.pages,
-		Flight:   obs.DefaultFlightWindow,
-	})
+	cfg := vm.Config{Seed: e.cfg.Seed, Fuel: j.fuel, MaxPages: j.pages}
+	if j.req.Forensics {
+		// The flight window reaches the response only on request, and an
+		// armed recorder puts every instruction on the observed tick
+		// path. A session's FlightDepth still arms it for the daemon.
+		cfg.Flight = obs.DefaultFlightWindow
+	}
+	m := vm.New(prog.Mod, cfg)
 	m.Stdin.SetInput([]byte(j.req.Stdin))
 	start := time.Now()
 	res, err := m.Run("main")

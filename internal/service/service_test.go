@@ -83,6 +83,45 @@ func TestSubmitVerdictMatrix(t *testing.T) {
 	}
 }
 
+// TestForensicsOnlyWhenRequested: the flight recorder is armed only
+// for a request that asks for forensics, and arming it changes nothing
+// but the window in the response.
+func TestForensicsOnlyWhenRequested(t *testing.T) {
+	c := attack.Corpus()[0] // privesc-string-overflow
+	e := newEngine(t, Config{Workers: 1})
+	submit := func(forensics bool) *SubmitResponse {
+		t.Helper()
+		resp, err := e.Submit(&SubmitRequest{
+			Source: c.Source, Scheme: "pythia", Stdin: c.Malicious, Forensics: forensics,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Fault == nil {
+			t.Fatalf("forensics=%v: malicious input not detected: %+v", forensics, resp)
+		}
+		return resp
+	}
+	with, without := submit(true), submit(false)
+	if with.Fault.Forensics == nil {
+		t.Fatal("forensics requested but absent")
+	}
+	if without.Fault.Forensics != nil {
+		t.Fatalf("forensics not requested but present: %+v", without.Fault.Forensics)
+	}
+	with.Fault.Forensics = nil
+	if *with.Fault != *without.Fault {
+		t.Fatalf("fault fields differ:\n with    %+v\n without %+v", *with.Fault, *without.Fault)
+	}
+	// The second submit hits the build memo and waits its own time in
+	// the queue; every other field must match.
+	with.CacheHit, with.QueueWaitMS = without.CacheHit, without.QueueWaitMS
+	with.Fault = without.Fault
+	if *with != *without {
+		t.Fatalf("arming the recorder changed the response:\n with    %+v\n without %+v", with, without)
+	}
+}
+
 // TestSubmitCacheHitAndZeroMisses: resubmitting the same source×scheme
 // reports a cache hit and pays zero compile/harden misses.
 func TestSubmitCacheHitAndZeroMisses(t *testing.T) {

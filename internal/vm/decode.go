@@ -37,11 +37,6 @@ const (
 	opdParam
 )
 
-// opFall is the sentinel opcode appended to every decoded block; it only
-// executes when control falls off the end of a block without reaching a
-// terminator, which the reference interpreter reports as a runtime fault.
-const opFall = ir.Op(-1)
-
 // dgepTerm is one dynamic index term of a folded GEP.
 type dgepTerm struct {
 	opd   operand
@@ -60,16 +55,18 @@ type dgep struct {
 	generic  bool
 }
 
-// dinstr is one decoded instruction.
+// dinstr is one decoded instruction. Every dinstr retires one tick
+// when it executes.
 type dinstr struct {
 	op     ir.Op
+	site   bool  // a hardening opcode, whose pc every machine counts
 	dst    int32 // result slot, -1 when none
 	pc     int32 // index into the function's profile
 	succ0  int32 // br/condbr target block indices
 	succ1  int32
 	size   int    // load/store width; sext source width
 	umask  uint64 // trunc/zext mask
-	aux    int64  // alloca frame offset, -1 when missing from the plan
+	aux    int64  // alloca frame offset (-1 when missing from the plan); a phi's scratch slot
 	pred   ir.Pred
 	args   []operand
 	gep    *dgep
@@ -77,20 +74,24 @@ type dinstr struct {
 	in     *ir.Instr // original instruction (trace, faults, DFI metadata)
 }
 
-// dphi is one decoded phi: incoming edges as (pred block index, operand).
+// dphi is one decoded phi's incoming edges: (pred block index, operand).
 type dphi struct {
-	dst   int32
-	pc    int32
 	in    *ir.Instr
 	preds []int32
 	vals  []operand
 }
 
-// dblock is one decoded basic block.
+// dblock is one decoded basic block. Its leading phis evaluate in
+// parallel against the incoming edge into the scratch slots, then the
+// code assigns them in order: code opens with one OpPhi move per phi,
+// followed by the block's other instructions up to the first phi
+// after a non-phi (latePhi), if any. Control running off the end of
+// code is a fault: latePhi's when set, otherwise a fall-through.
 type dblock struct {
-	b    *ir.Block
-	phis []dphi
-	code []dinstr
+	b       *ir.Block
+	phis    []dphi
+	code    []dinstr
+	latePhi *ir.Instr
 }
 
 // dfunc is the decoded form of one function under one machine.
@@ -219,22 +220,27 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 		return operand{kind: opdSlot, idx: slot}
 	}
 
-	var pc int32 // instruction ordinal in block order: the profile's pc
+	var next int32 // the first pc of the next block
 	d.blocks = make([]dblock, len(f.Blocks))
 	for bi, b := range f.Blocks {
 		db := &d.blocks[bi]
 		db.b = b
+		// An instruction's pc is its ordinal in block order, phis
+		// included: the index of its profile entry.
+		base := next
+		next += int32(len(b.Instrs))
 		phis := b.Phis()
 		if len(phis) > d.maxPhis {
 			d.maxPhis = len(phis)
 		}
-		for _, p := range phis {
+		db.code = make([]dinstr, 0, len(b.Instrs))
+		for i, p := range phis {
 			dst, ok := num.SlotOf(p)
 			if !ok {
 				d.refOnly = true
 			}
-			dp := dphi{dst: dst, pc: pc, in: p}
-			pc++
+			db.code = append(db.code, dinstr{op: ir.OpPhi, dst: dst, pc: base + int32(i), aux: int64(d.nslots + i), in: p})
+			dp := dphi{in: p}
 			for _, e := range p.Incoming {
 				pi, known := blockIdx[e.Pred]
 				if !known {
@@ -246,12 +252,13 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 			db.phis = append(db.phis, dp)
 		}
 
-		db.code = make([]dinstr, 0, len(b.Instrs)-len(phis)+1)
 		for ii := len(phis); ii < len(b.Instrs); ii++ {
-			db.code = append(db.code, m.decodeInstr(d, num, blockIdx, decodeVal, b, ii, pc))
-			pc++
+			if b.Instrs[ii].Op == ir.OpPhi {
+				db.latePhi = b.Instrs[ii]
+				break
+			}
+			db.code = append(db.code, m.decodeInstr(d, num, blockIdx, decodeVal, b, ii, base+int32(ii)))
 		}
-		db.code = append(db.code, dinstr{op: opFall, dst: -1})
 	}
 	return d
 }
@@ -261,7 +268,7 @@ func (m *Machine) decodeInstr(d *dfunc, num *ir.Numbering, blockIdx map[*ir.Bloc
 	decodeVal func(ir.Value, *ir.Block, int) operand, b *ir.Block, ii int, pc int32) dinstr {
 
 	in := b.Instrs[ii]
-	di := dinstr{op: in.Op, dst: -1, pc: pc, aux: -1, pred: in.Pred, in: in}
+	di := dinstr{op: in.Op, site: in.Op.IsHardening(), dst: -1, pc: pc, aux: -1, pred: in.Pred, in: in}
 	if in.HasResult() {
 		if s, ok := num.SlotOf(in); ok {
 			di.dst = s

@@ -58,23 +58,25 @@ func (m *Machine) putSlots(s []uint64) {
 	}
 }
 
-// dtick is the decoded engine's per-instruction charge, equivalent to
-// tick: trace, profile, meter, fuel. site is true at the hardening
-// opcodes' call sites, whose pcs every machine counts (SitesExecuted);
-// other pcs are counted only when a session arms the full profile.
-func (m *Machine) dtick(d *dfunc, in *ir.Instr, pc int32, site bool) {
+// dtick is the decoded engine's per-instruction charge on an armed
+// machine (a Trace callback or an observability attachment), equivalent
+// to tick: trace, profile, meter, fuel. Hardening pcs (di.site) are
+// counted on every machine (SitesExecuted); other pcs only when a
+// session arms the full profile. An unarmed machine charges inline in
+// execDecoded instead.
+func (m *Machine) dtick(d *dfunc, di *dinstr) {
 	if m.Trace != nil {
-		m.Trace(d.f, in)
+		m.Trace(d.f, di.in)
 	}
 	if m.obs != nil {
-		m.obsTick(d.f, in, d.prof, pc, site)
-	} else if site {
-		d.prof.n[pc].execs++
+		m.obsTick(d.f, di.in, d.prof, di.pc, di.site)
+	} else if di.site {
+		d.prof.n[di.pc].execs++
 	}
-	m.Meter.OnInstr(in.Op)
+	m.Meter.OnInstr(di.op)
 	m.Fuel--
 	if m.Fuel <= 0 {
-		panic(m.fault(FaultOOF, d.f, in, ErrOutOfFuel))
+		panic(m.fault(FaultOOF, d.f, di.in, ErrOutOfFuel))
 	}
 }
 
@@ -116,22 +118,34 @@ blockLoop:
 		blk := &d.blocks[bi]
 		if len(blk.phis) > 0 {
 			// Phis evaluate in parallel against the incoming edge: all
-			// values first (into the scratch tail), then assign and tick.
+			// values first, into the scratch tail; the OpPhi moves that
+			// open the block's code then assign them in order.
 			scratch := slots[d.nslots:]
 			for i := range blk.phis {
 				scratch[i] = m.evalDPhi(d, &fr, &blk.phis[i], prev)
 			}
-			for i := range blk.phis {
-				p := &blk.phis[i]
-				slots[p.dst] = scratch[i]
-				m.dtick(d, p.in, p.pc, false)
-			}
 		}
 		for ci := range blk.code {
 			di := &blk.code[ci]
+			// Every decoded instruction retires one tick before its own
+			// work. An unarmed machine charges it here without a call.
+			if m.Trace != nil || m.obs != nil {
+				m.dtick(d, di)
+			} else {
+				if di.site {
+					d.prof.n[di.pc].execs++
+				}
+				m.Meter.OnInstr(di.op)
+				m.Fuel--
+				if m.Fuel <= 0 {
+					panic(m.fault(FaultOOF, f, di.in, ErrOutOfFuel))
+				}
+			}
 			switch di.op {
+			case ir.OpPhi:
+				slots[di.dst] = slots[di.aux]
+
 			case ir.OpBr:
-				m.dtick(d, di.in, di.pc, false)
 				prev, bi = bi, di.succ0
 				if m.cov != nil {
 					m.cov.hit(d.covBase, prev, bi)
@@ -139,7 +153,6 @@ blockLoop:
 				continue blockLoop
 
 			case ir.OpCondBr:
-				m.dtick(d, di.in, di.pc, false)
 				prev = bi
 				if fr.get(di.args[0])&1 != 0 {
 					bi = di.succ0
@@ -152,21 +165,18 @@ blockLoop:
 				continue blockLoop
 
 			case ir.OpRet:
-				m.dtick(d, di.in, di.pc, false)
 				if len(di.args) == 1 {
 					return fr.get(di.args[0])
 				}
 				return 0
 
 			case ir.OpAlloca:
-				m.dtick(d, di.in, di.pc, false)
 				if di.aux < 0 {
 					panic(m.fault(FaultRuntime, f, di.in, fmt.Errorf("alloca %%%s missing from stack plan", di.in.Nam)))
 				}
 				slots[di.dst] = base + uint64(di.aux)
 
 			case ir.OpLoad:
-				m.dtick(d, di.in, di.pc, false)
 				addr := fr.get(di.args[0])
 				m.Meter.OnLoad(addr)
 				v, err := m.Mem.ReadUint(addr, di.size)
@@ -176,7 +186,6 @@ blockLoop:
 				slots[di.dst] = signExtend(v, di.size)
 
 			case ir.OpStore:
-				m.dtick(d, di.in, di.pc, false)
 				val := fr.get(di.args[0])
 				addr := fr.get(di.args[1])
 				m.Meter.OnStore(addr)
@@ -185,7 +194,6 @@ blockLoop:
 				}
 
 			case ir.OpGEP:
-				m.dtick(d, di.in, di.pc, false)
 				g := di.gep
 				if g.generic {
 					slots[di.dst] = m.execGEPGeneric(&fr, f, di)
@@ -199,46 +207,35 @@ blockLoop:
 				}
 
 			case ir.OpAdd:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) + int64(fr.get(di.args[1])))
 			case ir.OpSub:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) - int64(fr.get(di.args[1])))
 			case ir.OpMul:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) * int64(fr.get(di.args[1])))
 			case ir.OpSDiv:
-				m.dtick(d, di.in, di.pc, false)
 				b := int64(fr.get(di.args[1]))
 				if b == 0 {
 					panic(m.fault(FaultRuntime, f, di.in, errors.New("division by zero")))
 				}
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) / b)
 			case ir.OpSRem:
-				m.dtick(d, di.in, di.pc, false)
 				b := int64(fr.get(di.args[1]))
 				if b == 0 {
 					panic(m.fault(FaultRuntime, f, di.in, errors.New("remainder by zero")))
 				}
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) % b)
 			case ir.OpAnd:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0]) & fr.get(di.args[1])
 			case ir.OpOr:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0]) | fr.get(di.args[1])
 			case ir.OpXor:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0]) ^ fr.get(di.args[1])
 			case ir.OpShl:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) << uint(fr.get(di.args[1])&63))
 			case ir.OpAShr:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = uint64(int64(fr.get(di.args[0])) >> uint(fr.get(di.args[1])&63))
 
 			case ir.OpICmp:
-				m.dtick(d, di.in, di.pc, false)
 				a := int64(fr.get(di.args[0]))
 				b := int64(fr.get(di.args[1]))
 				var r bool
@@ -263,17 +260,13 @@ blockLoop:
 				}
 
 			case ir.OpTrunc, ir.OpZExt:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0]) & di.umask
 			case ir.OpSExt:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = signExtend(fr.get(di.args[0]), di.size)
 			case ir.OpPtrToInt, ir.OpIntToPtr:
-				m.dtick(d, di.in, di.pc, false)
 				slots[di.dst] = fr.get(di.args[0])
 
 			case ir.OpSelect:
-				m.dtick(d, di.in, di.pc, false)
 				if fr.get(di.args[0])&1 != 0 {
 					slots[di.dst] = fr.get(di.args[1])
 				} else {
@@ -281,11 +274,15 @@ blockLoop:
 				}
 
 			case ir.OpCall:
-				m.dtick(d, di.in, di.pc, false)
-				cargs := make([]uint64, len(di.args))
+				// The arguments go on the machine's argument stack, which
+				// the callee's frame reads in place; popping them when the
+				// call returns leaves every live frame's arguments below
+				// the top. Run resets the stack a fault unwound past.
+				sp := len(m.args)
 				for i := range di.args {
-					cargs[i] = fr.get(di.args[i])
+					m.args = append(m.args, fr.get(di.args[i]))
 				}
+				cargs := m.args[sp:len(m.args):len(m.args)]
 				var rv uint64
 				if callee := di.callee; callee.IsDecl() {
 					v, err := m.intrinsic(f, di.in, callee, cargs)
@@ -300,16 +297,15 @@ blockLoop:
 				} else {
 					rv = m.invoke(callee, cargs)
 				}
+				m.args = m.args[:sp]
 				if di.dst >= 0 {
 					slots[di.dst] = rv
 				}
 
 			case ir.OpPacSign:
-				m.dtick(d, di.in, di.pc, true)
 				slots[di.dst] = pa.Sign(fr.get(di.args[0]), fr.get(di.args[1]), m.Keys.APDA)
 
 			case ir.OpPacAuth:
-				m.dtick(d, di.in, di.pc, true)
 				ptr := fr.get(di.args[0])
 				mod := fr.get(di.args[1])
 				out, ok := pa.Auth(ptr, mod, m.Keys.APDA)
@@ -319,11 +315,9 @@ blockLoop:
 				slots[di.dst] = out
 
 			case ir.OpPacStrip:
-				m.dtick(d, di.in, di.pc, true)
 				slots[di.dst] = pa.Strip(fr.get(di.args[0]))
 
 			case ir.OpSealStore:
-				m.dtick(d, di.in, di.pc, true)
 				val := fr.get(di.args[0])
 				addr := fr.get(di.args[1])
 				m.Meter.OnStore(addr)
@@ -337,7 +331,6 @@ blockLoop:
 				}
 
 			case ir.OpCheckLoad:
-				m.dtick(d, di.in, di.pc, true)
 				addr := fr.get(di.args[0])
 				m.Meter.OnLoad(addr)
 				val, err := m.Mem.ReadUint(addr, 8)
@@ -357,13 +350,11 @@ blockLoop:
 				slots[di.dst] = val
 
 			case ir.OpObjSeal:
-				m.dtick(d, di.in, di.pc, true)
 				addr := fr.get(di.args[0])
 				size := int(fr.get(di.args[1]))
 				m.objMAC[addr] = m.objectMAC(f, di.in, addr, size)
 
 			case ir.OpObjCheck:
-				m.dtick(d, di.in, di.pc, true)
 				addr := fr.get(di.args[0])
 				size := int(fr.get(di.args[1]))
 				if want, sealed := m.objMAC[addr]; sealed {
@@ -374,19 +365,15 @@ blockLoop:
 				}
 
 			case ir.OpCanarySet:
-				m.dtick(d, di.in, di.pc, true)
 				m.canarySetAt(f, di.in, fr.get(di.args[0]))
 
 			case ir.OpCanaryCheck:
-				m.dtick(d, di.in, di.pc, true)
 				m.canaryCheckAt(f, di.in, fr.get(di.args[0]))
 
 			case ir.OpSetDef:
-				m.dtick(d, di.in, di.pc, true)
 				m.dfiRDT[fr.get(di.args[0])] = di.in.DefID
 
 			case ir.OpChkDef:
-				m.dtick(d, di.in, di.pc, true)
 				addr := fr.get(di.args[0])
 				if id, ok := m.dfiRDT[addr]; ok {
 					allowed := id == DFIWildcard
@@ -401,21 +388,17 @@ blockLoop:
 					}
 				}
 
-			case ir.OpPhi:
-				// A phi below a non-phi; the reference interpreter faults
-				// without charging a tick.
-				panic(m.fault(FaultRuntime, f, di.in, errors.New("phi after non-phi")))
-
-			case opFall:
-				panic(m.fault(FaultRuntime, f, nil, fmt.Errorf("block %%%s fell through", blk.b.Name)))
-
 			default:
-				m.dtick(d, di.in, di.pc, false)
 				panic(m.fault(FaultRuntime, f, di.in, fmt.Errorf("unimplemented opcode %s", di.in.Op)))
 			}
 		}
-		// The opFall sentinel terminates every decoded block.
-		panic("vm: decoded block ended without terminator")
+		// Control ran off the end of the block's code without a
+		// terminator. The reference interpreter faults here without
+		// charging a tick.
+		if blk.latePhi != nil {
+			panic(m.fault(FaultRuntime, f, blk.latePhi, errors.New("phi after non-phi")))
+		}
+		panic(m.fault(FaultRuntime, f, nil, fmt.Errorf("block %%%s fell through", blk.b.Name)))
 	}
 }
 

@@ -141,9 +141,8 @@ func (m *Machine) popFrameMem(base uint64, size int64, plan *ir.StackPlan) {
 // installCanary initializes one canary slot at frame entry ("the canary
 // values are re-randomized on every entry to the function", §4.4).
 func (m *Machine) installCanary(f *ir.Func, slot uint64) {
-	in := ir.NewInstr(ir.OpCanarySet, "", ir.Void, ir.ConstInt(ir.I64, int64(slot)))
 	m.Meter.OnInstr(ir.OpCanarySet)
-	m.canarySetAt(f, in, slot)
+	m.canarySetAt(f, nil, slot)
 }
 
 // canaryNonceMask keeps the random nonce within the canonical address
@@ -155,10 +154,15 @@ func signCanary(m *Machine, nonce, slot uint64) uint64 {
 }
 
 func (m *Machine) canarySetAt(f *ir.Func, in *ir.Instr, slot uint64) {
-	nonce := m.rng.Uint64() & canaryNonceMask
+	nonce := m.random().Uint64() & canaryNonceMask
 	signed := signCanary(m, nonce, slot)
 	m.Meter.OnStore(slot)
 	if err := m.Mem.WriteUint(slot, signed, 8); err != nil {
+		if in == nil {
+			// A frame-entry install runs for no IR instruction: the
+			// fault names the canary.set it stands for, built only here.
+			in = ir.NewInstr(ir.OpCanarySet, "", ir.Void, ir.ConstInt(ir.I64, int64(slot)))
+		}
 		panic(m.fault(memKind(err), f, in, err))
 	}
 	m.canaryShadow[slot] = signed

@@ -95,32 +95,29 @@ func (m *Machine) dfiMarkRange(addr uint64, n int, id int) {
 	}
 }
 
-// writeBytesMetered stores b at addr charging the meter per cache line.
+// writeBytesMetered stores b at addr charging the meter one store and
+// one plain instruction (the default opcode entry) per 8-byte word.
 func (m *Machine) writeBytesMetered(f *ir.Func, in *ir.Instr, addr uint64, b []byte) {
 	step := 8
 	for i := 0; i < len(b); i += step {
 		m.Meter.OnStore(addr + uint64(i))
-		m.Meter.C.Instrs++
-		m.Meter.C.Cycles += 1 / m.Meter.M.RetireWidth
+		m.Meter.OnInstr(ir.OpInvalid)
 	}
 	if err := m.Mem.WriteBytes(addr, b); err != nil {
 		panic(m.fault(memKind(err), f, in, err))
 	}
 }
 
-// readBytesMetered loads n bytes charging the meter.
+// readBytesMetered loads n bytes charging the meter one load and one
+// plain instruction per 8-byte word. The bytes sit in the machine's
+// read buffer, valid until its next buffered read.
 func (m *Machine) readBytesMetered(f *ir.Func, in *ir.Instr, addr uint64, n int) []byte {
 	step := 8
 	for i := 0; i < n; i += step {
 		m.Meter.OnLoad(addr + uint64(i))
-		m.Meter.C.Instrs++
-		m.Meter.C.Cycles += 1 / m.Meter.M.RetireWidth
+		m.Meter.OnInstr(ir.OpInvalid)
 	}
-	b, err := m.Mem.ReadBytes(addr, n)
-	if err != nil {
-		panic(m.fault(memKind(err), f, in, err))
-	}
-	return b
+	return m.readBuffered(f, in, addr, n)
 }
 
 func (m *Machine) cstring(f *ir.Func, in *ir.Instr, addr uint64) string {
@@ -352,7 +349,7 @@ func (m *Machine) intrinsic(f *ir.Func, in *ir.Instr, callee *ir.Func, args []ui
 		}
 		return uint64(v), nil
 	case "rand":
-		return uint64(m.rng.Int63n(1 << 31)), nil
+		return uint64(m.random().Int63n(1 << 31)), nil
 	case "exit":
 		return 0, m.fault(FaultRuntime, f, in, fmt.Errorf("exit(%d)", int64(args[0])))
 	}

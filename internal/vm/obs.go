@@ -236,7 +236,7 @@ func (m *Machine) obsTick(f *ir.Func, in *ir.Instr, p *profile, pc int32, site b
 		p.n[pc].execs++
 	}
 	if o.cycles {
-		cyc := m.Meter.C.Cycles
+		cyc := m.Meter.Cycles()
 		o.closePrev(cyc)
 		o.prev, o.prevPC, o.prevCyc = p, pc, cyc
 	}
@@ -323,7 +323,7 @@ func (o *obsState) publish(mod, fn string, p *profile, ops []int64) {
 // curated counter deltas, and heap arena stats.
 func (m *Machine) obsFlush(res *Result) {
 	o := m.obs
-	c := m.Meter.C
+	c := res.Counters
 	// Charge the cycles after the last tick (the final instruction's own
 	// work) before anything reads the profile.
 	o.closePrev(c.Cycles)

@@ -54,8 +54,11 @@ type Machine struct {
 	// SP is the current stack pointer (grows down).
 	SP uint64
 
-	// rng drives canary randomization; seeded for determinism.
-	rng *rand.Rand
+	// rng drives canary randomization and the rand intrinsic, seeded
+	// with seed on the first draw (see random), so a machine that never
+	// draws never builds the source.
+	rng  *rand.Rand
+	seed int64
 
 	// dfiRDT is the runtime definitions table keyed by address.
 	dfiRDT map[uint64]int
@@ -88,6 +91,12 @@ type Machine struct {
 	// zeroBuf the reusable frame-zeroing scratch.
 	slotFree [][]uint64
 	zeroBuf  []byte
+
+	// args is the decoded engine's argument stack: a call pushes its
+	// arguments, the callee's frame reads them in place, and the return
+	// pops them. readBuf is the reusable buffer of readBuffered.
+	args    []uint64
+	readBuf []byte
 
 	// ref forces every call through the reference interpreter.
 	ref bool
@@ -164,7 +173,7 @@ func New(mod *ir.Module, cfg Config) *Machine {
 		// a real process has, so a top-frame overflow corrupts it instead
 		// of running off the mapped stack.
 		SP:           mem.StackTop - 4096,
-		rng:          rand.New(rand.NewSource(cfg.Seed)),
+		seed:         cfg.Seed,
 		dfiRDT:       make(map[uint64]int),
 		globalAddrs:  make(map[*ir.Global]uint64),
 		funcAddrs:    make(map[*ir.Func]uint64),
@@ -334,8 +343,9 @@ func (m *Machine) Run(fname string, args ...uint64) (*Result, error) {
 		}
 		m.sectionInitDone = true
 	}
+	m.args = m.args[:0] // a fault in an earlier run unwinds without popping
 	ret, fault := m.call(f, args)
-	res := &Result{Ret: ret, Fault: fault, Counters: m.Meter.C, Stdout: m.Stdout, SitesExecuted: m.sitesExecuted()}
+	res := &Result{Ret: ret, Fault: fault, Counters: m.Meter.Counters(), Stdout: m.Stdout, SitesExecuted: m.sitesExecuted()}
 	if m.obs != nil {
 		m.obsFlush(res)
 	}
@@ -407,10 +417,19 @@ func (m *Machine) invoke(f *ir.Func, args []uint64) uint64 {
 	return m.execDecoded(d, args)
 }
 
+// random returns the machine's RNG, seeding it on the first draw. The
+// draws are the ones a source seeded in New would give.
+func (m *Machine) random() *rand.Rand {
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.seed))
+	}
+	return m.rng
+}
+
 // tick charges one retired instruction and burns fuel (reference-
-// interpreter path; the decoded engine uses dtick). The pc comes from
-// the profile's index, so an unarmed machine looks it up only for
-// hardening instructions.
+// interpreter path; the decoded engine charges in execDecoded, or in
+// dtick on an armed machine). The pc comes from the profile's index,
+// so an unarmed machine looks it up only for hardening instructions.
 func (m *Machine) tick(fr *refFrame, in *ir.Instr) {
 	if m.Trace != nil {
 		m.Trace(fr.f, in)
@@ -437,16 +456,24 @@ func (m *Machine) objectMAC(f *ir.Func, in *ir.Instr, addr uint64, size int) uin
 	// parallel with the access, so the meter charges one access (the
 	// caller's tick already charged the PA sequence); functionally we
 	// verify the whole object so corruption anywhere is caught.
-	b, err := m.Mem.ReadBytes(addr, size)
-	if err != nil {
-		panic(m.fault(memKind(err), f, in, err))
-	}
 	h := uint64(0xcbf29ce484222325)
-	for _, x := range b {
+	for _, x := range m.readBuffered(f, in, addr, size) {
 		h = (h ^ uint64(x)) * 0x100000001b3
 	}
 	m.Meter.OnLoad(addr)
 	return pa.GenericMAC(h, addr, m.Keys.APGA)
+}
+
+// readBuffered reads n bytes at addr into the machine's read buffer,
+// faulting as ReadBytes would. The bytes are valid until the next
+// readBuffered call; neither caller holds them across one.
+func (m *Machine) readBuffered(f *ir.Func, in *ir.Instr, addr uint64, n int) []byte {
+	b, err := m.Mem.AppendBytes(m.readBuf[:0], addr, n)
+	if err != nil {
+		panic(m.fault(memKind(err), f, in, err))
+	}
+	m.readBuf = b
+	return b
 }
 
 func widthMask(t ir.Type) uint64 {

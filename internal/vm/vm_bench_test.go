@@ -39,11 +39,11 @@ int main() {
 }
 `
 
-func benchModule(b *testing.B) *ir.Module {
-	b.Helper()
+func benchModule(tb testing.TB) *ir.Module {
+	tb.Helper()
 	mod, err := minic.Compile("bench", benchSrc)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return mod
 }
@@ -96,4 +96,16 @@ func BenchmarkVMDispatchArmed(b *testing.B) {
 	})
 	defer obs.Stop()
 	runDispatch(b, mod, false)
+}
+
+// BenchmarkMachineNew measures building a machine with pythiad's
+// default per-request quotas (fuel 50M, 4,096 pages), without running
+// it.
+func BenchmarkMachineNew(b *testing.B) {
+	mod := benchModule(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vm.New(mod, vm.Config{Seed: 7, Fuel: 50_000_000, MaxPages: 4096})
+	}
 }

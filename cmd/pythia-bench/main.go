@@ -287,13 +287,15 @@ func main() {
 	if *attribution > 0 || *savePath != "" || *compare || *serveAddr != "" {
 		sess.Attrib = obs.NewAttribAgg()
 	}
+	if *serveAddr != "" {
+		// Declare the sweep before the server answers its first
+		// /progress request.
+		sess.Progress = &obs.Progress{}
+		sess.Progress.Begin(len(exps)**repeat, *repeat)
+	}
 	outs = obs.Outputs{Journal: *journal, Trace: *traceOut, Metrics: *metrics, Serve: *serveAddr}
 	if err := outs.Start(sess); err != nil {
 		usageError("%v", err)
-	}
-
-	if sess.Progress != nil {
-		sess.Progress.Begin(len(exps)**repeat, *repeat)
 	}
 
 	// The repeat loop: each repeat gets a fresh config (and with it a
@@ -420,7 +422,7 @@ func main() {
 			rec.Metrics = &snap
 		}
 		if sess.Attrib != nil {
-			rec.Attribution = bench.AttribRecordsFrom(sess.Attrib)
+			rec.Attribution = sess.Attrib.Rows()
 		}
 	}
 	if *savePath != "" {

@@ -11,9 +11,16 @@
 // daemon serves /healthz, /metricz, /debug/pprof/*, /api/journal and
 // /api/coverage alongside:
 //
-//	POST /api/v1/submit   {source, scheme, stdin, fuel, max_pages, tenant}
+//	POST /api/v1/submit   {source, scheme, stdin, fuel, max_pages, tenant,
+//	                       forensics, coverage}
 //	GET  /api/v1/stats    engine, pipeline and artifact-store stats
 //	GET  /api/v1/tenants  per-tenant counters
+//
+// Forensics and coverage are per request: "forensics": true arms the
+// flight recorder for that run alone, and "coverage": true returns the
+// run's own per-check-site tally. The daemon arms neither session-wide,
+// so /api/coverage, which aggregates CLI sweeps (pythia-bench
+// -coverage), stays empty here.
 //
 // Admission is bounded: a full queue or a tenant over its in-flight
 // quota gets 429 with Retry-After, never unbounded blocking. SIGINT or
@@ -64,15 +71,13 @@ func main() {
 		usageError("sizing flags must be >= 0")
 	}
 
-	// The daemon's whole observability set is armed unconditionally: a
-	// service is long-running by nature, so metrics, coverage, the
-	// journal (in memory unless -journal streams it) and the fault
-	// flight recorder are part of its contract, not an opt-in.
+	// Metrics and the journal (in memory unless -journal streams it)
+	// are armed unconditionally: a service is long-running by nature,
+	// so they are part of its contract, not an opt-in. Forensics and
+	// coverage are answered per request, from the run itself.
 	sess := &obs.Session{
-		Journal:     obs.NewJournal(),
-		Metrics:     obs.Default(),
-		Coverage:    obs.NewCoverageAgg(),
-		FlightDepth: obs.DefaultFlightWindow,
+		Journal: obs.NewJournal(),
+		Metrics: obs.Default(),
 	}
 	outs = obs.Outputs{Journal: *journalPath}
 	if err := outs.Start(sess); err != nil {

@@ -83,12 +83,12 @@ func RunWith(pl *core.Pipeline, c *Case, scheme core.Scheme) (*Outcome, error) {
 	}
 	out.PAUsed = ares.Counters.PAInstrs
 	// Defense-coverage telemetry: both the benign and the attacked run
-	// contribute dynamic site counts under the case's name (no-op unless
-	// a session armed a CoverageAgg).
+	// contribute their per-site tallies under the case's name (no-op
+	// unless a session armed a CoverageAgg).
 	if agg := obs.CurrentCoverage(); agg != nil {
 		ids, n := harden.SiteIDs(prog.Mod), prog.Mod.NumInstrs()
-		agg.Record(c.Name, scheme.String(), ids, n, bres.Coverage)
-		agg.Record(c.Name, scheme.String(), ids, n, ares.Coverage)
+		agg.Record(c.Name, scheme.String(), ids, n, bres.Sites)
+		agg.Record(c.Name, scheme.String(), ids, n, ares.Sites)
 	}
 	return out, nil
 }

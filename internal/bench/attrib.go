@@ -1,10 +1,9 @@
 package bench
 
-// Attribution persistence and rendering: the bridge between the obs
-// attribution engine (per-site cycle accounting, in memory) and the
-// bench surfaces that consume it — the BENCH_<rev>.json history record,
-// the `-attribution` stderr report, and the perf gate's regression
-// blame.
+// Attribution rendering: the bench surfaces that consume the obs
+// attribution engine's rows — the `-attribution` stderr report and the
+// perf gate's regression blame. The BENCH_<rev>.json history record
+// stores the rows themselves (Record.Attribution).
 
 import (
 	"fmt"
@@ -14,52 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/report"
 )
-
-// AttribSite is one hardening site's persisted per-run cost.
-type AttribSite struct {
-	Site   string  `json:"site"`
-	Count  int64   `json:"count"`
-	Cycles float64 `json:"cycles"`
-}
-
-// AttribRecord is the persisted form of one attribution row: the
-// overhead decomposition of a hardened (profile, scheme) cell against
-// its vanilla baseline, carried inside a history Record so the perf
-// gate can blame regressions on specific categories and sites.
-type AttribRecord struct {
-	Profile     string             `json:"profile"`
-	Scheme      string             `json:"scheme"`
-	Fingerprint string             `json:"fingerprint,omitempty"`
-	BaseCycles  float64            `json:"base_cycles"`
-	Cycles      float64            `json:"cycles"`
-	Delta       float64            `json:"delta_cycles"`
-	OverheadPct float64            `json:"overhead_pct"`
-	Categories  map[string]float64 `json:"categories"`
-	Sites       []AttribSite       `json:"sites,omitempty"`
-}
-
-// AttribRecordsFrom snapshots the aggregator's attribution rows in
-// persisted form; nil-safe, empty when attribution was not armed.
-func AttribRecordsFrom(agg *obs.AttribAgg) []AttribRecord {
-	var out []AttribRecord
-	for _, r := range agg.Rows() {
-		ar := AttribRecord{
-			Profile:     r.Profile,
-			Scheme:      r.Scheme,
-			Fingerprint: r.Fingerprint,
-			BaseCycles:  r.BaseCycles,
-			Cycles:      r.Cycles,
-			Delta:       r.Delta,
-			OverheadPct: r.OverheadPct,
-			Categories:  r.Categories,
-		}
-		for _, s := range r.Sites {
-			ar.Sites = append(ar.Sites, AttribSite{Site: s.Site, Count: s.Count, Cycles: s.Cycles})
-		}
-		out = append(out, ar)
-	}
-	return out
-}
 
 // AttributionTable renders attribution rows as a report table: one row
 // per hardened cell with its per-category decomposition, then the topN
@@ -91,10 +44,10 @@ func AttributionTable(rows []obs.AttribRow, topN int) *report.Table {
 }
 
 // attribBlame explains one regressed run verdict from the baseline and
-// current attribution records: which categories and sites grew the
-// most. Empty when either side lacks an attribution row for the cell.
-func attribBlame(base, cur []AttribRecord, profile, scheme, fp string, topN int) string {
-	find := func(recs []AttribRecord) *AttribRecord {
+// current attribution rows: which categories and sites grew the most.
+// Empty when either side lacks an attribution row for the cell.
+func attribBlame(base, cur []obs.AttribRow, profile, scheme, fp string, topN int) string {
+	find := func(recs []obs.AttribRow) *obs.AttribRow {
 		for i := range recs {
 			r := &recs[i]
 			if r.Profile == profile && r.Scheme == scheme && r.Fingerprint == fp {

@@ -17,28 +17,11 @@ import (
 func attribFixture() *obs.AttribAgg {
 	a := obs.NewAttribAgg()
 	a.Record("p", "vanilla", "fp1", 100, 0, nil)
-	a.Record("p", "pythia", "fp1", 130, 2, map[string]obs.SiteCost{
-		"@main#0:canary.set": {Count: 3, Cycles: 12},
-		"@main#1:pac.sign":   {Count: 2, Cycles: 8},
+	a.Record("p", "pythia", "fp1", 130, 2, map[string]obs.SiteCount{
+		"@main#0:canary.set": {Execs: 3, Cycles: 12},
+		"@main#1:pac.sign":   {Execs: 2, Cycles: 8},
 	})
 	return a
-}
-
-func TestAttribRecordsFrom(t *testing.T) {
-	recs := AttribRecordsFrom(attribFixture())
-	if len(recs) != 1 {
-		t.Fatalf("records = %d, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Profile != "p" || r.Scheme != "pythia" || r.Delta != 30 {
-		t.Fatalf("record: %+v", r)
-	}
-	if r.Categories[harden.CategoryCanary] != 12 || r.Categories[harden.CategoryResidual] != 8 {
-		t.Fatalf("categories: %+v", r.Categories)
-	}
-	if len(r.Sites) != 2 || r.Sites[0].Site != "@main#0:canary.set" {
-		t.Fatalf("sites: %+v", r.Sites)
-	}
 }
 
 func TestAttributionTableRendering(t *testing.T) {
@@ -55,15 +38,15 @@ func TestAttributionTableRendering(t *testing.T) {
 }
 
 func TestAttribBlame(t *testing.T) {
-	base := []AttribRecord{{
+	base := []obs.AttribRow{{
 		Profile: "p", Scheme: "pythia", Fingerprint: "fp1",
 		Categories: map[string]float64{harden.CategoryCanary: 10, harden.CategoryPA: 5},
-		Sites:      []AttribSite{{Site: "@main#0:canary.set", Cycles: 10}},
+		Sites:      []obs.SiteCostRow{{Site: "@main#0:canary.set", Cycles: 10}},
 	}}
-	cur := []AttribRecord{{
+	cur := []obs.AttribRow{{
 		Profile: "p", Scheme: "pythia", Fingerprint: "fp1",
 		Categories: map[string]float64{harden.CategoryCanary: 25, harden.CategoryPA: 5},
-		Sites: []AttribSite{
+		Sites: []obs.SiteCostRow{
 			{Site: "@main#0:canary.set", Cycles: 22},
 			{Site: "@main#2:canary.check", Cycles: 3},
 		},
@@ -86,15 +69,15 @@ func TestCompareBlamesRegressions(t *testing.T) {
 	base := sampleRecord()
 	cur := sampleRecord()
 	cur.Runs[0].Cycles *= 1.10 // 502.gcc_r/pythia regresses 10%
-	base.Attribution = []AttribRecord{{
+	base.Attribution = []obs.AttribRow{{
 		Profile: "502.gcc_r", Scheme: "pythia",
 		Categories: map[string]float64{harden.CategoryPA: 100},
-		Sites:      []AttribSite{{Site: "@f#0:pac.sign", Cycles: 100}},
+		Sites:      []obs.SiteCostRow{{Site: "@f#0:pac.sign", Cycles: 100}},
 	}}
-	cur.Attribution = []AttribRecord{{
+	cur.Attribution = []obs.AttribRow{{
 		Profile: "502.gcc_r", Scheme: "pythia",
 		Categories: map[string]float64{harden.CategoryPA: 350},
-		Sites:      []AttribSite{{Site: "@f#0:pac.sign", Cycles: 350}},
+		Sites:      []obs.SiteCostRow{{Site: "@f#0:pac.sign", Cycles: 350}},
 	}}
 	cmp := Compare(cur, base, 1)
 	regs := cmp.Regressions()

@@ -5,11 +5,11 @@ package bench_test
 // produce identical observable results on the pre-decoded slot engine
 // (the default) and the pre-decode reference interpreter
 // (vm.Config.Reference) — same return value, fault kind and message,
-// stdout, every perf counter bit-for-bit, and the same set of hardening
-// sites executed; attack cases also rerun under an armed session and
-// must agree on per-site coverage and attributed cost. This is the
-// guarantee that lets the bench tables stay byte-identical across the
-// engine rewrite.
+// stdout, every perf counter bit-for-bit, and the same per-site tally
+// (executions and faults of every hardening check site); attack cases
+// also rerun under an armed session and must agree on each site's
+// attributed cycles too. This is the guarantee that lets the bench
+// tables stay byte-identical across the engine rewrite.
 
 import (
 	"bytes"
@@ -33,9 +33,9 @@ func faultString(f *vm.Fault) string {
 }
 
 // runEngines executes main() on both engines over the same module and
-// input and reports any observable divergence. With armed set, both
-// runs happen under a session arming Coverage and Attrib, and their
-// Result.Coverage and Result.SiteCosts must match too.
+// input and reports any observable divergence, Result.Sites included.
+// With armed set, both runs happen under a session arming Coverage and
+// Attrib, which charges attributed cycles into Result.Sites.
 func runEngines(t *testing.T, mod *ir.Module, stdin string, armed bool) {
 	t.Helper()
 	if armed {
@@ -68,14 +68,32 @@ func runEngines(t *testing.T, mod *ir.Module, stdin string, armed bool) {
 	if dec.SitesExecuted != ref.SitesExecuted {
 		t.Errorf("sites executed diverged: decoded %d, reference %d", dec.SitesExecuted, ref.SitesExecuted)
 	}
-	if armed && (dec.Coverage == nil || dec.SiteCosts == nil) {
-		t.Errorf("armed run lacks per-site payloads: coverage %v, site costs %v", dec.Coverage, dec.SiteCosts)
+	if !reflect.DeepEqual(dec.Sites, ref.Sites) {
+		t.Errorf("site tally diverged:\n  decoded:   %v\n  reference: %v", dec.Sites, ref.Sites)
 	}
-	if !reflect.DeepEqual(dec.Coverage, ref.Coverage) {
-		t.Errorf("coverage diverged:\n  decoded:   %v\n  reference: %v", dec.Coverage, ref.Coverage)
+	checkTally(t, dec, armed)
+}
+
+// checkTally checks one run's per-site tally against its other
+// figures: every hardening site of these modules is numbered, so the
+// tally has one entry per executed site; a detection is one fault at
+// one site, a clean run none; and cycles are charged exactly when the
+// session arms attribution.
+func checkTally(t *testing.T, res *vm.Result, armed bool) {
+	t.Helper()
+	if len(res.Sites) != res.SitesExecuted {
+		t.Errorf("tally has %d sites, %d executed", len(res.Sites), res.SitesExecuted)
 	}
-	if !reflect.DeepEqual(dec.SiteCosts, ref.SiteCosts) {
-		t.Errorf("site costs diverged:\n  decoded:   %v\n  reference: %v", dec.SiteCosts, ref.SiteCosts)
+	var faults int64
+	for id, c := range res.Sites {
+		faults += c.Faults
+		if c.Execs == 0 || (c.Cycles > 0) != armed {
+			t.Errorf("site %s = %+v (armed %v)", id, c, armed)
+		}
+	}
+	detected := attack.Classify(res) == attack.VerdictDetected
+	if detected && faults != 1 || res.Fault == nil && faults != 0 || faults > 1 {
+		t.Errorf("tally counts %d faults for fault %s", faults, faultString(res.Fault))
 	}
 }
 

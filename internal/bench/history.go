@@ -116,7 +116,7 @@ type Record struct {
 	// Attribution carries the per-cell overhead decomposition captured
 	// when the run armed the attribution engine; the perf gate uses the
 	// baseline's copy to blame regressions (schema v2).
-	Attribution []AttribRecord `json:"attribution,omitempty"`
+	Attribution []obs.AttribRow `json:"attribution,omitempty"`
 }
 
 // TableDigest fingerprints a rendered table; format-independent of the

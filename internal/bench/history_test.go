@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -257,10 +259,10 @@ func TestHistorySchemaVersioning(t *testing.T) {
 	// v2 round-trip with attribution embedded.
 	path := filepath.Join(dir, "BENCH_v2.json")
 	rec := sampleRecord()
-	rec.Attribution = []AttribRecord{{
+	rec.Attribution = []obs.AttribRow{{
 		Profile: "502.gcc_r", Scheme: "pythia", Delta: 5e5, OverheadPct: 25,
 		Categories: map[string]float64{"pa": 4e5, "residual": 1e5},
-		Sites:      []AttribSite{{Site: "@f#0:pac.sign", Count: 100, Cycles: 4e5}},
+		Sites:      []obs.SiteCostRow{{Site: "@f#0:pac.sign", Count: 100, Cycles: 4e5}},
 	}}
 	if err := AppendRecord(path, rec); err != nil {
 		t.Fatal(err)
@@ -313,5 +315,69 @@ func TestHistorySchemaVersioning(t *testing.T) {
 	}
 	if _, err := LatestRecord(future); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Fatalf("future schema must be rejected, got %v", err)
+	}
+}
+
+// TestBaselineAttributionLoads: the committed perf-gate baseline decodes
+// into obs.AttribRow as it is, and a copy in which one cell costs 5%
+// more, at every site, regresses with that cell's costliest site named
+// first in the blame.
+func TestBaselineAttributionLoads(t *testing.T) {
+	base, err := LatestRecord("../../testdata/baseline_quick.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Attribution) != 19 {
+		t.Fatalf("baseline attribution rows = %d, want 19", len(base.Attribution))
+	}
+	withSites := 0
+	for i := range base.Attribution {
+		r := &base.Attribution[i]
+		if err := r.Reconcile(); err != nil {
+			t.Error(err)
+		}
+		if len(r.Sites) > 0 {
+			withSites++
+		}
+	}
+	if withSites != 16 {
+		t.Errorf("rows with sites = %d, want 16 (every row but pythia-heap-only's three)", withSites)
+	}
+
+	b, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cur Record
+	if err := json.Unmarshal(b, &cur); err != nil {
+		t.Fatal(err)
+	}
+	row := &cur.Attribution[0]
+	const grow = 1.05
+	row.Cycles *= grow
+	for i := range row.Sites {
+		row.Sites[i].Cycles *= grow
+	}
+	for cat := range row.Categories {
+		row.Categories[cat] *= grow
+	}
+	for i := range cur.Runs {
+		r := &cur.Runs[i]
+		if r.Profile == row.Profile && r.Scheme == row.Scheme && r.Fingerprint == row.Fingerprint {
+			r.Cycles *= grow
+		}
+	}
+	cmp := Compare(&cur, base, 1)
+	var regressed []RunVerdict
+	for _, v := range cmp.Runs {
+		if v.Regressed {
+			regressed = append(regressed, v)
+		}
+	}
+	if len(regressed) != 1 || regressed[0].Profile != row.Profile || regressed[0].Scheme != row.Scheme {
+		t.Fatalf("regressed verdicts = %+v, want only %s/%s", regressed, row.Profile, row.Scheme)
+	}
+	if want := "sites [" + row.Sites[0].Site + " +"; !strings.Contains(regressed[0].Blame, want) {
+		t.Errorf("blame %q does not name the costliest site first (%q)", regressed[0].Blame, want)
 	}
 }

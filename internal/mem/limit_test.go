@@ -37,6 +37,44 @@ func TestPageLimitFreshCommit(t *testing.T) {
 	}
 }
 
+// TestPageLimitBelowFootprint: a cap lowered below the committed
+// footprint keeps every committed page readable and writable, across
+// page boundaries too; only an access that needs a fresh page fails,
+// with the typed LimitError, and it commits nothing.
+func TestPageLimitBelowFootprint(t *testing.T) {
+	m := New()
+	for i := uint64(0); i < 3; i++ {
+		if err := m.WriteUint(SharedBase+i*PageSize, i+1, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.SetPageLimit(2)
+
+	for i := uint64(0); i < 3; i++ {
+		addr := SharedBase + i*PageSize
+		if v, err := m.ReadUint(addr, 8); err != nil || v != i+1 {
+			t.Fatalf("committed page %d: read %d, %v; want %d", i, v, err, i+1)
+		}
+		if err := m.WriteUint(addr+8, 7, 8); err != nil {
+			t.Fatalf("committed page %d: write: %v", i, err)
+		}
+	}
+	if _, err := m.AppendBytes(nil, SharedBase+PageSize-4, 8); err != nil {
+		t.Fatalf("read across two committed pages: %v", err)
+	}
+
+	var le *LimitError
+	if err := m.WriteUint(SharedBase+3*PageSize, 1, 8); !errors.As(err, &le) {
+		t.Fatalf("fresh page under a lowered cap: got %v, want LimitError", err)
+	}
+	if _, err := m.AppendBytes(nil, SharedBase+3*PageSize-4, 8); !errors.As(err, &le) {
+		t.Fatalf("read reaching a fresh page: got %v, want LimitError", err)
+	}
+	if m.Footprint() != 3 {
+		t.Fatalf("refused accesses committed pages: footprint %d, want 3", m.Footprint())
+	}
+}
+
 // TestPageLimitSpanningAccess: a multi-page access is admitted only if
 // every fresh page it needs fits under the cap.
 func TestPageLimitSpanningAccess(t *testing.T) {

@@ -150,6 +150,8 @@ func (m *Memory) check(addr uint64, n int, op string) error {
 // [addr, end). The fast path — no limit, or comfortably under it — is
 // two comparisons; only accesses that could push past the cap pay the
 // per-page map probes to count how many pages they would freshly commit.
+// An access that commits no fresh page always passes, so committed
+// pages stay reachable under a cap lowered below the footprint.
 func (m *Memory) checkLimit(addr, end uint64, op string) error {
 	if m.limit <= 0 || end <= addr { // zero-length accesses commit nothing
 		return nil
@@ -169,7 +171,7 @@ func (m *Memory) checkLimit(addr, end uint64, op string) error {
 			break
 		}
 	}
-	if len(m.pages)+fresh > m.limit {
+	if fresh > 0 && len(m.pages)+fresh > m.limit {
 		return &LimitError{Addr: addr, Op: op, Limit: m.limit}
 	}
 	return nil
@@ -197,22 +199,11 @@ func (m *Memory) writeFrom(addr uint64, b []byte) {
 	}
 }
 
-// ReadBytes copies n bytes at addr into a fresh slice. The segment and
-// poison checks run once for the whole range; the copy then proceeds in
-// page runs (segment boundaries are page-aligned, so a per-run re-check
-// would be redundant).
-func (m *Memory) ReadBytes(addr uint64, n int) ([]byte, error) {
-	if err := m.check(addr, n, "load"); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	m.readInto(out, addr)
-	return out, nil
-}
-
 // AppendBytes appends the n bytes at addr to dst and returns the
-// extended slice, with ReadBytes's checks: a negative or wrapping n
-// faults the same way. A caller that passes its previous result back
+// extended slice. The segment and poison checks run once for the whole
+// range, and a negative or wrapping n faults; the copy then proceeds in
+// page runs (segment boundaries are page-aligned, so a per-run re-check
+// would be redundant). A caller that passes its previous result back
 // as dst[:0] reads without allocating once the buffer is large enough.
 func (m *Memory) AppendBytes(dst []byte, addr uint64, n int) ([]byte, error) {
 	if err := m.check(addr, n, "load"); err != nil {

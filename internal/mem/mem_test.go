@@ -43,7 +43,7 @@ func TestBytesAcrossPageBoundary(t *testing.T) {
 	if err := m.WriteBytes(addr, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ReadBytes(addr, len(data))
+	got, err := m.AppendBytes(nil, addr, len(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLittleEndian(t *testing.T) {
 	if err := m.WriteUint(mem.GlobalBase, 0x0102030405060708, 8); err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.ReadBytes(mem.GlobalBase, 8)
+	b, err := m.AppendBytes(nil, mem.GlobalBase, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +74,14 @@ func TestFaults(t *testing.T) {
 		addr uint64
 		op   func() error
 	}{
-		{"unmapped-low", 0x10, func() error { _, e := m.ReadBytes(0x10, 1); return e }},
+		{"unmapped-low", 0x10, func() error { _, e := m.AppendBytes(nil, 0x10, 1); return e }},
 		{"unmapped-hole", 0x1000_0000, func() error { return m.WriteUint(0x1000_0000, 1, 8) }},
 		{"above-stack", mem.StackTop + 8, func() error { return m.WriteUint(mem.StackTop+8, 1, 8) }},
 		{"below-stack-limit", mem.StackLimit - 8, func() error { return m.WriteUint(mem.StackLimit-8, 1, 8) }},
 		{"code-write", mem.CodeBase, func() error { return m.WriteUint(mem.CodeBase, 1, 8) }},
-		{"poisoned", mem.SharedBase | pa.PoisonBit, func() error { _, e := m.ReadBytes(mem.SharedBase|pa.PoisonBit, 1); return e }},
-		{"non-canonical", mem.SharedBase | (1 << 45), func() error { _, e := m.ReadBytes(mem.SharedBase|(1<<45), 1); return e }},
-		{"wraparound", ^uint64(0) & pa.AddrMask, func() error { _, e := m.ReadBytes(^uint64(0)&pa.AddrMask, 16); return e }},
+		{"poisoned", mem.SharedBase | pa.PoisonBit, func() error { _, e := m.AppendBytes(nil, mem.SharedBase|pa.PoisonBit, 1); return e }},
+		{"non-canonical", mem.SharedBase | (1 << 45), func() error { _, e := m.AppendBytes(nil, mem.SharedBase|(1<<45), 1); return e }},
+		{"wraparound", ^uint64(0) & pa.AddrMask, func() error { _, e := m.AppendBytes(nil, ^uint64(0)&pa.AddrMask, 16); return e }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,7 +98,7 @@ func TestFaults(t *testing.T) {
 
 func TestCodeIsReadable(t *testing.T) {
 	m := mem.New()
-	if _, err := m.ReadBytes(mem.CodeBase, 8); err != nil {
+	if _, err := m.AppendBytes(nil, mem.CodeBase, 8); err != nil {
 		t.Fatalf("code reads should succeed: %v", err)
 	}
 }
@@ -210,7 +210,7 @@ func TestScalarAcrossPageBoundary(t *testing.T) {
 			}
 			// The bytes on each side of the boundary must match the
 			// little-endian encoding, not just the re-read.
-			b, err := m.ReadBytes(addr, n)
+			b, err := m.AppendBytes(nil, addr, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -231,7 +231,7 @@ func TestBytesSpanStopsAtSegmentEnd(t *testing.T) {
 	if err := m.WriteBytes(addr, make([]byte, 16)); err == nil {
 		t.Fatal("write spanning past the global segment should fault")
 	}
-	if _, err := m.ReadBytes(addr, 16); err == nil {
+	if _, err := m.AppendBytes(nil, addr, 16); err == nil {
 		t.Fatal("read spanning past the global segment should fault")
 	}
 	// The in-segment prefix alone is fine.

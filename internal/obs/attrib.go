@@ -2,13 +2,14 @@ package obs
 
 // The overhead attribution engine. The aggregate bench tables say that
 // a scheme costs N% on a profile; this layer says *which checks* cost
-// it. While a session arms attribution, the VM accumulates the modeled
-// cycles spent at every hardening check site (delta attribution: the
-// meter charge between two consecutive ticks belongs to the earlier
-// instruction, so a site's cost includes its own expansion plus the
-// memory traffic it causes), keyed by the stable "@func#N:op" ids the
-// hardening passes stamp (harden.AssignSites). The workload runner
-// folds each run's per-site costs into an AttribAgg; Rows then diffs
+// it. While a session arms attribution, the VM charges the modeled
+// cycles spent at every hardening check site to that site's entry in
+// vm.Result.Sites (delta attribution: the meter charge between two
+// consecutive ticks belongs to the earlier instruction, so a site's
+// cost includes its own expansion plus the memory traffic it causes),
+// keyed by the stable "@func#N:op" ids the hardening passes stamp
+// (harden.AssignSites). The workload runner folds each run's per-site
+// tally into an AttribAgg; Rows then diffs
 // every hardened run against the vanilla run of the same source and
 // decomposes the total cycle delta into check-kind categories:
 //
@@ -33,13 +34,6 @@ import (
 	"repro/internal/perf"
 )
 
-// SiteCost is one hardening check site's dynamic cost in a run:
-// executions and the modeled cycles attributed to them.
-type SiteCost struct {
-	Count  int64   `json:"count"`
-	Cycles float64 `json:"cycles"`
-}
-
 // ReconcileTol is the relative tolerance of the attribution accounting
 // identity: |sum(categories) - delta| must stay within this fraction
 // of max(1, |delta|). The categories are exact float64 sums of meter
@@ -56,7 +50,7 @@ type attribGroup struct {
 	runs     int
 	cycles   float64
 	bookkeep float64
-	sites    map[string]SiteCost
+	sites    map[string]SiteCount
 }
 
 // AttribAgg accumulates per-site cost profiles across runs.
@@ -73,9 +67,10 @@ func NewAttribAgg() *AttribAgg {
 
 // Record folds one run into its (profile, scheme, fingerprint) cell:
 // the run's total modeled cycles, its non-site bookkeeping cycles, and
-// the per-site cost profile (nil for vanilla runs, which contribute
-// only the baseline total). Nil-receiver safe, like CoverageAgg.
-func (a *AttribAgg) Record(profile, scheme, fingerprint string, totalCycles, bookkeepCycles float64, sites map[string]SiteCost) {
+// the per-site tally's executions and cycles (nil for vanilla runs,
+// which contribute only the baseline total). Nil-receiver safe, like
+// CoverageAgg.
+func (a *AttribAgg) Record(profile, scheme, fingerprint string, totalCycles, bookkeepCycles float64, sites map[string]SiteCount) {
 	if a == nil {
 		return
 	}
@@ -84,7 +79,7 @@ func (a *AttribAgg) Record(profile, scheme, fingerprint string, totalCycles, boo
 	k := attribKey{profile, scheme, fingerprint}
 	g := a.groups[k]
 	if g == nil {
-		g = &attribGroup{sites: make(map[string]SiteCost)}
+		g = &attribGroup{sites: make(map[string]SiteCount)}
 		a.groups[k] = g
 	}
 	g.runs++
@@ -92,7 +87,7 @@ func (a *AttribAgg) Record(profile, scheme, fingerprint string, totalCycles, boo
 	g.bookkeep += bookkeepCycles
 	for id, c := range sites {
 		prev := g.sites[id]
-		prev.Count += c.Count
+		prev.Execs += c.Execs
 		prev.Cycles += c.Cycles
 		g.sites[id] = prev
 	}
@@ -189,9 +184,18 @@ func (a *AttribAgg) Rows() []AttribRow {
 			r.Categories[cat] = 0
 		}
 		for id, c := range g.sites {
-			per := float64(g.runs)
-			r.Categories[harden.SiteCategory(id)] += c.Cycles / per
-			r.Sites = append(r.Sites, SiteCostRow{Site: id, Count: c.Count / g.runs64(), Cycles: c.Cycles / per})
+			r.Sites = append(r.Sites, SiteCostRow{Site: id, Count: c.Execs / g.runs64(), Cycles: c.Cycles / float64(g.runs)})
+		}
+		sort.Slice(r.Sites, func(i, j int) bool {
+			if r.Sites[i].Cycles != r.Sites[j].Cycles {
+				return r.Sites[i].Cycles > r.Sites[j].Cycles
+			}
+			return r.Sites[i].Site < r.Sites[j].Site
+		})
+		// Sum in the sorted order, so the float sums do not depend on
+		// map iteration order.
+		for _, s := range r.Sites {
+			r.Categories[harden.SiteCategory(s.Site)] += s.Cycles
 		}
 		// Bookkeeping that belongs to no site: the hardened run's extra
 		// allocator/init cycles over the baseline's.
@@ -201,12 +205,6 @@ func (a *AttribAgg) Rows() []AttribRow {
 			explained += r.Categories[cat]
 		}
 		r.Categories[harden.CategoryResidual] = r.Delta - explained
-		sort.Slice(r.Sites, func(i, j int) bool {
-			if r.Sites[i].Cycles != r.Sites[j].Cycles {
-				return r.Sites[i].Cycles > r.Sites[j].Cycles
-			}
-			return r.Sites[i].Site < r.Sites[j].Site
-		})
 		rows = append(rows, r)
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,9 +20,9 @@ import (
 func TestAttribRowsHandComputed(t *testing.T) {
 	a := NewAttribAgg()
 	a.Record("p", "vanilla", "fp1", 100, 0, nil)
-	a.Record("p", "pythia", "fp1", 130, 2, map[string]SiteCost{
-		"@main#0:canary.set": {Count: 3, Cycles: 12},
-		"@main#1:pac.sign":   {Count: 2, Cycles: 8},
+	a.Record("p", "pythia", "fp1", 130, 2, map[string]SiteCount{
+		"@main#0:canary.set": {Execs: 3, Cycles: 12},
+		"@main#1:pac.sign":   {Execs: 2, Cycles: 8},
 	})
 
 	rows := a.Rows()
@@ -68,8 +70,8 @@ func TestAttribRowsAveragesRepeats(t *testing.T) {
 	a := NewAttribAgg()
 	for i := 0; i < 3; i++ {
 		a.Record("p", "vanilla", "fp1", 100, 0, nil)
-		a.Record("p", "cpa", "fp1", 120, 0, map[string]SiteCost{
-			"@main#0:pac.sign": {Count: 5, Cycles: 15},
+		a.Record("p", "cpa", "fp1", 120, 0, map[string]SiteCount{
+			"@main#0:pac.sign": {Execs: 5, Cycles: 15},
 		})
 	}
 	rows := a.Rows()
@@ -105,8 +107,8 @@ func TestAttribRowsNeedsBaseline(t *testing.T) {
 func TestAttribReconcileCatchesCorruption(t *testing.T) {
 	a := NewAttribAgg()
 	a.Record("p", "vanilla", "fp1", 100, 0, nil)
-	a.Record("p", "pythia", "fp1", 130, 0, map[string]SiteCost{
-		"@main#0:pac.sign": {Count: 1, Cycles: 10},
+	a.Record("p", "pythia", "fp1", 130, 0, map[string]SiteCount{
+		"@main#0:pac.sign": {Execs: 1, Cycles: 10},
 	})
 	r := a.Rows()[0]
 	r.Categories[harden.CategoryPA] = 0 // simulate a dropped site
@@ -138,8 +140,8 @@ func TestAttribNilSafe(t *testing.T) {
 func TestAttribUnknownOpCategorized(t *testing.T) {
 	a := NewAttribAgg()
 	a.Record("p", "vanilla", "fp1", 100, 0, nil)
-	a.Record("p", "pythia", "fp1", 110, 0, map[string]SiteCost{
-		"@main#0:mystery.op": {Count: 1, Cycles: 4},
+	a.Record("p", "pythia", "fp1", 110, 0, map[string]SiteCount{
+		"@main#0:mystery.op": {Execs: 1, Cycles: 4},
 	})
 	r := a.Rows()[0]
 	if r.Categories[harden.CategoryMeta] != 4 {
@@ -147,5 +149,27 @@ func TestAttribUnknownOpCategorized(t *testing.T) {
 	}
 	if err := r.Reconcile(); err != nil {
 		t.Errorf("Reconcile: %v", err)
+	}
+}
+
+// TestAttribRowsDeterministic: a row's category sums do not depend on
+// map iteration order, so identical aggregates give bit-identical rows
+// (and a saved history record is reproducible).
+func TestAttribRowsDeterministic(t *testing.T) {
+	rows := func() []AttribRow {
+		a := NewAttribAgg()
+		a.Record("p", "vanilla", "fp1", 1e6, 0, nil)
+		sites := make(map[string]SiteCount)
+		for i := 0; i < 64; i++ {
+			sites[fmt.Sprintf("@f#%d:pac.sign", i)] = SiteCount{Execs: 3, Cycles: 1000.1 + float64(i)/7}
+		}
+		a.Record("p", "cpa", "fp1", 1.2e6, 0, sites)
+		return a.Rows()
+	}
+	want := rows()
+	for i := 0; i < 20; i++ {
+		if got := rows(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("rows differ between identical aggregates:\n%v\n%v", got[0].Categories, want[0].Categories)
+		}
 	}
 }

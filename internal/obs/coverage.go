@@ -3,11 +3,10 @@ package obs
 // Defense-coverage telemetry: which of the statically inserted
 // hardening checks (PA sign/auth, canary store/check, DFI def/use)
 // actually executed. The hardening passes stamp every inserted
-// instruction with a stable site id (harden.AssignSites); the VM counts
-// per-site executions and fault outcomes behind its usual
-// one-nil-check-when-disabled hook; the workload and attack runners
-// fold each run's counts into the session's CoverageAgg keyed by
-// (profile, scheme). The report closes the gap the aggregate overhead
+// instruction with a stable site id (harden.AssignSites); every VM run
+// returns its per-site executions and fault outcomes (vm.Result.Sites);
+// the workload and attack runners fold each run's counts into the
+// session's CoverageAgg keyed by (profile, scheme). The report closes the gap the aggregate overhead
 // tables leave open: checks that are paid for statically but never
 // exercised dynamically are listed by name.
 
@@ -18,10 +17,14 @@ import (
 	"sync"
 )
 
-// SiteCount is one check site's dynamic tally.
+// SiteCount is one check site's dynamic tally: executions, faults, and
+// the modeled cycles attributed to it (charged only while a session
+// arms cycle charging). It is the per-site entry of every vm.Result,
+// and CoverageAgg and AttribAgg fold it as it comes.
 type SiteCount struct {
-	Execs  int64 `json:"execs"`
-	Faults int64 `json:"faults"`
+	Execs  int64   `json:"execs"`
+	Faults int64   `json:"faults"`
+	Cycles float64 `json:"cycles,omitempty"`
 }
 
 type covKey struct{ profile, scheme string }

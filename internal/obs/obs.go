@@ -15,15 +15,23 @@
 // RNG, or memory, so enabling it cannot change a single byte of the
 // evaluation tables.
 //
+// The per-site check tally (SiteCount: executions, faults and
+// attributed cycles of every hardening check site) is not a session
+// feature: every VM run returns it in vm.Result.Sites, and a session
+// only aggregates it (CoverageAgg, AttribAgg). A session's Sites or
+// Attrib collector additionally arms cycle charging on the machines
+// built while it is active.
+//
 // A Session is process-global, like expvar, and the subsystems pick it
 // up through Current() without any signature plumbing. Every CLI starts
 // its session through Outputs, which arms the collectors its -journal,
 // -trace, -metrics and -serve flags need and writes their files on
 // every exit, failures included; pythia-bench hands Outputs a session
 // that already carries its -coverage, -attribution and -hotsites
-// collectors. Libraries that want per-machine forensics without a
-// session set vm.Config.Flight directly (package attack does this for
-// every attacked run).
+// collectors. No session field arms a feature of one machine: a flight
+// recorder is armed per machine by vm.Config.Flight (package attack
+// arms it for every attacked run, pythiad for a request that asks for
+// forensics).
 package obs
 
 import (
@@ -62,9 +70,6 @@ type Session struct {
 	// Progress tracks sweep completion for the live observability
 	// server's /progress endpoint (pythia-bench -serve).
 	Progress *Progress
-	// FlightDepth, when positive, arms a fault flight recorder of this
-	// many instructions on every machine built during the session.
-	FlightDepth int
 }
 
 var current atomic.Pointer[Session]

@@ -154,7 +154,7 @@ func TestSessionLifecycle(t *testing.T) {
 	} else {
 		end()
 	}
-	s := Start(&Session{Journal: NewJournal(), Metrics: NewRegistry(), FlightDepth: 8})
+	s := Start(&Session{Journal: NewJournal(), Metrics: NewRegistry()})
 	defer Stop()
 	if Current() != s || CurrentJournal() != s.Journal || CurrentMetrics() != s.Metrics {
 		t.Fatal("session accessors disagree")

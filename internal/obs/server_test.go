@@ -118,7 +118,7 @@ func TestServerJournalEndpoints(t *testing.T) {
 	}
 	sess.Attrib.Record("p", "vanilla", "fp1", 100, 0, nil)
 	sess.Attrib.Record("p", "pythia", "fp1", 130, 2,
-		map[string]SiteCost{"@f#0:pa.sign": {Count: 4, Cycles: 20}})
+		map[string]SiteCount{"@f#0:pa.sign": {Execs: 4, Cycles: 20}})
 	end := sess.Journal.Begin("outer", "t")
 	sess.Journal.Begin("inner", "t")()
 	sess.Journal.Point("hit", "cache", map[string]string{"key": "k1"})

@@ -42,8 +42,7 @@ type SubmitRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Forensics includes the flight-recorder window on faults.
 	Forensics bool `json:"forensics,omitempty"`
-	// Coverage includes the per-check-site dynamic tally (requires the
-	// server to have armed coverage telemetry).
+	// Coverage includes the run's per-check-site tally.
 	Coverage bool `json:"coverage,omitempty"`
 }
 
@@ -70,7 +69,8 @@ type SubmitResponse struct {
 	Pages         int     `json:"pages"`
 	StaticSites   int     `json:"static_sites"`
 	ExecutedSites int     `json:"executed_sites"`
-	// Coverage maps check-site ids to dynamic counts, when requested.
+	// Coverage maps check-site ids to the run's obs.SiteCount tally,
+	// when requested: an object ({} when no check ran), never null.
 	Coverage any `json:"coverage,omitempty"`
 }
 

@@ -392,7 +392,7 @@ func (e *Engine) execute(j *job) (*SubmitResponse, error) {
 	if j.req.Forensics {
 		// The flight window reaches the response only on request, and an
 		// armed recorder puts every instruction on the observed tick
-		// path. A session's FlightDepth still arms it for the daemon.
+		// path.
 		cfg.Flight = obs.DefaultFlightWindow
 	}
 	m := vm.New(prog.Mod, cfg)
@@ -431,7 +431,13 @@ func (e *Engine) execute(j *job) (*SubmitResponse, error) {
 		}
 	}
 	if j.req.Coverage {
-		resp.Coverage = res.Coverage
+		// Every run carries its per-site tally; a run that reached no
+		// check answers an empty object, not null.
+		sites := res.Sites
+		if sites == nil {
+			sites = map[string]obs.SiteCount{}
+		}
+		resp.Coverage = sites
 	}
 	return resp, nil
 }

@@ -4,8 +4,10 @@ package service
 // deterministic saturation and drain scenarios.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -119,6 +121,54 @@ func TestForensicsOnlyWhenRequested(t *testing.T) {
 	with.Fault = without.Fault
 	if *with != *without {
 		t.Fatalf("arming the recorder changed the response:\n with    %+v\n without %+v", with, without)
+	}
+}
+
+// TestCoverageWithoutSession: with no session active, "coverage": true
+// answers from the run's own per-site tally — the site that detected
+// the attack carries the run's one fault — and a run that reaches no
+// check answers an empty object, never null.
+func TestCoverageWithoutSession(t *testing.T) {
+	if obs.Current() != nil {
+		t.Fatal("session active at test start")
+	}
+	c := attack.Corpus()[0] // privesc-string-overflow
+	e := newEngine(t, Config{Workers: 1})
+	resp, err := e.Submit(&SubmitRequest{
+		Source: c.Source, Scheme: "pythia", Stdin: c.Malicious, Forensics: true, Coverage: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Verdict != "detected" || resp.Fault == nil {
+		t.Fatalf("malicious input not detected: %+v", resp)
+	}
+	report, ok := resp.Fault.Forensics.(*obs.FaultReport)
+	if !ok || report.Site == "" {
+		t.Fatalf("forensics without a site: %#v", resp.Fault.Forensics)
+	}
+	sites, ok := resp.Coverage.(map[string]obs.SiteCount)
+	if !ok || len(sites) == 0 || len(sites) != resp.ExecutedSites {
+		t.Fatalf("coverage = %#v, want one entry per executed site (%d)", resp.Coverage, resp.ExecutedSites)
+	}
+	var faults int64
+	for _, sc := range sites {
+		faults += sc.Faults
+	}
+	if faults != 1 || sites[report.Site].Faults != 1 {
+		t.Errorf("fault at %s, tally %v", report.Site, sites)
+	}
+
+	clean, err := e.Submit(&SubmitRequest{Source: c.Source, Scheme: "vanilla", Stdin: c.Benign, Coverage: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), `"coverage":{}`) {
+		t.Errorf("a run with no checks must answer an empty coverage object: %s", body)
 	}
 }
 

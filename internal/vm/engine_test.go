@@ -178,8 +178,9 @@ func TestMalformedBlockFaultParity(t *testing.T) {
 
 // TestObjectMACFaultsLikeReadBytes: obj.seal over a negative size (a
 // range that wraps the address space), a non-canonical address, an
-// unmapped range or an oversized one faults with the error ReadBytes
-// reports for the same range.
+// unmapped range or an oversized one faults with the error a plain
+// memory read (AppendBytes into a nil buffer) reports for the same
+// range.
 func TestObjectMACFaultsLikeReadBytes(t *testing.T) {
 	for _, tc := range []struct {
 		addr uint64
@@ -197,9 +198,9 @@ func TestObjectMACFaultsLikeReadBytes(t *testing.T) {
 		b.Cur.Append(ir.NewInstr(ir.OpObjSeal, "", ir.Void,
 			ir.ConstInt(ir.I64, int64(tc.addr)), ir.ConstInt(ir.I64, tc.size)))
 		b.Ret(ir.ConstInt(ir.I64, 0))
-		_, want := mem.New().ReadBytes(tc.addr, int(tc.size))
+		_, want := mem.New().AppendBytes(nil, tc.addr, int(tc.size))
 		if want == nil {
-			t.Fatalf("ReadBytes(%#x, %d) accepted the range", tc.addr, tc.size)
+			t.Fatalf("AppendBytes(nil, %#x, %d) accepted the range", tc.addr, tc.size)
 		}
 		for _, reference := range []bool{false, true} {
 			res, err := vm.New(mod, vm.Config{Seed: 7, Reference: reference}).Run("main")

@@ -128,11 +128,14 @@ func (m *Machine) popFrameMem(base uint64, size int64, plan *ir.StackPlan) {
 		}
 	}
 	// Object seals on this frame's slots die with the frame, so a later
-	// frame reusing the addresses starts unsealed.
-	end := base + uint64(size)
-	for addr := range m.objMAC {
-		if addr >= base && addr < end {
-			delete(m.objMAC, addr)
+	// frame reusing the addresses starts unsealed. Most programs seal
+	// nothing, and their returns skip the scan.
+	if len(m.objMAC) > 0 {
+		end := base + uint64(size)
+		for addr := range m.objMAC {
+			if addr >= base && addr < end {
+				delete(m.objMAC, addr)
+			}
 		}
 	}
 	m.SP = base + uint64(size)

@@ -4,12 +4,13 @@ package vm
 // interpreter. Each executed function has one dense counter per
 // instruction, indexed by pc — the instruction's ordinal in block
 // order, phis included — holding {execs, cycles, faults}. Both engines
-// write it from their tick: every machine counts hardening pcs, which
-// is all SitesExecuted needs; a session that arms Sites or Metrics
-// makes machines count every pc, and one that arms Sites or Attrib
-// makes them also charge each cycle delta to the previous pc.
-// Result.Coverage, Result.SiteCosts, the -hotsites rows and the
-// vm.op.* counters are all derived from the profile at flush.
+// write it from their tick: every machine counts executions at
+// hardening pcs, and a fault at one, which is all SitesExecuted and
+// Result.Sites need; a session that arms Sites or Metrics makes
+// machines count every pc, and one that arms Sites or Attrib makes them
+// also charge each cycle delta to the previous pc. Result.Sites is
+// derived from the profile on every Run; the -hotsites rows and the
+// vm.op.* counters at flush.
 //
 // Observability is strictly read-only: it inspects the meter and the IR
 // but never touches memory, the RNG, or the counters, so arming it
@@ -98,7 +99,14 @@ func faultAddress(err error) (uint64, bool) {
 type pcCount struct {
 	execs  int64   // ticks retired at this pc
 	cycles float64 // meter charge from each tick to the next (cycle charging armed)
-	faults int64   // faults raised here (coverage armed, hardening pcs only)
+	faults int64   // faults raised here (hardening pcs only)
+}
+
+// site is one hardening pc of a profile and its stable site id ("" in
+// modules the hardening passes did not number).
+type site struct {
+	pc int32
+	id string
 }
 
 // profile is one function's share of the machine profile, cumulative
@@ -108,14 +116,14 @@ type pcCount struct {
 type profile struct {
 	ins   []*ir.Instr // pc -> instruction
 	n     []pcCount   // pc -> counters
-	sites []int32     // the hardening pcs
+	sites []site      // the hardening pcs
 
 	// flushed is n as of the last flush, so session aggregates receive
 	// only what is new.
 	flushed []pcCount
 
-	// index maps instruction -> pc for the reference interpreter and the
-	// fault path; built on first use.
+	// index maps instruction -> pc for the reference interpreter; built
+	// on first use.
 	index map[*ir.Instr]int32
 }
 
@@ -131,7 +139,7 @@ func (m *Machine) profileOf(f *ir.Func) *profile {
 		p.n = make([]pcCount, len(p.ins))
 		for pc, in := range p.ins {
 			if in.Op.IsHardening() {
-				p.sites = append(p.sites, int32(pc))
+				p.sites = append(p.sites, site{int32(pc), in.GetMeta("site")})
 			}
 		}
 		m.prof[f] = p
@@ -150,17 +158,46 @@ func (p *profile) pcOf(in *ir.Instr) int32 {
 	return p.index[in]
 }
 
-// sitesExecuted counts the hardening pcs that ran at least once.
-func (m *Machine) sitesExecuted() int {
-	n := 0
+// tally fills res.SitesExecuted, the hardening pcs that ran at least
+// once, and res.Sites, the profile's counters at every numbered site
+// that ran or faulted, keyed by site id. The map is allocated on its
+// first entry, so a run that reached no site allocates nothing.
+func (m *Machine) tally(res *Result) {
 	for _, p := range m.prof {
-		for _, pc := range p.sites {
-			if p.n[pc].execs > 0 {
-				n++
+		for _, s := range p.sites {
+			n := p.n[s.pc]
+			if n.execs > 0 {
+				res.SitesExecuted++
 			}
+			if s.id == "" || n.execs == 0 && n.faults == 0 {
+				continue
+			}
+			if res.Sites == nil {
+				res.Sites = make(map[string]obs.SiteCount)
+			}
+			c := res.Sites[s.id]
+			c.Execs += n.execs
+			c.Faults += n.faults
+			c.Cycles += n.cycles
+			res.Sites[s.id] = c
 		}
 	}
-	return n
+}
+
+// countFault charges a fault at in to its pc when in is one of f's
+// hardening instructions. A fault ends the run, so a scan of the sites
+// is cheaper than the reference interpreter's pc index.
+func (m *Machine) countFault(f *ir.Func, in *ir.Instr) {
+	if f == nil || in == nil || !in.Op.IsHardening() {
+		return
+	}
+	p := m.profileOf(f)
+	for _, s := range p.sites {
+		if p.ins[s.pc] == in {
+			p.n[s.pc].faults++
+			return
+		}
+	}
 }
 
 // obsState is a machine's observability attachment; nil when disabled.
@@ -169,11 +206,10 @@ type obsState struct {
 	reg    *obs.Registry
 	sites  *perf.SiteProf
 
-	// cover and attrib derive Result.Coverage and Result.SiteCosts; all
-	// counts every pc; cycles charges each cycle delta to the previous
-	// tick's pc (tick runs before the opcode's own work, so the charge
-	// between two ticks belongs to the earlier one).
-	cover, attrib, all, cycles bool
+	// all counts every pc; cycles charges each cycle delta to the
+	// previous tick's pc (tick runs before the opcode's own work, so the
+	// charge between two ticks belongs to the earlier one).
+	all, cycles bool
 
 	prev    *profile
 	prevPC  int32
@@ -196,28 +232,21 @@ type obsState struct {
 	flushedHeap    [2]heap.Stats
 }
 
-// newObsState arms observability for a machine being built: an explicit
-// Config.Flight always arms the flight recorder; an active session adds
-// its registry, site profiler, coverage and attribution (and its
-// FlightDepth when the config did not set one). Returns nil when every
-// feature is off.
+// newObsState arms observability for a machine being built:
+// Config.Flight arms the flight recorder; an active session adds its
+// registry and site profiler, and cycle charging for its site profiler
+// or attribution. Returns nil when every feature is off.
 func newObsState(cfg Config) *obsState {
-	s := obs.Current()
-	depth := cfg.Flight
-	if depth <= 0 && s != nil {
-		depth = s.FlightDepth
-	}
 	var st obsState
-	if depth > 0 {
-		st.flight = obs.NewFlight(depth)
+	if cfg.Flight > 0 {
+		st.flight = obs.NewFlight(cfg.Flight)
 	}
-	if s != nil {
+	if s := obs.Current(); s != nil {
 		st.reg, st.sites = s.Metrics, s.Sites
-		st.cover, st.attrib = s.Coverage != nil, s.Attrib != nil
+		st.cycles = s.Sites != nil || s.Attrib != nil
 	}
 	st.all = st.reg != nil || st.sites != nil
-	st.cycles = st.sites != nil || st.attrib
-	if st.flight == nil && !st.all && !st.cycles && !st.cover {
+	if st.flight == nil && !st.all && !st.cycles {
 		return nil
 	}
 	armed := st // only an armed machine pays the allocation
@@ -272,30 +301,6 @@ func (m *Machine) obsForensics(flt *Fault, in *ir.Instr) *obs.FaultReport {
 	return r
 }
 
-// foldSites adds p's hardening pcs into res's per-site maps, keyed by
-// stable site id. Sites without an id (un-instrumented modules) are
-// dropped.
-func (p *profile) foldSites(res *Result) {
-	for _, pc := range p.sites {
-		id, n := p.ins[pc].GetMeta("site"), p.n[pc]
-		if id == "" || n.execs == 0 && n.faults == 0 {
-			continue
-		}
-		if res.Coverage != nil {
-			sc := res.Coverage[id]
-			sc.Execs += n.execs
-			sc.Faults += n.faults
-			res.Coverage[id] = sc
-		}
-		if res.SiteCosts != nil && n.execs > 0 {
-			sc := res.SiteCosts[id]
-			sc.Count += n.execs
-			sc.Cycles += n.cycles
-			res.SiteCosts[id] = sc
-		}
-	}
-}
-
 // publish hands the session what p counted since the last flush: one
 // -hotsites row per executed pc, and the opcode histogram into ops
 // (nil when metrics are off).
@@ -317,10 +322,9 @@ func (o *obsState) publish(mod, fn string, p *profile, ops []int64) {
 	}
 }
 
-// obsFlush closes the trailing cycle charge, derives res's Coverage and
-// SiteCosts from the profile, and publishes what is new since the last
-// flush: the -hotsites rows, the opcode histogram, engine routing,
-// curated counter deltas, and heap arena stats.
+// obsFlush closes the trailing cycle charge and publishes what is new
+// since the last flush: the -hotsites rows, the opcode histogram,
+// engine routing, curated counter deltas, and heap arena stats.
 func (m *Machine) obsFlush(res *Result) {
 	o := m.obs
 	c := res.Counters
@@ -328,21 +332,12 @@ func (m *Machine) obsFlush(res *Result) {
 	// work) before anything reads the profile.
 	o.closePrev(c.Cycles)
 	o.prev = nil
-	if o.cover {
-		res.Coverage = make(map[string]obs.SiteCount)
-	}
-	if o.attrib {
-		res.SiteCosts = make(map[string]obs.SiteCost)
-	}
 	var ops []int64
 	if o.reg != nil {
 		ops = make([]int64, ir.NumOps())
 	}
-	for f, p := range m.prof {
-		if o.cover || o.attrib {
-			p.foldSites(res)
-		}
-		if o.all {
+	if o.all {
+		for f, p := range m.prof {
 			o.publish(m.Mod.Name, f.FName, p, ops)
 		}
 	}

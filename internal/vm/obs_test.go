@@ -59,11 +59,10 @@ func TestObsDoesNotPerturbExecution(t *testing.T) {
 	flight := runWith(t, vm.Config{Seed: 7, Flight: 32})
 
 	sess := obs.Start(&obs.Session{
-		Metrics:     obs.NewRegistry(),
-		Sites:       perf.NewSiteProf(),
-		FlightDepth: 16,
+		Metrics: obs.NewRegistry(),
+		Sites:   perf.NewSiteProf(),
 	})
-	full := runWith(t, vm.Config{Seed: 7})
+	full := runWith(t, vm.Config{Seed: 7, Flight: 16})
 	obs.Stop()
 
 	for name, res := range map[string]*vm.Result{"flight": flight, "session": full} {
@@ -174,19 +173,16 @@ func TestProfileCumulativeAcrossRuns(t *testing.T) {
 	var seconds []*vm.Result
 	for _, pr := range profileRuns {
 		first, second, sess := runTwice(t, core.SchemeCPA, pr)
-		if first.SitesExecuted == 0 || len(first.Coverage) != first.SitesExecuted {
-			t.Fatalf("%s: %d sites executed, coverage %v", pr.name, first.SitesExecuted, first.Coverage)
+		if first.SitesExecuted == 0 || len(first.Sites) != first.SitesExecuted {
+			t.Fatalf("%s: %d sites executed, tally %v", pr.name, first.SitesExecuted, first.Sites)
 		}
 		if second.SitesExecuted != first.SitesExecuted {
 			t.Errorf("%s: sites executed %d after the second run, want %d", pr.name, second.SitesExecuted, first.SitesExecuted)
 		}
-		for id, c := range first.Coverage {
-			if got := second.Coverage[id]; got.Execs != 2*c.Execs || got.Faults != 0 {
-				t.Errorf("%s: coverage %s = %+v after two runs, want execs %d", pr.name, id, got, 2*c.Execs)
-			}
-			cost, cost2 := first.SiteCosts[id], second.SiteCosts[id]
-			if cost.Count != c.Execs || cost2.Count != 2*c.Execs || cost.Cycles <= 0 || cost2.Cycles <= cost.Cycles {
-				t.Errorf("%s: site cost %s = %+v then %+v for %d execs per run", pr.name, id, cost, cost2, c.Execs)
+		for id, c := range first.Sites {
+			got := second.Sites[id]
+			if got.Execs != 2*c.Execs || got.Faults != 0 || c.Cycles <= 0 || got.Cycles <= c.Cycles {
+				t.Errorf("%s: site %s = %+v then %+v after two runs, want execs %d and growing cycles", pr.name, id, c, got, 2*c.Execs)
 			}
 		}
 		// Hardening ops expand to several machine instructions, so the
@@ -204,9 +200,9 @@ func TestProfileCumulativeAcrossRuns(t *testing.T) {
 		seconds = append(seconds, second)
 	}
 	for i, res := range seconds[1:] {
-		if !reflect.DeepEqual(res.Coverage, seconds[0].Coverage) || !reflect.DeepEqual(res.SiteCosts, seconds[0].SiteCosts) {
-			t.Errorf("%s diverged from %s:\n  %v %v\n  %v %v", profileRuns[i+1].name, profileRuns[0].name,
-				res.Coverage, res.SiteCosts, seconds[0].Coverage, seconds[0].SiteCosts)
+		if !reflect.DeepEqual(res.Sites, seconds[0].Sites) {
+			t.Errorf("%s diverged from %s:\n  %v\n  %v", profileRuns[i+1].name, profileRuns[0].name,
+				res.Sites, seconds[0].Sites)
 		}
 	}
 
@@ -221,7 +217,8 @@ func TestProfileCumulativeAcrossRuns(t *testing.T) {
 }
 
 // TestCoverageCountsDetections: the hardening check that trips is the
-// one site whose coverage records the fault, on both engines.
+// one site whose tally records the fault, on both engines, with no
+// session active.
 func TestCoverageCountsDetections(t *testing.T) {
 	const victim = `int main() { char buf[16]; int admin; admin = 0; gets(buf); if (admin != 0) { return 99; } return 0; }`
 	for _, reference := range []bool{false, true} {
@@ -232,11 +229,9 @@ func TestCoverageCountsDetections(t *testing.T) {
 		if _, err := core.Protect(mod, core.SchemePythia); err != nil {
 			t.Fatal(err)
 		}
-		obs.Start(&obs.Session{Coverage: obs.NewCoverageAgg(), FlightDepth: 4})
-		m := vm.New(mod, vm.Config{Seed: 7, Reference: reference})
+		m := vm.New(mod, vm.Config{Seed: 7, Reference: reference, Flight: 4})
 		m.Stdin.SetInput([]byte(strings.Repeat("A", 40) + "\n"))
 		res, err := m.Run("main")
-		obs.Stop()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,11 +239,11 @@ func TestCoverageCountsDetections(t *testing.T) {
 			t.Fatalf("reference=%v: overflow not detected at a site: %+v", reference, res.Fault)
 		}
 		var faults int64
-		for _, c := range res.Coverage {
+		for _, c := range res.Sites {
 			faults += c.Faults
 		}
-		if site := res.Fault.Forensics.Site; faults != 1 || res.Coverage[site].Faults != 1 {
-			t.Errorf("reference=%v: fault at %s, coverage %v", reference, site, res.Coverage)
+		if site := res.Fault.Forensics.Site; faults != 1 || res.Sites[site].Faults != 1 {
+			t.Errorf("reference=%v: fault at %s, tally %v", reference, site, res.Sites)
 		}
 	}
 }

@@ -143,8 +143,7 @@ type Config struct {
 
 	// Flight arms a fault flight recorder keeping the last N executed
 	// instructions, independent of any obs.Session; faults then carry a
-	// Forensics report. Zero leaves the recorder to the session's
-	// FlightDepth (off when no session is active).
+	// Forensics report. Zero leaves the recorder off.
 	Flight int
 
 	// Cover, when non-nil, receives branch-edge coverage from the
@@ -242,7 +241,7 @@ type Fault struct {
 	Instr string
 
 	// Forensics is the flight-recorder report, present when the machine
-	// was built with a flight window (Config.Flight or an obs.Session).
+	// was built with a flight window (Config.Flight).
 	Forensics *obs.FaultReport
 }
 
@@ -308,17 +307,12 @@ type Result struct {
 	// dynamically" metric.
 	SitesExecuted int
 
-	// Coverage maps each hardening check site's stable id to its
-	// execution and fault counts over the machine's runs so far.
-	// Populated only when the active obs.Session carries a CoverageAgg;
-	// nil otherwise.
-	Coverage map[string]obs.SiteCount
-
-	// SiteCosts maps each hardening check site's stable id to its
-	// execution count and attributed modeled cycles over the machine's
-	// runs so far. Populated only when the active obs.Session carries an
-	// AttribAgg; nil otherwise.
-	SiteCosts map[string]obs.SiteCost
+	// Sites maps each hardening check site's stable id to its tally over
+	// the machine's runs so far: executions, faults, and the modeled
+	// cycles attributed to it, which are charged only while a session
+	// arms Sites or Attrib. Only sites that ran or faulted appear; nil
+	// when none did.
+	Sites map[string]obs.SiteCount
 }
 
 // Ok reports whether the run completed without a fault.
@@ -345,10 +339,11 @@ func (m *Machine) Run(fname string, args ...uint64) (*Result, error) {
 	}
 	m.args = m.args[:0] // a fault in an earlier run unwinds without popping
 	ret, fault := m.call(f, args)
-	res := &Result{Ret: ret, Fault: fault, Counters: m.Meter.Counters(), Stdout: m.Stdout, SitesExecuted: m.sitesExecuted()}
+	res := &Result{Ret: ret, Fault: fault, Counters: m.Meter.Counters(), Stdout: m.Stdout}
 	if m.obs != nil {
 		m.obsFlush(res)
 	}
+	m.tally(res)
 	return res, nil
 }
 
@@ -365,11 +360,7 @@ func (m *Machine) fault(kind FaultKind, f *ir.Func, in *ir.Instr, err error) *ex
 	if in != nil {
 		flt.Instr = in.String()
 	}
-	if m.obs != nil && m.obs.cover && in != nil && in.Op.IsHardening() {
-		p := m.profileOf(f)
-		pc := p.pcOf(in)
-		p.n[pc].faults++
-	}
+	m.countFault(f, in)
 	flt.Forensics = m.obsForensics(flt, in)
 	return &execError{f: flt}
 }
@@ -465,7 +456,7 @@ func (m *Machine) objectMAC(f *ir.Func, in *ir.Instr, addr uint64, size int) uin
 }
 
 // readBuffered reads n bytes at addr into the machine's read buffer,
-// faulting as ReadBytes would. The bytes are valid until the next
+// faulting as mem.Memory.AppendBytes does. The bytes are valid until the next
 // readBuffered call; neither caller holds them across one.
 func (m *Machine) readBuffered(f *ir.Func, in *ir.Instr, addr uint64, n int) []byte {
 	b, err := m.Mem.AppendBytes(m.readBuf[:0], addr, n)

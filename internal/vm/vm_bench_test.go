@@ -48,12 +48,12 @@ func benchModule(tb testing.TB) *ir.Module {
 	return mod
 }
 
-func runDispatch(b *testing.B, mod *ir.Module, reference bool) {
+func runDispatch(b *testing.B, mod *ir.Module, cfg vm.Config) {
 	want := uint64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := vm.New(mod, vm.Config{Seed: 7, Reference: reference})
+		m := vm.New(mod, cfg)
 		res, err := m.Run("main")
 		if err != nil {
 			b.Fatal(err)
@@ -72,30 +72,31 @@ func runDispatch(b *testing.B, mod *ir.Module, reference bool) {
 // BenchmarkVMDispatch measures the pre-decoded slot engine on an
 // interpretation-bound program (the tentpole metric for the execution
 // engine rewrite).
-func BenchmarkVMDispatch(b *testing.B) { runDispatch(b, benchModule(b), false) }
+func BenchmarkVMDispatch(b *testing.B) { runDispatch(b, benchModule(b), vm.Config{Seed: 7}) }
 
 // BenchmarkVMDispatchReference measures the same program on the
 // pre-decode tree-walking interpreter for comparison.
-func BenchmarkVMDispatchReference(b *testing.B) { runDispatch(b, benchModule(b), true) }
+func BenchmarkVMDispatchReference(b *testing.B) {
+	runDispatch(b, benchModule(b), vm.Config{Seed: 7, Reference: true})
+}
 
 // BenchmarkVMDispatchArmed measures the slot engine on the
-// Pythia-hardened program under a session that arms every
-// per-instruction observer: metrics, site profile, coverage,
-// attribution and a flight recorder.
+// Pythia-hardened program with every per-instruction observer armed:
+// a session's metrics, site profile, coverage and attribution, and the
+// machine's flight recorder.
 func BenchmarkVMDispatchArmed(b *testing.B) {
 	mod := benchModule(b)
 	if _, err := core.Protect(mod, core.SchemePythia); err != nil {
 		b.Fatal(err)
 	}
 	obs.Start(&obs.Session{
-		Metrics:     obs.NewRegistry(),
-		Sites:       perf.NewSiteProf(),
-		Coverage:    obs.NewCoverageAgg(),
-		Attrib:      obs.NewAttribAgg(),
-		FlightDepth: 16,
+		Metrics:  obs.NewRegistry(),
+		Sites:    perf.NewSiteProf(),
+		Coverage: obs.NewCoverageAgg(),
+		Attrib:   obs.NewAttribAgg(),
 	})
 	defer obs.Stop()
-	runDispatch(b, mod, false)
+	runDispatch(b, mod, vm.Config{Seed: 7, Flight: 16})
 }
 
 // BenchmarkMachineNew measures building a machine with pythiad's

@@ -295,6 +295,56 @@ int main() {
 	}
 }
 
+// TestObjSealDiesWithFrame: a seal on a callee's local buffer dies
+// when the callee returns. The next callee's buffer reuses the address
+// with other bytes, and obj.check on it passes on both engines.
+func TestObjSealDiesWithFrame(t *testing.T) {
+	const src = `
+int sealer() {
+	char buf[16];
+	strcpy(buf, "abcdef");
+	return buf[0];
+}
+int reuser() {
+	char buf[16];
+	strcpy(buf, "zzzzzz");
+	return buf[0];
+}
+int main() {
+	sealer();
+	return reuser();
+}`
+	mod, err := minic.Compile("t", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hand-instrument: sealer seals buf after its strcpy, reuser checks
+	// its own buf after its strcpy.
+	for fn, op := range map[string]ir.Op{"sealer": ir.OpObjSeal, "reuser": ir.OpObjCheck} {
+		f := mod.Func(fn)
+		var buf *ir.Instr
+		for _, a := range f.Allocas() {
+			if a.GetMeta("var") == "buf" {
+				buf = a
+			}
+		}
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpCall && in.Callee.FName == "strcpy" {
+					b.InsertAfter(ir.NewInstr(op, "", ir.Void, buf, ir.ConstInt(ir.I64, 16)), in)
+					break
+				}
+			}
+		}
+	}
+	for _, reference := range []bool{false, true} {
+		res := mustRun(t, vm.New(mod, vm.Config{Seed: 2, Reference: reference}), "main")
+		if res.Fault != nil || int64(res.Ret) != 'z' {
+			t.Errorf("reference=%v: ret=%d fault=%v, want 'z' and no fault", reference, int64(res.Ret), res.Fault)
+		}
+	}
+}
+
 func TestCanaryOpsDetectOverwrite(t *testing.T) {
 	mod := ir.NewModule("t")
 	f := mod.NewFunc("main", ir.I64, nil, nil)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/harden"
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/vm"
@@ -25,15 +26,6 @@ type RunResult struct {
 	// those that ran at least once (the Fig. 6b dynamic-share metric).
 	StaticSites   int
 	ExecutedSites int
-
-	// Coverage is the run's per-check-site dynamic tally keyed by stable
-	// site id; nil unless the session armed coverage telemetry.
-	Coverage map[string]obs.SiteCount
-
-	// SiteCosts is the run's per-check-site attributed cycle profile
-	// keyed by stable site id; nil unless the session armed the
-	// attribution engine.
-	SiteCosts map[string]obs.SiteCost
 }
 
 // Overhead returns this run's cycle overhead relative to base, percent.
@@ -118,30 +110,17 @@ func RunWith(pl *core.Pipeline, p *Profile, scheme core.Scheme) (*RunResult, err
 	if res.Fault != nil {
 		return nil, fmt.Errorf("workload %s under %v faulted: %v", p.Name, scheme, res.Fault)
 	}
-	static := 0
-	var siteIDs []string
-	for _, f := range prog.Mod.Defined() {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op.IsHardening() {
-					static++
-					if id := in.GetMeta("site"); id != "" {
-						siteIDs = append(siteIDs, id)
-					}
-				}
-			}
-		}
-	}
+	siteIDs := harden.SiteIDs(prog.Mod)
 	// Defense-coverage telemetry: fold this run's static site inventory
-	// and the VM's per-site dynamic counts into the session aggregate
-	// (no-op unless -coverage armed one).
-	obs.CurrentCoverage().Record(p.Name, scheme.String(), siteIDs, prog.Mod.NumInstrs(), res.Coverage)
+	// and the VM's per-site tally into the session aggregate (no-op
+	// unless -coverage armed one).
+	obs.CurrentCoverage().Record(p.Name, scheme.String(), siteIDs, prog.Mod.NumInstrs(), res.Sites)
 	// Overhead attribution: fold this run's total cycles, bookkeeping
-	// cycles, and per-site attributed costs into the session aggregate
+	// cycles, and per-site attributed cycles into the session aggregate
 	// (no-op unless -attribution armed one). Vanilla runs contribute the
 	// baseline the hardened cells diff against.
 	obs.CurrentAttrib().Record(p.Name, scheme.String(), p.Fingerprint(),
-		res.Counters.Cycles, res.Counters.BookkeepCycles, res.SiteCosts)
+		res.Counters.Cycles, res.Counters.BookkeepCycles, res.Sites)
 	return &RunResult{
 		Profile:       p,
 		Scheme:        scheme,
@@ -151,9 +130,7 @@ func RunWith(pl *core.Pipeline, p *Profile, scheme core.Scheme) (*RunResult, err
 		Ret:           res.Ret,
 		Fault:         res.Fault,
 		Stdout:        len(res.Stdout),
-		StaticSites:   static,
+		StaticSites:   len(siteIDs),
 		ExecutedSites: res.SitesExecuted,
-		Coverage:      res.Coverage,
-		SiteCosts:     res.SiteCosts,
 	}, nil
 }

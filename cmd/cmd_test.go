@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -128,6 +129,24 @@ func TestPythiacAnalyze(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("analysis output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestPythiacAnalyzeEmittedIR: the printed IR carries each function's
+// input-channel kind, so analyzing pythiac's own vanilla -emit-ir output
+// reports what analyzing the source reports, apart from the module name.
+func TestPythiacAnalyzeEmittedIR(t *testing.T) {
+	irFile := filepath.Join(t.TempDir(), "demo.ir")
+	emitted := runStdout(t, "./cmd/pythiac", "-scheme", "vanilla", "-emit-ir", "testdata/demo.c")
+	if err := os.WriteFile(irFile, []byte(emitted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fromC := runStdout(t, "./cmd/pythiac", "-analyze", "testdata/demo.c")
+	fromIR := runStdout(t, "./cmd/pythiac", "-analyze", irFile)
+	_, c, _ := strings.Cut(fromC, ":")
+	_, i, _ := strings.Cut(fromIR, ":")
+	if c != i || !strings.Contains(c, "input channels: 3 sites") {
+		t.Fatalf("-analyze on the source:\n%s\non its emitted IR:\n%s", fromC, fromIR)
 	}
 }
 

@@ -32,6 +32,7 @@ func diamond(t *testing.T) (*ir.Func, *cfg.Graph) {
 	join.Instrs = append([]*ir.Instr{phi}, join.Instrs...)
 	phi.Block = join
 	b.Ret(phi)
+	f.Renumber()
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
 	}

@@ -45,8 +45,11 @@ import (
 // either invalidates persisted entries cleanly (stale keys are simply
 // never looked up again). v2: hardened modules carry stable check-site
 // ids in instruction Meta (harden.AssignSites), so v1 artifacts —
-// valid IR but without site identity — must not be served.
-const PipelineVersion = "pythia-pipeline-v2"
+// valid IR but without site identity — must not be served. v3: the
+// front end classifies wrapper channels, so compile artifacts carry
+// their kinds, and v2 compile artifacts, which lack them, must not be
+// served.
+const PipelineVersion = "pythia-pipeline-v3"
 
 // Pipeline memoizes the compile and harden stages. The zero value is
 // not usable; construct with NewPipeline or OpenPipeline.
@@ -290,10 +293,10 @@ func (pl *Pipeline) PrewarmHarden(name, src string, scheme Scheme) error {
 
 // Build compiles src and protects it with the scheme, pulling both
 // stages through the pipeline's caches. Every call decodes a fresh
-// module, because the memo keeps none and some callers write theirs:
-// bench.Runner.Analyze renumbers its module in place. The Protection is
-// shared by every Build of the key and is read-only. MemoHit reports
-// whether the harden stage was already in the in-process memo.
+// module only because the memo holds bytes, not modules: no caller
+// writes the module it gets. The Protection is shared by every Build of
+// the key and is read-only. MemoHit reports whether the harden stage
+// was already in the in-process memo.
 func (pl *Pipeline) Build(name, src string, scheme Scheme) (*Program, error) {
 	ce := pl.compile(name, src)
 	if ce.err != nil {

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/vm"
 	"repro/internal/workload"
 )
 
@@ -61,8 +64,8 @@ func TestPipelineOneCompilePerSource(t *testing.T) {
 	}
 }
 
-// TestBuildReturnsOwnedModules: bench.Runner.Analyze renumbers its
-// module in place, so two Builds of the same key must not share one.
+// TestBuildReturnsOwnedModules: the memo holds bytes, not modules, so
+// two Builds of the same key decode two modules that behave alike.
 func TestBuildReturnsOwnedModules(t *testing.T) {
 	pl := core.NewPipeline()
 	a, err := pl.Build("t", prog, core.SchemePythia)
@@ -303,5 +306,112 @@ func TestPipelineStats(t *testing.T) {
 	}
 	if dp.Store() == nil {
 		t.Fatal("disk-backed pipeline must expose its store")
+	}
+}
+
+// TestCompiledModuleIsReadOnly: the vulnerability analysis and both VM
+// engines only read a built module, so one decoded compile serves eight
+// goroutines at once (run it under -race), and it encodes to the same
+// bytes afterwards. The program has a wrapper channel, whose kind the
+// front end fixes before the module is built.
+func TestCompiledModuleIsReadOnly(t *testing.T) {
+	const src = `
+void copy_in(char *dst, char *src) { strcpy(dst, src); }
+int main() {
+	char buf[16];
+	char line[64];
+	int admin;
+	admin = 0;
+	fgets(line, 64);
+	copy_in(buf, line);
+	if (admin) { printf("GRANTED\n"); return 99; }
+	return buf[0];
+}`
+	mod, err := core.NewPipeline().Compile("read-only", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mod.Func("copy_in").Channel != ir.KindPut {
+		t.Fatalf("copy_in is a %v channel, want put", mod.Func("copy_in").Channel)
+	}
+	before, err := ir.EncodeModule(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vr := core.Analyze(mod)
+			m := vm.New(mod, vm.Config{Seed: 7, Reference: i%2 == 1})
+			m.Stdin.SetInput([]byte("hello\n"))
+			res, err := m.Run("main")
+			if err != nil {
+				got[i] = err.Error()
+				return
+			}
+			got[i] = fmt.Sprintf("%d sites, %d roots, %d vulnerable; ret %d, fault %v, %+v",
+				len(vr.Analysis.Sites), vr.TotalRoots, len(vr.PythiaVars), res.Ret, res.Fault, *res.Counters)
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g != got[0] {
+			t.Errorf("goroutine %d: %s\ngoroutine 0: %s", i, g, got[0])
+		}
+	}
+	after, err := ir.EncodeModule(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("analyzing or running the module wrote it")
+	}
+}
+
+// TestWrapperThroughLocalCopy: a wrapper that forwards its parameter
+// through a local copy is a channel like one that forwards it directly,
+// since the front end classifies wrappers after mem2reg has promoted the
+// copy away, so Pythia and DFI instrument both programs alike.
+func TestWrapperThroughLocalCopy(t *testing.T) {
+	var reports []string
+	for _, wrapper := range []string{
+		"void copy_in(char *dst, char *src) { strcpy(dst, src); }",
+		"void copy_in(char *dst, char *src) { char *p = dst; strcpy(p, src); }",
+	} {
+		src := wrapper + `
+int main() {
+	char *buf;
+	char line[64];
+	long admin;
+	buf = malloc(16);
+	admin = 0;
+	fgets(line, 64);
+	copy_in(buf, line);
+	if (admin) { printf("GRANTED\n"); return 99; }
+	return buf[0];
+}`
+		pl := core.NewPipeline()
+		mod, err := pl.Compile("local-copy", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := mod.Func("copy_in").Channel; k != ir.KindPut {
+			t.Fatalf("%s: copy_in is a %v channel, want put", wrapper, k)
+		}
+		pythia, err := pl.Build("local-copy", src, core.SchemePythia)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dfi, err := pl.Build("local-copy", src, core.SchemeDFI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, fmt.Sprintf("%+v %+v", *pythia.Protection.Harden, *dfi.Protection.DFI))
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("forwarding through a local copy changes the instrumentation:\n direct: %s\n copy:   %s", reports[0], reports[1])
 	}
 }

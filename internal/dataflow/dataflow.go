@@ -1,7 +1,6 @@
 // Package dataflow computes the classical analyses the Pythia algorithms
-// are built from: def-use / use-def chains (Def. 2.2 of the paper),
-// upwards-exposed uses (Def. 2.3), and reaching definitions over memory
-// (the substrate of the DFI baseline).
+// are built from: def-use / use-def chains (Def. 2.2 of the paper) and
+// reaching definitions over memory (the substrate of the DFI baseline).
 package dataflow
 
 import (
@@ -109,30 +108,6 @@ func (c *Chains) Defs(v ir.Value) []*ir.Instr {
 		return nil
 	default:
 		return nil
-	}
-}
-
-// UpwardsExposed reports whether value v has an upwards-exposed use at
-// instruction at (Def. 2.3): v's definition reaches at along every path,
-// and v is not redefined between. For SSA values this is immediate from
-// dominance; for memory roots we check that a single store dominates at
-// with no intervening store.
-func UpwardsExposed(g *cfg.Graph, c *Chains, v ir.Value, at *ir.Instr) bool {
-	switch x := v.(type) {
-	case *ir.Instr:
-		if x.Op != ir.OpAlloca {
-			// An SSA definition always dominates its uses by construction.
-			return g.Dominates(x.Block, at.Block)
-		}
-		defs := c.MemDefs[x]
-		if len(defs) != 1 {
-			return false
-		}
-		return g.Dominates(defs[0].Block, at.Block)
-	case *ir.Param:
-		return true
-	default:
-		return false
 	}
 }
 

@@ -155,28 +155,6 @@ func findOp(f *ir.Func, op ir.Op) *ir.Instr {
 	return nil
 }
 
-func TestUpwardsExposed(t *testing.T) {
-	f := compile(t, `
-int main() {
-	int once;
-	int twice;
-	once = 1;
-	if (once > 0) { twice = 2; } else { twice = 3; }
-	return once + twice;
-}`, "main")
-	g := cfg.New(f)
-	c := dataflow.Build(f)
-	once := allocaNamed(t, f, "once")
-	twice := allocaNamed(t, f, "twice")
-	ret := findOp(f, ir.OpRet)
-	if !dataflow.UpwardsExposed(g, c, once, ret) {
-		t.Fatal("single dominating store should be upwards-exposed at ret")
-	}
-	if dataflow.UpwardsExposed(g, c, twice, ret) {
-		t.Fatal("two-sided definition must not be upwards-exposed")
-	}
-}
-
 func TestReachingDefs(t *testing.T) {
 	f := compile(t, chainsSrc, "main")
 	g := cfg.New(f)

@@ -32,8 +32,7 @@ type Report struct {
 // Apply instruments mod with DFI checks in place.
 func Apply(mod *ir.Module) (*Report, error) {
 	rep := &Report{}
-	inputchan.Scan(mod) // classify user-defined wrapper channels
-	nextIC := 1 << 20   // IC callsite IDs live above store IDs
+	nextIC := 1 << 20 // IC callsite IDs live above store IDs
 
 	// Wrapper channels (user functions forwarding a parameter into a
 	// libc channel) execute the *inner* channel's writes; calls to the

@@ -231,10 +231,8 @@ func (f *fuzzer) round(jobs []job) error {
 	errs := make([]error, len(jobs))
 	feed := make(chan int)
 	done := make(chan struct{})
-	parent := obs.CurrentSpanID()
 	for _, cov := range f.covs {
 		go func() {
-			defer obs.AdoptSpan(parent)()
 			for i := range feed {
 				results[i], errs[i] = f.states[jobs[i].ti].progs.eval(jobs[i].input, cov)
 			}

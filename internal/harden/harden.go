@@ -65,26 +65,18 @@ type Report struct {
 	Canaries      int
 	HeapRelocated int // malloc sites rewritten to secure_malloc
 	DFIChecks     int
-
-	// Analysis statistics (shared across schemes for the figures).
-	TotalRoots     int
-	CPAVulnVars    int
-	PythiaVulnVars int
-	Branches       int
-	Direct         int
-	Indirect       int
-	Unaffected     int
 }
 
 // Apply runs the selected scheme's instrumentation on mod in place and
 // returns the report. The module must not already be instrumented.
+// Vanilla instruments nothing and so analyzes nothing.
 func Apply(mod *ir.Module, scheme Scheme) (*Report, error) {
-	vr := slice.AnalyzeVulnerabilities(mod)
 	rep := &Report{Scheme: scheme}
-	fillAnalysisStats(rep, vr)
-	switch scheme {
-	case Vanilla:
+	if scheme == Vanilla {
 		return rep, nil
+	}
+	vr := slice.AnalyzeVulnerabilities(mod)
+	switch scheme {
 	case CPA:
 		applyCPA(mod, vr, rep)
 	case Pythia:
@@ -109,23 +101,6 @@ func Apply(mod *ir.Module, scheme Scheme) (*Report, error) {
 		return nil, fmt.Errorf("harden: %v produced invalid IR: %w", scheme, err)
 	}
 	return rep, nil
-}
-
-func fillAnalysisStats(rep *Report, vr *slice.VulnReport) {
-	rep.TotalRoots = vr.TotalRoots
-	rep.CPAVulnVars = len(vr.CPAVars)
-	rep.PythiaVulnVars = len(vr.PythiaVars)
-	rep.Branches = len(vr.Branches)
-	for _, b := range vr.Branches {
-		switch b.Class {
-		case slice.BranchDirect:
-			rep.Direct++
-		case slice.BranchIndirect:
-			rep.Indirect++
-		default:
-			rep.Unaffected++
-		}
-	}
 }
 
 // markPass tags an inserted instruction with its originating pass.

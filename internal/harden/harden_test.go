@@ -266,9 +266,6 @@ func TestVanillaIsIdentity(t *testing.T) {
 	if rep.PAInstrs != 0 {
 		t.Fatal("vanilla reports instrumentation")
 	}
-	if rep.Branches == 0 || rep.TotalRoots == 0 {
-		t.Fatal("analysis stats must still be filled")
-	}
 }
 
 func TestEstimateBoundsDominateActual(t *testing.T) {

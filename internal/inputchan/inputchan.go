@@ -4,7 +4,7 @@
 // map — and provides the standard-library declarations the front-end and
 // workload generator link against.
 //
-// The scanner also detects user-implemented channel wrappers (the paper
+// Classify also detects user-implemented channel wrappers (the paper
 // notes nginx's "ngx_"-prefixed variants): a defined function that
 // forwards a pointer parameter into a known channel is itself classified
 // as a channel of the same kind.
@@ -78,16 +78,6 @@ func Declare(mod *ir.Module) map[string]*ir.Func {
 	return out
 }
 
-// KindOf returns the classification for a libc name, or KindNone.
-func KindOf(name string) ir.ChannelKind {
-	for _, d := range libc {
-		if d.name == name {
-			return d.kind
-		}
-	}
-	return ir.KindNone
-}
-
 // CallSite is one static input-channel call.
 type CallSite struct {
 	Caller *ir.Func
@@ -95,12 +85,13 @@ type CallSite struct {
 	Kind   ir.ChannelKind
 }
 
-// Scan classifies user-defined wrapper channels and returns every static
-// input-channel call site in the module. A defined function becomes a
-// channel when it passes one of its pointer parameters as the
-// *destination* argument of a known channel (argument 0 for the write
-// channels; every pointer vararg for scanf).
-func Scan(mod *ir.Module) []CallSite {
+// Classify marks the module's user-defined wrapper channels. A defined
+// function becomes a channel when it passes one of its pointer
+// parameters as the *destination* argument of a known channel
+// (argument 0 for the write channels; every pointer vararg for scanf).
+// The front end calls it once, at the end of irpass.Optimize, and no
+// later stage writes a function's Channel.
+func Classify(mod *ir.Module) {
 	// Fixpoint: wrappers of wrappers are channels too.
 	changed := true
 	for changed {
@@ -115,6 +106,11 @@ func Scan(mod *ir.Module) []CallSite {
 			}
 		}
 	}
+}
+
+// Scan returns every static input-channel call site in the module: the
+// calls to libc channels and to the wrappers Classify marked.
+func Scan(mod *ir.Module) []CallSite {
 	var sites []CallSite
 	for _, f := range mod.Defined() {
 		for _, b := range f.Blocks {

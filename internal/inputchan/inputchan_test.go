@@ -5,29 +5,9 @@ import (
 
 	"repro/internal/inputchan"
 	"repro/internal/ir"
+	"repro/internal/irpass"
 	"repro/internal/minic"
 )
-
-func TestKindOf(t *testing.T) {
-	cases := map[string]ir.ChannelKind{
-		"printf":  ir.KindPrint,
-		"scanf":   ir.KindScan,
-		"memcpy":  ir.KindMoveCopy,
-		"strncpy": ir.KindMoveCopy,
-		"fgets":   ir.KindGet,
-		"gets":    ir.KindGet,
-		"strcpy":  ir.KindPut,
-		"mmap":    ir.KindMap,
-		"malloc":  ir.KindNone,
-		"strlen":  ir.KindNone,
-		"unknown": ir.KindNone,
-	}
-	for name, want := range cases {
-		if got := inputchan.KindOf(name); got != want {
-			t.Errorf("KindOf(%s) = %v, want %v", name, got, want)
-		}
-	}
-}
 
 func TestDeclareIdempotent(t *testing.T) {
 	mod := ir.NewModule("t")
@@ -71,11 +51,13 @@ int main() {
 func TestWrapperClassification(t *testing.T) {
 	mod, err := minic.Compile("t", `
 void ngx_cpymem(char *dst, char *src, long n) { memcpy(dst, src, n); }
+void via_copy(char *dst, char *src) { char *p = dst; strcpy(p, src); }
 void log_it(char *msg) { printf("%s", msg); }
 long measure(char *s) { return strlen(s); }
 int main() {
 	char a[8]; char b[8];
 	ngx_cpymem(a, b, 4);
+	via_copy(a, b);
 	log_it(a);
 	measure(a);
 	return 0;
@@ -83,9 +65,12 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputchan.Scan(mod)
+	irpass.Optimize(mod) // the front end's last pass classifies wrappers
 	if mod.Func("ngx_cpymem").Channel != ir.KindMoveCopy {
 		t.Fatal("copy wrapper must inherit move/copy classification")
+	}
+	if mod.Func("via_copy").Channel != ir.KindPut {
+		t.Fatal("a wrapper forwarding its parameter through a local copy must be classified once mem2reg removes the copy")
 	}
 	if mod.Func("log_it").Channel.IsChannel() {
 		t.Fatal("print-forwarding function must NOT be a corrupting channel (print reads)")
@@ -107,6 +92,7 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
+	irpass.Optimize(mod)
 	sites := inputchan.Scan(mod)
 	if mod.Func("outer").Channel != ir.KindPut {
 		t.Fatal("wrapper-of-wrapper must classify transitively")

@@ -95,16 +95,6 @@ func (b *Block) Phis() []*Instr {
 	return out
 }
 
-// FirstNonPhi returns the first instruction that is not a phi.
-func (b *Block) FirstNonPhi() *Instr {
-	for _, in := range b.Instrs {
-		if in.Op != OpPhi {
-			return in
-		}
-	}
-	return nil
-}
-
 // ChannelKind classifies input-channel functions per Definition 2.1 of
 // the paper. KindNone marks ordinary functions.
 type ChannelKind int
@@ -121,6 +111,10 @@ const (
 )
 
 var channelKindNames = [...]string{"none", "print", "scan", "move/copy", "get", "put", "map"}
+
+// channelNote introduces the channel kind the printer writes at the end
+// of an input channel's declare or define line, and Parse reads back.
+const channelNote = " ; input-channel: "
 
 func (k ChannelKind) String() string {
 	if k < 0 || int(k) >= len(channelKindNames) {
@@ -171,7 +165,8 @@ type Func struct {
 
 	// Channel classifies the function as an input channel (Def. 2.1).
 	// Declarations such as strcpy/scanf carry the libc classification;
-	// user wrappers are classified by the inputchan scanner.
+	// the front end's last pass, irpass.Optimize, classifies user
+	// wrappers (inputchan.Classify), and no later stage writes it.
 	Channel ChannelKind
 
 	// Plan is the stack layout; nil means "default order" (the VM lays
@@ -219,8 +214,9 @@ func (f *Func) GenName(hint string) string {
 	return name
 }
 
-// Renumber assigns sequential IDs to every instruction in layout order.
-// Several analyses (attack distance, slices) rely on these IDs.
+// Renumber sets every instruction's ID to its position in block order.
+// The front end and the hardening passes call it on what they build;
+// every later stage reads the IDs and writes none (see Instr.ID).
 func (f *Func) Renumber() {
 	id := 0
 	for _, b := range f.Blocks {
@@ -268,17 +264,6 @@ func (f *Func) Branches() []*Instr {
 	return out
 }
 
-// SetAttr attaches a function annotation.
-func (f *Func) SetAttr(k, v string) {
-	if f.Attrs == nil {
-		f.Attrs = make(map[string]string)
-	}
-	f.Attrs[k] = v
-}
-
-// Attr returns the annotation for k, or "".
-func (f *Func) Attr(k string) string { return f.Attrs[k] }
-
 // String renders the function in textual IR form.
 func (f *Func) String() string {
 	var b strings.Builder
@@ -291,16 +276,25 @@ func (f *Func) String() string {
 	}
 	if f.IsDecl() {
 		fmt.Fprintf(&b, "declare %s @%s(%s)", f.Sig.Ret, f.FName, strings.Join(params, ", "))
-		if f.Channel.IsChannel() {
-			fmt.Fprintf(&b, " ; input-channel: %s", f.Channel)
-		}
-		b.WriteString("\n")
+	} else {
+		fmt.Fprintf(&b, "define %s @%s(%s) {", f.Sig.Ret, f.FName, strings.Join(params, ", "))
+	}
+	if f.Channel.IsChannel() {
+		fmt.Fprintf(&b, "%s%s", channelNote, f.Channel)
+	}
+	b.WriteString("\n")
+	if f.IsDecl() {
 		return b.String()
 	}
-	fmt.Fprintf(&b, "define %s @%s(%s) {\n", f.Sig.Ret, f.FName, strings.Join(params, ", "))
 	for _, blk := range f.Blocks {
 		fmt.Fprintf(&b, "%s:\n", blk.Name)
 		for _, in := range blk.Instrs {
+			if in.Op.IsCast() {
+				// Parse needs a cast's destination type; the one-line
+				// form flight windows show leaves it out.
+				fmt.Fprintf(&b, "  %s to %s\n", in, in.Typ)
+				continue
+			}
 			fmt.Fprintf(&b, "  %s\n", in)
 		}
 	}

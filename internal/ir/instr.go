@@ -183,24 +183,6 @@ func (p Pred) String() string {
 	return predNames[p]
 }
 
-// Negate returns the complementary predicate.
-func (p Pred) Negate() Pred {
-	switch p {
-	case PredEQ:
-		return PredNE
-	case PredNE:
-		return PredEQ
-	case PredLT:
-		return PredGE
-	case PredLE:
-		return PredGT
-	case PredGT:
-		return PredLE
-	default:
-		return PredLT
-	}
-}
-
 // PhiEdge is one incoming (value, predecessor) pair of a phi.
 type PhiEdge struct {
 	Val  Value
@@ -229,7 +211,13 @@ type Instr struct {
 	Meta map[string]string
 
 	Block *Block // owning block (maintained by Block helpers)
-	ID    int    // unique within the function (assigned by Func.Renumber)
+
+	// ID is the instruction's position in its function's block order,
+	// phis included, on every built module: the front end and the
+	// hardening passes set it (Func.Renumber) before a module leaves
+	// them, Verify checks it, and the codec, the slicer and the VM index
+	// by it without rebuilding or rewriting it.
+	ID int
 }
 
 // NewInstr constructs a detached instruction.

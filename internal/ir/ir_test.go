@@ -73,6 +73,7 @@ func buildRet(t *testing.T) (*ir.Module, *ir.Func) {
 	sum := b.Bin(ir.OpAdd, f.Params[0], ir.ConstInt(ir.I64, 1))
 	dbl := b.Bin(ir.OpMul, sum, ir.ConstInt(ir.I64, 2))
 	b.Ret(dbl)
+	f.Renumber()
 	return m, f
 }
 
@@ -98,6 +99,7 @@ func TestVerifyRejects(t *testing.T) {
 		f := m.NewFunc("f", ir.Void, nil, nil)
 		b := ir.NewBuilder(f, f.NewBlock("entry"))
 		mut(m, f, b)
+		f.Renumber() // so each case fails for its own reason
 		return ir.Verify(m)
 	}
 	cases := []struct {
@@ -183,9 +185,19 @@ func TestReplaceUses(t *testing.T) {
 	}
 }
 
+// TestRenumber: an inserted instruction leaves the function unnumbered,
+// which Verify rejects, until Renumber restores block-order IDs.
 func TestRenumber(t *testing.T) {
-	_, f := buildRet(t)
+	m, f := buildRet(t)
+	zero := ir.ConstInt(ir.I64, 0)
+	f.Entry().InsertBefore(ir.NewInstr(ir.OpAdd, f.GenName("n"), ir.I64, zero, zero), f.Entry().Instrs[0])
+	if err := ir.Verify(m); err == nil || !strings.Contains(err.Error(), "not numbered") {
+		t.Fatalf("Verify on an unnumbered function = %v, want a numbering error", err)
+	}
 	f.Renumber()
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
 	want := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -210,15 +222,6 @@ func TestStringInterning(t *testing.T) {
 	}
 	if a.Elem.Size() != 6 { // includes NUL
 		t.Fatalf("literal size %d, want 6", a.Elem.Size())
-	}
-}
-
-func TestPredNegate(t *testing.T) {
-	preds := []ir.Pred{ir.PredEQ, ir.PredNE, ir.PredLT, ir.PredLE, ir.PredGT, ir.PredGE}
-	for _, p := range preds {
-		if p.Negate().Negate() != p {
-			t.Errorf("double negation of %v broken", p)
-		}
 	}
 }
 

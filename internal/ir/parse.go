@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -113,8 +114,16 @@ func (p *irParser) global(ln string) error {
 }
 
 // signature parses `<ret> @name(<type> %p, ...)`, registering the
-// function; returns it for define to fill.
+// function and the input-channel kind the printer notes after it;
+// returns it for define to fill.
 func (p *irParser) signature(s string) (*Func, error) {
+	s, note, noted := strings.Cut(s, channelNote)
+	kind := KindNone
+	if noted {
+		if kind = ChannelKind(slices.Index(channelKindNames[:], note)); kind <= KindNone {
+			return nil, p.errf("unknown input-channel kind %q", note)
+		}
+	}
 	open := strings.Index(s, "(")
 	close := strings.LastIndex(s, ")")
 	if open < 0 || close < open {
@@ -158,6 +167,9 @@ func (p *irParser) signature(s string) (*Func, error) {
 		f = p.mod.NewFunc(name, ret, pnames, ptypes)
 	}
 	f.Sig.Variadic = f.Sig.Variadic || variadic
+	if kind.IsChannel() {
+		f.Channel = kind
+	}
 	return f, nil
 }
 
@@ -165,7 +177,9 @@ func (p *irParser) signature(s string) (*Func, error) {
 func (p *irParser) function(lines []string, start int) (int, error) {
 	head := strings.TrimSpace(lines[start])
 	head = strings.TrimPrefix(head, "define ")
-	head = strings.TrimSuffix(head, "{")
+	if i := strings.LastIndexByte(head, '{'); i >= 0 {
+		head = head[:i] + head[i+1:] // the body's brace, before any note
+	}
 	f, err := p.signature(strings.TrimSpace(head))
 	if err != nil {
 		return 0, err
@@ -481,8 +495,19 @@ func (p *irParser) instr(cur *Block, ln string) error {
 		}
 
 	default:
-		// Uniform `op a, b, ...` instructions: binops, casts, PA ops,
-		// canary ops, select, seal/check.
+		// Uniform `op a, b, ...` instructions: binops, casts (`op a to
+		// T`), PA ops, canary ops, select, seal/check.
+		if op.IsCast() {
+			val, to, ok := strings.Cut(rest, " to ")
+			if !ok {
+				return p.errf("%s wants `v to T`", op)
+			}
+			t, err := p.parseType(to)
+			if err != nil {
+				return err
+			}
+			rest, in.Typ = val, t
+		}
 		args, err := p.operands(rest, I64)
 		if err != nil {
 			return err
@@ -497,10 +522,6 @@ func (p *irParser) instr(cur *Block, ln string) error {
 			in.Typ = I64
 		case op == OpPacSign || op == OpPacAuth || op == OpPacStrip:
 			in.Typ = args[0].Type()
-		case op.IsCast():
-			// The printed form loses the destination type; default to
-			// i64 (pointer casts re-derive nothing at runtime).
-			in.Typ = I64
 		}
 	}
 	cur.Append(in)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/attack"
+	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/minic"
 	"repro/internal/vm"
@@ -170,6 +172,9 @@ func TestParseErrors(t *testing.T) {
 		"define i64 @f() {\nentry:\n  %x = call i64 @missing()\n  ret %x\n}",
 		"@g = malformed",
 		"define i64 @f() {\nentry:\n  %x = icmp zz 1, 2\n  ret 0\n}",
+		"declare i64 @f() ; input-channel: none",
+		"declare i64 @f() ; input-channel: teleport",
+		"define i64 @f() {\nentry:\n  %x = trunc 300\n  ret %x\n}",
 	}
 	for _, src := range cases {
 		if _, err := ir.Parse(src); err == nil {
@@ -202,5 +207,63 @@ out:
 	res, err := m.Run("main")
 	if err != nil || res.Fault != nil || res.Ret != 5 {
 		t.Fatalf("phi loop: ret=%d err=%v fault=%v", int64(res.Ret), err, res.Fault)
+	}
+}
+
+// TestParseKeepsChannels: the printer notes every input channel's kind,
+// libc declarations and the wrappers the front end classified alike,
+// and Parse reads it back, so analyzing a printed module finds the same
+// channel sites as analyzing the module.
+func TestParseKeepsChannels(t *testing.T) {
+	wrappers := 0
+	for _, c := range attack.Corpus() {
+		mod, err := core.NewPipeline().Compile(c.Name, c.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := ir.Parse(mod.String())
+		if err != nil {
+			t.Fatalf("%s: %v", c.Name, err)
+		}
+		for _, f := range mod.Funcs {
+			if g := parsed.Func(f.FName); g == nil || g.Channel != f.Channel {
+				t.Fatalf("%s: @%s is a %v channel, parsed as %v", c.Name, f.FName, f.Channel, g)
+			}
+			if !f.IsDecl() && f.Channel.IsChannel() {
+				wrappers++
+			}
+		}
+	}
+	if wrappers == 0 {
+		t.Fatal("no corpus case has a wrapper channel: the test covers declarations only")
+	}
+}
+
+// TestParseKeepsCastTypes: the listing gives every cast's destination
+// type, so a printed module runs like the module: indexing through a
+// pointer cast steps by the element size, and a truncation keeps its
+// width.
+func TestParseKeepsCastTypes(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want int64
+	}{
+		{"int main() { long *a; a = malloc(64); a[0] = 1; a[1] = 2; return a[0]; }", 1},
+		{"int main() { char c; c = 300; return c; }", 44},
+	} {
+		mod, err := core.CompileC("casts", c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := ir.Parse(mod.String())
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		for i, m := range []*ir.Module{mod, parsed} {
+			res, err := vm.New(m, vm.Config{Seed: 1}).Run("main")
+			if err != nil || res.Fault != nil || int64(res.Ret) != c.want {
+				t.Fatalf("%s (parsed %v): ret=%d err=%v fault=%v, want %d", c.src, i == 1, int64(res.Ret), err, res.Fault, c.want)
+			}
+		}
 	}
 }

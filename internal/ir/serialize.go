@@ -200,17 +200,22 @@ func EncodeModule(m *Module) ([]byte, error) {
 		e.u(uint64(f.nextBlk))
 	}
 
+	var flat []*Instr // the function's instructions by ID, reused
 	for _, f := range m.Funcs {
 		blockIdx := make(map[*Block]int, len(f.Blocks))
-		instrIdx := make(map[*Instr]int)
-		flat := 0
+		flat = flat[:0]
 		for bi, b := range f.Blocks {
 			blockIdx[b] = bi
 			for _, in := range b.Instrs {
-				instrIdx[in] = flat
-				flat++
+				if in.ID != len(flat) {
+					return nil, fmt.Errorf("ir: encode: @%s is not numbered: instruction %d has id %d", f.FName, len(flat), in.ID)
+				}
+				flat = append(flat, in)
 			}
 		}
+		// local reports whether t is one of f's instructions, so its ID
+		// is its reference.
+		local := func(t *Instr) bool { return t.ID >= 0 && t.ID < len(flat) && flat[t.ID] == t }
 		valRef := func(v Value) error {
 			switch t := v.(type) {
 			case *Const:
@@ -227,12 +232,11 @@ func EncodeModule(m *Module) ([]byte, error) {
 				e.b(vtParam)
 				e.u(uint64(t.Index))
 			case *Instr:
-				i, ok := instrIdx[t]
-				if !ok {
+				if !local(t) {
 					return fmt.Errorf("ir: encode: @%s references foreign instr %v", f.FName, t)
 				}
 				e.b(vtInstr)
-				e.u(uint64(i))
+				e.u(uint64(t.ID))
 			default:
 				return fmt.Errorf("ir: encode: unsupported value %T", v)
 			}
@@ -295,11 +299,10 @@ func EncodeModule(m *Module) ([]byte, error) {
 			e.u(uint64(len(f.Plan.Slots)))
 			for _, s := range f.Plan.Slots {
 				if s.Alloca != nil {
-					i, ok := instrIdx[s.Alloca]
-					if !ok {
+					if !local(s.Alloca) {
 						return nil, fmt.Errorf("ir: encode: @%s plan references foreign alloca", f.FName)
 					}
-					e.i(int64(i))
+					e.i(int64(s.Alloca.ID))
 				} else {
 					e.i(-1)
 				}
@@ -316,7 +319,9 @@ func EncodeModule(m *Module) ([]byte, error) {
 
 // DecodeModule rebuilds a module from EncodeModule's output. Malformed
 // or truncated input yields an error, never a panic: the artifact store
-// treats a failed decode as a cache miss and recompiles.
+// treats a failed decode as a cache miss and recompiles. So does a
+// stored instruction id that is not the instruction's block-order
+// position, so every decoded module is numbered.
 func DecodeModule(data []byte) (mod *Module, err error) {
 	defer func() {
 		// Belt and braces: index arithmetic on corrupt input is turned
@@ -339,7 +344,7 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 	for i := range types {
 		switch k := d.b(); k {
 		case tkVoid:
-			types[i] = &VoidType{}
+			types[i] = Void // the one void every builder uses
 		case tkInt:
 			types[i] = &IntType{}
 		case tkPtr:
@@ -487,7 +492,10 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 					in.Allowed = append(in.Allowed, int(d.i()))
 				}
 				in.Meta = d.sortedMap()
-				in.ID = int(d.i())
+				if id := d.i(); d.err == nil && id != int64(len(flat)) {
+					return nil, fmt.Errorf("ir: decode: @%s instruction %d stores id %d", f.FName, len(flat), id)
+				}
+				in.ID = len(flat)
 				b.Instrs = append(b.Instrs, in)
 				flat = append(flat, in)
 				fixups = append(fixups, fx)

@@ -2,12 +2,17 @@ package ir_test
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harden"
 	"repro/internal/ir"
 	"repro/internal/irpass"
 	"repro/internal/minic"
+	"repro/internal/workload"
 )
 
 // hardenedModule compiles and instruments a program that exercises the
@@ -210,5 +215,174 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 	}
 	if mod.String() != want {
 		t.Fatal("mutating the clone changed the original")
+	}
+}
+
+// decodeSeeds lists the decoder's checked-in seeds: the encodings
+// Pipeline.Build gives the quick profiles and the attack corpus under
+// the four headline schemes, and unnumbered.pyir, a module whose
+// instructions were never renumbered, as an encoder that did not check
+// the numbering wrote it.
+func decodeSeeds(t testing.TB) []string {
+	t.Helper()
+	paths, err := filepath.Glob("testdata/decode/*.pyir")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no decoder seeds in testdata/decode: %v", err)
+	}
+	return paths
+}
+
+// FuzzDecodeModule: decoding never panics, and a stream it accepts is
+// a numbered module whose encoding decodes and re-encodes to itself.
+// The seeds, which EncodeModule wrote, re-encode byte for byte.
+func FuzzDecodeModule(f *testing.F) {
+	for _, p := range decodeSeeds(f) {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		unnumbered := filepath.Base(p) == "unnumbered.pyir"
+		mod, err := ir.DecodeModule(data)
+		if (err == nil) == unnumbered {
+			f.Fatalf("seed %s: decode error %v", p, err)
+		}
+		if !unnumbered {
+			if enc, err := ir.EncodeModule(mod); err != nil || !bytes.Equal(enc, data) {
+				f.Fatalf("seed %s does not re-encode to itself (err %v)", p, err)
+			}
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkDecoded(t, data) })
+}
+
+// checkDecoded decodes data and, if it is accepted, checks that every
+// function is numbered and that re-encoding reaches a fixed point. A
+// stream EncodeModule would not write (an overlong varint, a bool byte
+// of 2) may decode to a module that re-encodes to other bytes, but
+// those bytes must then be stable.
+func checkDecoded(t *testing.T, data []byte) (accepted bool) {
+	t.Helper()
+	mod, err := ir.DecodeModule(data)
+	if err != nil {
+		return false
+	}
+	for _, fn := range mod.Funcs {
+		id := 0
+		for _, b := range fn.Blocks {
+			for _, in := range b.Instrs {
+				if in.ID != id {
+					t.Fatalf("@%s: decoded instruction %d has id %d", fn.FName, id, in.ID)
+				}
+				id++
+			}
+		}
+	}
+	enc, err := ir.EncodeModule(mod)
+	if err != nil {
+		t.Fatalf("re-encoding an accepted stream: %v", err)
+	}
+	again, err := ir.DecodeModule(enc)
+	if err != nil {
+		t.Fatalf("re-encoded stream does not decode: %v", err)
+	}
+	if enc2, err := ir.EncodeModule(again); err != nil || !bytes.Equal(enc2, enc) {
+		t.Fatalf("re-encoding is not a fixed point (err %v)", err)
+	}
+	return true
+}
+
+// TestDecodeRejectsOutOfPlaceID: a stream whose stored instruction ids
+// are not their block-order positions is refused, so every stage may
+// index by Instr.ID on a module decoded from a shared cache directory.
+func TestDecodeRejectsOutOfPlaceID(t *testing.T) {
+	data, err := os.ReadFile("testdata/decode/unnumbered.pyir")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ir.DecodeModule(data); err == nil || !strings.Contains(err.Error(), "stores id") {
+		t.Fatalf("DecodeModule = %v, want an out-of-place id error", err)
+	}
+}
+
+// TestEncodeRejectsUnnumbered: the encoder writes references by
+// Instr.ID, so it refuses a function whose ids are not block-order
+// positions instead of writing wrong references.
+func TestEncodeRejectsUnnumbered(t *testing.T) {
+	m, f := buildRet(t)
+	zero := ir.ConstInt(ir.I64, 0)
+	f.Entry().InsertBefore(ir.NewInstr(ir.OpAdd, f.GenName("n"), ir.I64, zero, zero), f.Entry().Instrs[0])
+	if _, err := ir.EncodeModule(m); err == nil || !strings.Contains(err.Error(), "not numbered") {
+		t.Fatalf("EncodeModule = %v, want a numbering error", err)
+	}
+	f.Renumber()
+	if _, err := ir.EncodeModule(m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeMutantsReencodeStably substitutes bytes of small seeds one
+// at a time and checks every mutant the decoder accepts as the fuzz
+// target does: the fuzz property, replayed over a fixed neighbourhood.
+func TestDecodeMutantsReencodeStably(t *testing.T) {
+	accepted := 0
+	for _, name := range []string{"heap-overflow.pythia.pyir", "scanf-scalar-taint.dfi.pyir"} {
+		data, err := os.ReadFile(filepath.Join("testdata/decode", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, orig := range data {
+			for _, v := range []byte{2, 0x80, 0xff, orig ^ 1} {
+				if v == orig {
+					continue
+				}
+				mut := append([]byte(nil), data...)
+				mut[i] = v
+				if checkDecoded(t, mut) {
+					accepted++
+				}
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Fatal("no substitution decoded: the test exercises nothing")
+	}
+}
+
+// benchEncoding builds the codec benchmarks' hardened mid-size module,
+// 523.xalancbmk_r under Pythia, and its encoding.
+func benchEncoding(b *testing.B) (*ir.Module, []byte) {
+	prog, err := workload.Build(workload.ProfileByName("523.xalancbmk_r"), core.SchemePythia)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc, err := ir.EncodeModule(prog.Mod)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog.Mod, enc
+}
+
+func BenchmarkEncodeModule(b *testing.B) {
+	mod, enc := benchEncoding(b)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ir.EncodeModule(mod); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeModule(b *testing.B) {
+	_, enc := benchEncoding(b)
+	b.SetBytes(int64(len(enc)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ir.DecodeModule(enc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

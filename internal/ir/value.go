@@ -24,9 +24,6 @@ type Const struct {
 // ConstInt returns an integer constant of the given type.
 func ConstInt(t Type, v int64) *Const { return &Const{Typ: t, Val: v} }
 
-// Null returns the null pointer constant of type t.
-func Null(t *PtrType) *Const { return &Const{Typ: t, Val: 0} }
-
 func (c *Const) Name() string { return fmt.Sprintf("%d", c.Val) }
 func (c *Const) Type() Type   { return c.Typ }
 func (c *Const) Operand() string {

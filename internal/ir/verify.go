@@ -15,7 +15,8 @@ import (
 //   - phis appear only at block starts, with one edge per predecessor;
 //   - operand and successor counts match each opcode;
 //   - loads/stores/geps take pointer operands;
-//   - calls match callee arity (variadic callees accept extra args).
+//   - calls match callee arity (variadic callees accept extra args);
+//   - every instruction's ID is its position in block order (Renumber).
 func Verify(m *Module) error {
 	var errs []error
 	for _, f := range m.Funcs {
@@ -40,6 +41,7 @@ func verifyFunc(f *Func) error {
 			preds[s] = append(preds[s], b)
 		}
 	}
+	id := 0
 	for bi, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("block %%%s is empty", b.Name)
@@ -50,6 +52,10 @@ func verifyFunc(f *Func) error {
 		}
 		seenNonPhi := false
 		for ii, in := range b.Instrs {
+			if in.ID != id {
+				return fmt.Errorf("block %%%s: %s: id %d, want %d (not numbered)", b.Name, in, in.ID, id)
+			}
+			id++
 			if in.Op.IsTerminator() && ii != len(b.Instrs)-1 {
 				return fmt.Errorf("block %%%s: terminator %s mid-block", b.Name, in.Op)
 			}

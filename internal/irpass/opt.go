@@ -1,6 +1,9 @@
 package irpass
 
-import "repro/internal/ir"
+import (
+	"repro/internal/inputchan"
+	"repro/internal/ir"
+)
 
 // ConstFold evaluates instructions whose operands are all constants and
 // replaces their uses, returning the number of instructions folded.
@@ -149,6 +152,9 @@ func isPure(in *ir.Instr) bool {
 
 // Optimize runs the standard pipeline: mem2reg, folding, DCE. It mirrors
 // the paper's -O3 + mem2reg preprocessing before the security passes run.
+// As the front end's last step it classifies the module's wrapper
+// channels: only the optimized code shows a wrapper that forwards its
+// parameter through a local copy, which mem2reg promotes away.
 func Optimize(m *ir.Module) {
 	for _, f := range m.Defined() {
 		Mem2Reg(f)
@@ -156,4 +162,5 @@ func Optimize(m *ir.Module) {
 		DeadCodeElim(f)
 		f.Renumber()
 	}
+	inputchan.Classify(m)
 }

@@ -134,8 +134,5 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Pct formats a percentage value.
-func Pct(v float64) string { return fmt.Sprintf("%.2f%%", v) }
-
 // Ratio formats a multiplicative factor.
 func Ratio(v float64) string { return fmt.Sprintf("%.2fx", v) }

@@ -188,9 +188,6 @@ func TestStringOverlongRow(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	if report.Pct(13.071) != "13.07%" {
-		t.Fatal(report.Pct(13.071))
-	}
 	if report.Ratio(4.5) != "4.50x" {
 		t.Fatal(report.Ratio(4.5))
 	}

@@ -18,6 +18,7 @@
 package slice
 
 import (
+	"fmt"
 	"slices"
 
 	"repro/internal/alias"
@@ -97,7 +98,10 @@ type rootDefs struct {
 	writers []inputchan.CallSite
 }
 
-// NewAnalysis scans mod and prepares the shared analysis state.
+// NewAnalysis scans mod and prepares the shared analysis state. It
+// only reads mod, so analyses of one module may run concurrently with
+// each other and with machines running it; it panics when a function is
+// not numbered, since the dense numbering indexes by Instr.ID.
 func NewAnalysis(mod *ir.Module) *Analysis {
 	a := &Analysis{
 		Mod:       mod,
@@ -120,12 +124,14 @@ func NewAnalysis(mod *ir.Module) *Analysis {
 	globalStores := make(map[*ir.Global][]*ir.Instr)
 	unresolved := make(map[*ir.Func][]*ir.Instr)
 	for _, f := range mod.Defined() {
-		f.Renumber()
 		a.chains[f] = dataflow.Build(f)
 		a.graphs[f] = cfg.New(f)
 		base := funcBase{instrs: int32(a.numValues)}
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
+				if in.ID != a.numValues-int(base.instrs) {
+					panic(fmt.Sprintf("slice: @%s is not numbered: %s has id %d", f.FName, in, in.ID))
+				}
 				a.numValues++
 				switch in.Op {
 				case ir.OpCall:

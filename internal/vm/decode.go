@@ -2,7 +2,7 @@ package vm
 
 // The decoder lowers a function once per machine into a flat, directly
 // executable form: every result-producing instruction gets a dense slot
-// in a flat register file (ir.NumberValues), every operand is resolved
+// in a flat register file, in block order, every operand is resolved
 // to a {slot, constant, parameter} triple (globals fold to their laid-
 // out addresses), GEPs fold their constant offsets, and access widths /
 // masks are precomputed. The engine (engine.go) then dispatches over
@@ -147,42 +147,52 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 	d.plan = m.planOf(f)
 	d.frameSize = frameSize(d.plan)
 
-	num := ir.NumberValues(f)
-	d.nslots = num.Count()
 	g := cfg.New(f)
 
 	blockIdx := make(map[*ir.Block]int32, len(f.Blocks))
 	for i, b := range f.Blocks {
 		blockIdx[b] = int32(i)
 	}
-	// pos gives each instruction's index within its block, for the
-	// same-block def-before-use check.
-	pos := make(map[*ir.Instr]int, f.NumInstrs())
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			pos[in] = i
+	// slots maps an instruction ID (its pc) to its result slot, -1 when
+	// it produces no value.
+	ins := d.prof.ins
+	slots := make([]int32, len(ins))
+	for id, in := range ins {
+		slots[id] = -1
+		if in.HasResult() {
+			slots[id] = int32(d.nslots)
+			d.nslots++
 		}
 	}
+	// slotOf returns x's result slot, or -1 when x produces no value or
+	// is not one of f's instructions.
+	slotOf := func(x *ir.Instr) int32 {
+		if x.ID < 0 || x.ID >= len(ins) || ins[x.ID] != x {
+			return -1
+		}
+		return slots[x.ID]
+	}
 
-	// safeUse reports whether a use at (ub, ui) is always executed after
-	// def: same block and textually earlier, or the def's block strictly
-	// dominates the use's. Uses in unreachable blocks never execute.
-	safeUse := func(def *ir.Instr, ub *ir.Block, ui int) bool {
-		db := def.Block
-		if db == nil {
+	// safeUse reports whether a use by the instruction with ID use in ub
+	// is always executed after def: same block and textually earlier, or
+	// the def's block strictly dominates the use's. Uses in unreachable
+	// blocks never execute.
+	safeUse := func(def *ir.Instr, ub *ir.Block, use int) bool {
+		if def.Block == nil {
 			return false
 		}
 		if !g.Reachable(ub) {
 			return true
 		}
-		if db == ub {
-			return pos[def] < ui
+		if def.Block == ub {
+			return def.ID < use
 		}
-		return g.Dominates(db, ub)
+		return g.Dominates(def.Block, ub)
 	}
 
-	// decodeVal resolves one operand of the instruction at (ub, ui).
-	decodeVal := func(v ir.Value, ub *ir.Block, ui int) operand {
+	// decodeVal resolves one operand of the instruction with ID use in
+	// ub.
+	decodeVal := func(v ir.Value, ub *ir.Block, use int) operand {
 		switch x := v.(type) {
 		case *ir.Const:
 			return operand{kind: opdConst, val: uint64(x.Val)}
@@ -191,8 +201,8 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 		case *ir.Param:
 			return operand{kind: opdParam, idx: int32(x.Index)}
 		case *ir.Instr:
-			slot, ok := num.SlotOf(x)
-			if !ok || !safeUse(x, ub, ui) {
+			slot := slotOf(x)
+			if slot < 0 || !safeUse(x, ub, use) {
 				d.refOnly = true
 				return operand{}
 			}
@@ -211,8 +221,8 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 		if !isInstr {
 			return decodeVal(v, phiB, 0)
 		}
-		slot, ok := num.SlotOf(x)
-		if !ok || x.Block == nil ||
+		slot := slotOf(x)
+		if slot < 0 || x.Block == nil ||
 			(g.Reachable(phiB) && g.Reachable(predB) && !g.Dominates(x.Block, predB)) {
 			d.refOnly = true
 			return operand{}
@@ -220,26 +230,21 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 		return operand{kind: opdSlot, idx: slot}
 	}
 
-	var next int32 // the first pc of the next block
 	d.blocks = make([]dblock, len(f.Blocks))
 	for bi, b := range f.Blocks {
 		db := &d.blocks[bi]
 		db.b = b
-		// An instruction's pc is its ordinal in block order, phis
-		// included: the index of its profile entry.
-		base := next
-		next += int32(len(b.Instrs))
 		phis := b.Phis()
 		if len(phis) > d.maxPhis {
 			d.maxPhis = len(phis)
 		}
 		db.code = make([]dinstr, 0, len(b.Instrs))
 		for i, p := range phis {
-			dst, ok := num.SlotOf(p)
-			if !ok {
+			dst := slots[p.ID]
+			if dst < 0 {
 				d.refOnly = true
 			}
-			db.code = append(db.code, dinstr{op: ir.OpPhi, dst: dst, pc: base + int32(i), aux: int64(d.nslots + i), in: p})
+			db.code = append(db.code, dinstr{op: ir.OpPhi, dst: dst, pc: int32(p.ID), aux: int64(d.nslots + i), in: p})
 			dp := dphi{in: p}
 			for _, e := range p.Incoming {
 				pi, known := blockIdx[e.Pred]
@@ -257,32 +262,25 @@ func (m *Machine) decode(f *ir.Func) *dfunc {
 				db.latePhi = b.Instrs[ii]
 				break
 			}
-			db.code = append(db.code, m.decodeInstr(d, num, blockIdx, decodeVal, b, ii, base+int32(ii)))
+			in := b.Instrs[ii]
+			db.code = append(db.code, m.decodeInstr(d, slots[in.ID], blockIdx, decodeVal, b, in))
 		}
 	}
 	return d
 }
 
-// decodeInstr lowers the instruction at b.Instrs[ii].
-func (m *Machine) decodeInstr(d *dfunc, num *ir.Numbering, blockIdx map[*ir.Block]int32,
-	decodeVal func(ir.Value, *ir.Block, int) operand, b *ir.Block, ii int, pc int32) dinstr {
+// decodeInstr lowers in, an instruction of b whose result slot is dst.
+func (m *Machine) decodeInstr(d *dfunc, dst int32, blockIdx map[*ir.Block]int32,
+	decodeVal func(ir.Value, *ir.Block, int) operand, b *ir.Block, in *ir.Instr) dinstr {
 
-	in := b.Instrs[ii]
-	di := dinstr{op: in.Op, site: in.Op.IsHardening(), dst: -1, pc: pc, aux: -1, pred: in.Pred, in: in}
-	if in.HasResult() {
-		if s, ok := num.SlotOf(in); ok {
-			di.dst = s
-		} else {
-			d.refOnly = true
-		}
-	}
+	di := dinstr{op: in.Op, site: in.Op.IsHardening(), dst: dst, pc: int32(in.ID), aux: -1, pred: in.Pred, in: in}
 	if di.dst < 0 && opWritesResult(in.Op) {
 		d.refOnly = true
 	}
 	if len(in.Args) > 0 {
 		di.args = make([]operand, len(in.Args))
 		for i, a := range in.Args {
-			di.args[i] = decodeVal(a, b, ii)
+			di.args[i] = decodeVal(a, b, in.ID)
 		}
 	}
 

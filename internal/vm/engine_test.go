@@ -127,7 +127,7 @@ func malformedModule() *ir.Module {
 	p = b.Phi(ir.I64)
 	ir.AddIncoming(p, one, other)
 	b.Ret(p)
-	return mod
+	return numbered(mod)
 }
 
 // TestMalformedBlockFaultParity: both engines raise the same fault with
@@ -203,7 +203,7 @@ func TestObjectMACFaultsLikeReadBytes(t *testing.T) {
 			t.Fatalf("AppendBytes(nil, %#x, %d) accepted the range", tc.addr, tc.size)
 		}
 		for _, reference := range []bool{false, true} {
-			res, err := vm.New(mod, vm.Config{Seed: 7, Reference: reference}).Run("main")
+			res, err := vm.New(numbered(mod), vm.Config{Seed: 7, Reference: reference}).Run("main")
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -110,9 +110,9 @@ type site struct {
 }
 
 // profile is one function's share of the machine profile, cumulative
-// over the machine's runs. A pc is the instruction's ordinal in block
-// order, which is fixed because no code writes a module after it is
-// built.
+// over the machine's runs. A pc is the instruction's ID, its ordinal in
+// block order, which is fixed because no code writes a module after it
+// is built.
 type profile struct {
 	ins   []*ir.Instr // pc -> instruction
 	n     []pcCount   // pc -> counters
@@ -121,41 +121,29 @@ type profile struct {
 	// flushed is n as of the last flush, so session aggregates receive
 	// only what is new.
 	flushed []pcCount
-
-	// index maps instruction -> pc for the reference interpreter; built
-	// on first use.
-	index map[*ir.Instr]int32
 }
 
-// profileOf returns f's profile, numbering its instructions on first
-// use.
+// profileOf returns f's profile, built on first use. It panics when f
+// is not numbered: both engines index the profile by Instr.ID.
 func (m *Machine) profileOf(f *ir.Func) *profile {
 	p := m.prof[f]
 	if p == nil {
 		p = &profile{ins: make([]*ir.Instr, 0, f.NumInstrs())}
 		for _, b := range f.Blocks {
-			p.ins = append(p.ins, b.Instrs...)
-		}
-		p.n = make([]pcCount, len(p.ins))
-		for pc, in := range p.ins {
-			if in.Op.IsHardening() {
-				p.sites = append(p.sites, site{int32(pc), in.GetMeta("site")})
+			for _, in := range b.Instrs {
+				if in.ID != len(p.ins) {
+					panic(fmt.Sprintf("vm: @%s is not numbered: instruction %d has id %d", f.FName, len(p.ins), in.ID))
+				}
+				if in.Op.IsHardening() {
+					p.sites = append(p.sites, site{int32(in.ID), in.GetMeta("site")})
+				}
+				p.ins = append(p.ins, in)
 			}
 		}
+		p.n = make([]pcCount, len(p.ins))
 		m.prof[f] = p
 	}
 	return p
-}
-
-// pcOf returns in's pc, building the index on first use.
-func (p *profile) pcOf(in *ir.Instr) int32 {
-	if p.index == nil {
-		p.index = make(map[*ir.Instr]int32, len(p.ins))
-		for pc, x := range p.ins {
-			p.index[x] = int32(pc)
-		}
-	}
-	return p.index[in]
 }
 
 // tally fills res.SitesExecuted, the hardening pcs that ran at least
@@ -185,18 +173,14 @@ func (m *Machine) tally(res *Result) {
 }
 
 // countFault charges a fault at in to its pc when in is one of f's
-// hardening instructions. A fault ends the run, so a scan of the sites
-// is cheaper than the reference interpreter's pc index.
+// hardening instructions; the canary.set a frame-entry install
+// synthesizes is not, and charges nothing.
 func (m *Machine) countFault(f *ir.Func, in *ir.Instr) {
 	if f == nil || in == nil || !in.Op.IsHardening() {
 		return
 	}
-	p := m.profileOf(f)
-	for _, s := range p.sites {
-		if p.ins[s.pc] == in {
-			p.n[s.pc].faults++
-			return
-		}
+	if p := m.profileOf(f); in.ID >= 0 && in.ID < len(p.ins) && p.ins[in.ID] == in {
+		p.n[in.ID].faults++
 	}
 }
 

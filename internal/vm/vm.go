@@ -119,9 +119,8 @@ type Machine struct {
 
 // Config bundles machine construction options.
 type Config struct {
-	Seed  int64
-	Model *perf.Model
-	Fuel  int64
+	Seed int64
+	Fuel int64
 
 	// MaxPages caps the simulated address space's committed 4 KiB pages
 	// (0 = unlimited). The cap is installed after image layout, so it
@@ -154,9 +153,6 @@ type Config struct {
 
 // New loads mod into a fresh machine image.
 func New(mod *ir.Module, cfg Config) *Machine {
-	if cfg.Model == nil {
-		cfg.Model = perf.DefaultModel()
-	}
 	if cfg.Fuel == 0 {
 		cfg.Fuel = DefaultFuel
 	}
@@ -165,7 +161,7 @@ func New(mod *ir.Module, cfg Config) *Machine {
 		Mem:   mem.New(),
 		Heap:  heap.NewSectioned(mem.SharedBase, mem.SharedLimit, mem.IsolatedBase, mem.IsolatedLim),
 		Keys:  pa.NewKeySet(uint64(cfg.Seed) ^ 0xA5A5_5A5A_1234_8765),
-		Meter: perf.NewMeter(cfg.Model),
+		Meter: perf.NewMeter(perf.DefaultModel()),
 		Stdin: NewInputStream(nil),
 		Fuel:  cfg.Fuel,
 		// Reserve a page above the first frame for the argv/environ area
@@ -417,20 +413,18 @@ func (m *Machine) random() *rand.Rand {
 	return m.rng
 }
 
-// tick charges one retired instruction and burns fuel (reference-
-// interpreter path; the decoded engine charges in execDecoded, or in
-// dtick on an armed machine). The pc comes from the profile's index,
-// so an unarmed machine looks it up only for hardening instructions.
+// tick charges one retired instruction at its pc, in.ID, and burns
+// fuel (reference-interpreter path; the decoded engine charges in
+// execDecoded, or in dtick on an armed machine).
 func (m *Machine) tick(fr *refFrame, in *ir.Instr) {
 	if m.Trace != nil {
 		m.Trace(fr.f, in)
 	}
 	site := in.Op.IsHardening()
 	if m.obs != nil {
-		m.obsTick(fr.f, in, fr.prof, fr.prof.pcOf(in), site)
+		m.obsTick(fr.f, in, fr.prof, int32(in.ID), site)
 	} else if site {
-		pc := fr.prof.pcOf(in)
-		fr.prof.n[pc].execs++
+		fr.prof.n[in.ID].execs++
 	}
 	m.Meter.OnInstr(in.Op)
 	m.Fuel--

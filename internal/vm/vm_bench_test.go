@@ -9,6 +9,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/vm"
+	"repro/internal/workload"
 )
 
 // benchSrc mixes the shapes that dominate real workloads: loop-carried
@@ -108,5 +109,21 @@ func BenchmarkMachineNew(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vm.New(mod, vm.Config{Seed: 7, Fuel: 50_000_000, MaxPages: 4096})
+	}
+}
+
+// BenchmarkVMDecode measures the decoder alone: one machine decodes
+// every defined function of a hardened mid-size module (523.xalancbmk_r
+// under Pythia) afresh per iteration.
+func BenchmarkVMDecode(b *testing.B) {
+	prog, err := workload.Build(workload.ProfileByName("523.xalancbmk_r"), core.SchemePythia)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := vm.New(prog.Mod, vm.Config{Seed: 7})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.DecodeAll()
 	}
 }

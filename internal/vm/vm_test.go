@@ -23,6 +23,16 @@ func machine(t *testing.T, src, stdin string) *vm.Machine {
 	return m
 }
 
+// numbered renumbers a hand-built or hand-edited module, as the front
+// end and the hardening passes do before a module leaves them: both
+// engines index their profiles by Instr.ID.
+func numbered(mod *ir.Module) *ir.Module {
+	for _, f := range mod.Funcs {
+		f.Renumber()
+	}
+	return mod
+}
+
 func mustRun(t *testing.T, m *vm.Machine, fn string, args ...uint64) *vm.Result {
 	t.Helper()
 	res, err := m.Run(fn, args...)
@@ -189,7 +199,7 @@ func buildSealed(t *testing.T) (*ir.Module, *ir.Instr) {
 	chk := ir.NewInstr(ir.OpCheckLoad, f.GenName("c"), ir.I64, slot)
 	b.Cur.Append(chk)
 	b.Ret(chk)
-	if err := ir.Verify(mod); err != nil {
+	if err := ir.Verify(numbered(mod)); err != nil {
 		t.Fatal(err)
 	}
 	return mod, slot
@@ -197,7 +207,7 @@ func buildSealed(t *testing.T) (*ir.Module, *ir.Instr) {
 
 func TestSealStoreCheckLoadRoundTrip(t *testing.T) {
 	mod, _ := buildSealed(t)
-	m := vm.New(mod, vm.Config{Seed: 5})
+	m := vm.New(numbered(mod), vm.Config{Seed: 5})
 	res := mustRun(t, m, "main")
 	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
@@ -222,7 +232,7 @@ func TestCheckLoadDetectsRawOverwrite(t *testing.T) {
 	chk := ir.NewInstr(ir.OpCheckLoad, f.GenName("c"), ir.I64, slot)
 	b.Cur.Append(chk)
 	b.Ret(chk)
-	m := vm.New(mod, vm.Config{Seed: 5})
+	m := vm.New(numbered(mod), vm.Config{Seed: 5})
 	res := mustRun(t, m, "main")
 	if res.Fault == nil || res.Fault.Kind != vm.FaultPAC {
 		t.Fatalf("fault = %v, want pac", res.Fault)
@@ -280,7 +290,7 @@ int main() {
 		}
 		chk := ir.NewInstr(ir.OpObjCheck, "", ir.Void, buf, ir.ConstInt(ir.I64, 16))
 		lastLoad.Block.InsertBefore(chk, lastLoad)
-		return mod
+		return numbered(mod)
 	}
 
 	clean := vm.New(build(false), vm.Config{Seed: 2})
@@ -338,7 +348,7 @@ int main() {
 		}
 	}
 	for _, reference := range []bool{false, true} {
-		res := mustRun(t, vm.New(mod, vm.Config{Seed: 2, Reference: reference}), "main")
+		res := mustRun(t, vm.New(numbered(mod), vm.Config{Seed: 2, Reference: reference}), "main")
 		if res.Fault != nil || int64(res.Ret) != 'z' {
 			t.Errorf("reference=%v: ret=%d fault=%v, want 'z' and no fault", reference, int64(res.Ret), res.Fault)
 		}
@@ -355,7 +365,7 @@ func TestCanaryOpsDetectOverwrite(t *testing.T) {
 	b.Store(ir.ConstInt(ir.I64, 0x41414141), can) // smash
 	b.Cur.Append(ir.NewInstr(ir.OpCanaryCheck, "", ir.Void, can))
 	b.Ret(ir.ConstInt(ir.I64, 0))
-	m := vm.New(mod, vm.Config{Seed: 4})
+	m := vm.New(numbered(mod), vm.Config{Seed: 4})
 	res := mustRun(t, m, "main")
 	if res.Fault == nil || res.Fault.Kind != vm.FaultCanary {
 		t.Fatalf("fault = %v, want canary", res.Fault)
@@ -374,7 +384,7 @@ func TestCanaryCleanPath(t *testing.T) {
 	b.Cur.Append(ir.NewInstr(ir.OpCanarySet, "", ir.Void, can))
 	b.Cur.Append(ir.NewInstr(ir.OpCanaryCheck, "", ir.Void, can))
 	b.Ret(ir.ConstInt(ir.I64, 0))
-	m := vm.New(mod, vm.Config{Seed: 4})
+	m := vm.New(numbered(mod), vm.Config{Seed: 4})
 	res := mustRun(t, m, "main")
 	if res.Fault != nil {
 		t.Fatalf("clean canary path faulted: %v", res.Fault)
@@ -399,7 +409,7 @@ func TestPacSignAuthOps(t *testing.T) {
 	b.Store(ir.ConstInt(ir.I64, 55), auth)
 	ld := b.Load(auth)
 	b.Ret(ld)
-	m := vm.New(mod, vm.Config{Seed: 6})
+	m := vm.New(numbered(mod), vm.Config{Seed: 6})
 	res := mustRun(t, m, "main")
 	if res.Fault != nil || res.Ret != 55 {
 		t.Fatalf("ret=%d fault=%v", int64(res.Ret), res.Fault)
@@ -416,7 +426,7 @@ func TestPacAuthWrongModifierFaults(t *testing.T) {
 	auth := ir.NewInstr(ir.OpPacAuth, f.GenName("a"), ir.PointerTo(ir.I64), sign, ir.ConstInt(ir.I64, 98))
 	b.Cur.Append(auth)
 	b.Ret(ir.ConstInt(ir.I64, 0))
-	m := vm.New(mod, vm.Config{Seed: 6})
+	m := vm.New(numbered(mod), vm.Config{Seed: 6})
 	res := mustRun(t, m, "main")
 	if res.Fault == nil || res.Fault.Kind != vm.FaultPAC {
 		t.Fatalf("fault = %v, want pac", res.Fault)
@@ -432,7 +442,7 @@ func TestSealedGlobalInitialization(t *testing.T) {
 	chk := ir.NewInstr(ir.OpCheckLoad, f.GenName("c"), ir.I64, g)
 	b.Cur.Append(chk)
 	b.Ret(chk)
-	m := vm.New(mod, vm.Config{Seed: 8})
+	m := vm.New(numbered(mod), vm.Config{Seed: 8})
 	res := mustRun(t, m, "main")
 	if res.Fault != nil || res.Ret != 0 {
 		t.Fatalf("sealed global read-before-write: ret=%d fault=%v", int64(res.Ret), res.Fault)
@@ -451,7 +461,7 @@ func TestDFIWildcardAllowed(t *testing.T) {
 	cd.Allowed = []int{42} // wildcard must pass anyway
 	b.Cur.Append(cd)
 	b.Ret(ir.ConstInt(ir.I64, 0))
-	m := vm.New(mod, vm.Config{Seed: 9})
+	m := vm.New(numbered(mod), vm.Config{Seed: 9})
 	res := mustRun(t, m, "main")
 	if res.Fault != nil {
 		t.Fatalf("wildcard def should always be allowed, got %v", res.Fault)
@@ -470,7 +480,7 @@ func TestDFIMismatchFaults(t *testing.T) {
 	cd.Allowed = []int{1, 2, 3}
 	b.Cur.Append(cd)
 	b.Ret(ir.ConstInt(ir.I64, 0))
-	m := vm.New(mod, vm.Config{Seed: 9})
+	m := vm.New(numbered(mod), vm.Config{Seed: 9})
 	res := mustRun(t, m, "main")
 	if res.Fault == nil || res.Fault.Kind != vm.FaultDFI {
 		t.Fatalf("fault = %v, want dfi", res.Fault)
@@ -580,7 +590,7 @@ func TestPoisonedPointerDereferenceFaults(t *testing.T) {
 	ptr := b.Cast(ir.OpIntToPtr, poisoned, ir.PointerTo(ir.I64))
 	ld := b.Load(ptr)
 	b.Ret(ld)
-	m := vm.New(mod, vm.Config{Seed: 3})
+	m := vm.New(numbered(mod), vm.Config{Seed: 3})
 	res := mustRun(t, m, "main")
 	if res.Fault == nil || res.Fault.Kind != vm.FaultSegv {
 		t.Fatalf("fault = %v, want segv on poisoned pointer", res.Fault)
@@ -603,7 +613,7 @@ func TestCanaryRerandomizationVoidsLeaks(t *testing.T) {
 	b.Store(leaked, can)                                        // attacker replays the stale value
 	b.Cur.Append(ir.NewInstr(ir.OpCanaryCheck, "", ir.Void, can))
 	b.Ret(ir.ConstInt(ir.I64, 0))
-	m := vm.New(mod, vm.Config{Seed: 12})
+	m := vm.New(numbered(mod), vm.Config{Seed: 12})
 	res := mustRun(t, m, "main")
 	if res.Fault == nil || res.Fault.Kind != vm.FaultCanary {
 		t.Fatalf("stale canary replay must fail authentication, got %v", res.Fault)
@@ -624,7 +634,7 @@ func TestCanaryReplayWithinWindow(t *testing.T) {
 	b.Store(leaked, can)
 	b.Cur.Append(ir.NewInstr(ir.OpCanaryCheck, "", ir.Void, can))
 	b.Ret(ir.ConstInt(ir.I64, 0))
-	m := vm.New(mod, vm.Config{Seed: 12})
+	m := vm.New(numbered(mod), vm.Config{Seed: 12})
 	res := mustRun(t, m, "main")
 	if res.Fault != nil {
 		t.Fatalf("same-window replay is a no-op, got %v", res.Fault)

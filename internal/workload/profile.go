@@ -284,14 +284,3 @@ func ProfileByName(name string) *Profile {
 	}
 	return nil
 }
-
-// SpecProfiles returns the SPEC-like profiles (everything except nginx).
-func SpecProfiles() []Profile {
-	var out []Profile
-	for _, p := range Profiles() {
-		if p.Name != "nginx" {
-			out = append(out, p)
-		}
-	}
-	return out
-}

@@ -40,9 +40,6 @@ func TestProfileLookups(t *testing.T) {
 	if workload.ProfileByName("519.lbm_r") == nil {
 		t.Fatal("lbm lookup failed")
 	}
-	if len(workload.SpecProfiles()) != 15 {
-		t.Fatal("SpecProfiles must exclude nginx")
-	}
 	if workload.NginxProfile().Name != "nginx" {
 		t.Fatal("NginxProfile misnamed")
 	}

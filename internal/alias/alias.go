@@ -294,21 +294,6 @@ func (r *Result) ObjectOf(root ir.Value) *Object {
 	return nil
 }
 
-// MayAlias reports whether two pointer values may reference the same
-// object.
-func (r *Result) MayAlias(a, b ir.Value) bool {
-	sa, sb := r.pts[node{a}], r.pts[node{b}]
-	if len(sa) > len(sb) {
-		sa, sb = sb, sa
-	}
-	for id := range sa {
-		if sb[id] {
-			return true
-		}
-	}
-	return false
-}
-
 // MayPointToObject reports whether pointer value p may reference obj.
 func (r *Result) MayPointToObject(p ir.Value, obj *Object) bool {
 	return obj != nil && r.pts[node{p}][obj.ID]

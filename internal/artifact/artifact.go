@@ -288,8 +288,6 @@ func decodeEntry(raw []byte) ([]byte, error) {
 // report once one is active, and drops a journal point carrying the
 // entry's content digest so cache traffic is attributable per key.
 func count(name, key string) {
-	if reg := obs.CurrentMetrics(); reg != nil {
-		reg.Add(name, 1)
-	}
+	obs.Count(name)
 	obs.Point(name, "artifact", map[string]string{"key": key})
 }

@@ -122,19 +122,3 @@ func Classify(res *vm.Result) Verdict {
 	}
 	return VerdictClean
 }
-
-// Matrix runs the whole corpus under the given schemes.
-func Matrix(schemes []core.Scheme) ([]*Outcome, error) {
-	var out []*Outcome
-	for _, c := range Corpus() {
-		c := c
-		for _, s := range schemes {
-			o, err := Run(&c, s)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, o)
-		}
-	}
-	return out, nil
-}

@@ -127,21 +127,6 @@ func TestForensicsOnEveryDetection(t *testing.T) {
 	}
 }
 
-func TestMatrixShape(t *testing.T) {
-	outcomes, err := attack.Matrix([]core.Scheme{core.SchemeVanilla, core.SchemePythia})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outcomes) != 2*len(attack.Corpus()) {
-		t.Fatalf("matrix has %d outcomes", len(outcomes))
-	}
-	for _, o := range outcomes {
-		if o.Benign != attack.VerdictClean {
-			t.Fatalf("%s/%v benign = %v", o.Case, o.Scheme, o.Benign)
-		}
-	}
-}
-
 // TestDetectionPrecedesBend is the timing property: when a defense
 // detects, the privileged path's output must NOT have been produced.
 func TestDetectionPrecedesBend(t *testing.T) {

@@ -88,17 +88,6 @@ func (r *Runner) Stats() Stats {
 	return r.stats
 }
 
-// count mirrors a cache hit/miss into the observability session active
-// right now. Resolving the registry at increment time (rather than
-// capturing it at construction) keeps the counters flowing when a
-// Runner outlives the obs session it was built under — or was built
-// before any session existed, as the repeat loop in pythia-bench does.
-func count(name string) {
-	if reg := obs.CurrentMetrics(); reg != nil {
-		reg.Add(name, 1)
-	}
-}
-
 // Run builds and executes p under scheme, memoized.
 func (r *Runner) Run(p *workload.Profile, scheme core.Scheme) (*workload.RunResult, error) {
 	k := runKey{p.Fingerprint(), scheme}
@@ -113,9 +102,9 @@ func (r *Runner) Run(p *workload.Profile, scheme core.Scheme) (*workload.RunResu
 	}
 	r.mu.Unlock()
 	if ok {
-		count("bench.cache.run.hits")
+		obs.Count("bench.cache.run.hits")
 	} else {
-		count("bench.cache.run.misses")
+		obs.Count("bench.cache.run.misses")
 	}
 	pp := *p // detach from the caller so later mutation can't race the build
 	e.once.Do(func() { e.res, e.err = workload.RunWith(r.pipeline, &pp, scheme) })
@@ -170,9 +159,9 @@ func (r *Runner) Analyze(p *workload.Profile) (*slice.VulnReport, error) {
 	}
 	r.mu.Unlock()
 	if ok {
-		count("bench.cache.analysis.hits")
+		obs.Count("bench.cache.analysis.hits")
 	} else {
-		count("bench.cache.analysis.misses")
+		obs.Count("bench.cache.analysis.misses")
 	}
 	pp := *p
 	e.once.Do(func() {

@@ -101,11 +101,9 @@ func forEach(workers, n int, fn func(i int)) {
 //     each decoded from stage 1's vanilla IR bytes
 //  3. run:     every execution and analysis, all stages warm
 //
-// The old single-batch pool funneled whole Build+Run tasks through the
-// workers, so whichever worker drew a profile first paid its compile
-// while the profile's other schemes queued behind unrelated work; the
-// staged batches instead saturate the pool with the widest level of the
-// build DAG at each step. Returns the worker count used.
+// Each batch saturates the pool with the widest level of the build DAG,
+// so no scheme's harden waits behind another profile's compile. Returns
+// the worker count used.
 func (c *Config) Prewarm(exps []Experiment) int {
 	tasks := WarmTasks(c, exps)
 	workers := c.Parallel

@@ -95,30 +95,3 @@ func TestSerializeDiffWorkloads(t *testing.T) {
 		}
 	}
 }
-
-// TestCloneDiffWorkloads: a deep clone must execute identically to its
-// original — the property the harden stage's per-scheme fan-out relies
-// on (4 profiles; cloning is cheap but runs are not, so -short trims to
-// one profile).
-func TestCloneDiffWorkloads(t *testing.T) {
-	profiles := workload.Profiles()[:4]
-	if testing.Short() || raceEnabled {
-		profiles = profiles[:1]
-	}
-	for i := range profiles {
-		p := &profiles[i]
-		for _, scheme := range core.Schemes {
-			t.Run(fmt.Sprintf("%s/%v", p.Name, scheme), func(t *testing.T) {
-				prog, err := workload.Build(p, scheme)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cl := prog.Mod.Clone()
-				if cl.String() != prog.Mod.String() {
-					t.Error("clone prints differently")
-				}
-				runModules(t, prog.Mod, cl, workload.Stdin(p))
-			})
-		}
-	}
-}

@@ -234,16 +234,3 @@ func (g *Graph) naturalLoop(header, latch *ir.Block) *Loop {
 	}
 	return l
 }
-
-// LoopDepths returns the nesting depth of every block (0 = not in a loop).
-func (g *Graph) LoopDepths() map[*ir.Block]int {
-	depths := make(map[*ir.Block]int)
-	for _, l := range g.Loops() {
-		for b := range l.Blocks {
-			if l.Depth > depths[b] {
-				depths[b] = l.Depth
-			}
-		}
-	}
-	return depths
-}

@@ -110,11 +110,10 @@ func TestLoopDetection(t *testing.T) {
 	if len(loops) != 2 {
 		t.Fatalf("found %d loops, want 2", len(loops))
 	}
-	depths := g.LoopDepths()
 	maxDepth := 0
-	for _, d := range depths {
-		if d > maxDepth {
-			maxDepth = d
+	for _, l := range loops {
+		if l.Depth > maxDepth {
+			maxDepth = l.Depth
 		}
 	}
 	if maxDepth != 2 {

@@ -1,10 +1,7 @@
 package core
 
-// The staged build pipeline. Build used to be a monolith — every
-// (source, scheme) request re-ran the front-end, the optimizer, and the
-// vulnerability analysis from scratch, so the vanilla compile of each
-// benchmark was repeated once per scheme per process. Pipeline splits
-// the work into explicitly memoized stages:
+// The staged build pipeline. Pipeline splits a build into explicitly
+// memoized stages, so one vanilla compile serves every scheme:
 //
 //	compile: source -> optimized vanilla IR        (keyed by source)
 //	harden:  vanilla IR x scheme -> hardened IR    (keyed by IR digest x scheme)
@@ -135,9 +132,7 @@ func (pl *Pipeline) Stats() PipelineStats {
 // increment time, and drops a journal point under the requesting span
 // so warm hits stay attributable to the request that made them.
 func count(name string, attrs map[string]string) {
-	if reg := obs.CurrentMetrics(); reg != nil {
-		reg.Add(name, 1)
-	}
+	obs.Count(name)
 	obs.Point(name, "pipeline", attrs)
 }
 

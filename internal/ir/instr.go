@@ -304,21 +304,3 @@ func operandList(vals []Value) string {
 	}
 	return strings.Join(parts, ", ")
 }
-
-// Clone returns a shallow copy of the instruction with the same operands
-// but detached from any block.
-func (in *Instr) Clone() *Instr {
-	cp := *in
-	cp.Args = append([]Value(nil), in.Args...)
-	cp.Succs = append([]*Block(nil), in.Succs...)
-	cp.Incoming = append([]PhiEdge(nil), in.Incoming...)
-	cp.Allowed = append([]int(nil), in.Allowed...)
-	cp.Block = nil
-	if in.Meta != nil {
-		cp.Meta = make(map[string]string, len(in.Meta))
-		for k, v := range in.Meta {
-			cp.Meta[k] = v
-		}
-	}
-	return &cp
-}

@@ -246,20 +246,6 @@ func TestOpClassification(t *testing.T) {
 	}
 }
 
-func TestInstrClone(t *testing.T) {
-	in := ir.NewInstr(ir.OpAdd, "x", ir.I64, ir.ConstInt(ir.I64, 1), ir.ConstInt(ir.I64, 2))
-	in.SetMeta("k", "v")
-	cp := in.Clone()
-	cp.Args[0] = ir.ConstInt(ir.I64, 9)
-	cp.SetMeta("k", "w")
-	if in.Args[0].(*ir.Const).Val != 1 || in.GetMeta("k") != "v" {
-		t.Fatal("clone shares state with original")
-	}
-	if cp.Block != nil {
-		t.Fatal("clone should be detached")
-	}
-}
-
 func TestStackPlanSlotFor(t *testing.T) {
 	m := ir.NewModule("t")
 	f := m.NewFunc("f", ir.Void, nil, nil)

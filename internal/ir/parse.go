@@ -30,10 +30,11 @@ type irParser struct {
 	f      *Func
 	blocks map[string]*Block
 	values map[string]Value
-	// pending fixups: phi edges and branch targets referencing blocks or
-	// values defined later.
-	fixups []func() error
-	line   int
+	// pendingPhis resolve the phi edge values, which the text may name
+	// before defining them, at the function's closing brace. Blocks
+	// named before their label are created on first use instead.
+	pendingPhis []func() error
+	line        int
 }
 
 func (p *irParser) errf(format string, args ...any) error {
@@ -187,7 +188,7 @@ func (p *irParser) function(lines []string, start int) (int, error) {
 	p.f = f
 	p.blocks = make(map[string]*Block)
 	p.values = make(map[string]Value)
-	p.fixups = nil
+	p.pendingPhis = nil
 	for _, prm := range f.Params {
 		p.values[prm.PName] = prm
 	}
@@ -200,8 +201,8 @@ func (p *irParser) function(lines []string, start int) (int, error) {
 		ln := strings.TrimSpace(lines[i])
 		switch {
 		case ln == "}":
-			for _, fix := range p.fixups {
-				if err := fix(); err != nil {
+			for _, resolve := range p.pendingPhis {
+				if err := resolve(); err != nil {
 					return 0, err
 				}
 			}
@@ -376,7 +377,7 @@ func (p *irParser) instr(cur *Block, ln string) error {
 			idx := len(in.Incoming) - 1
 			inst := in
 			typ := t
-			p.fixups = append(p.fixups, func() error {
+			p.pendingPhis = append(p.pendingPhis, func() error {
 				v, err := p.operand(valText, typ)
 				if err != nil {
 					return err

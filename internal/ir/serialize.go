@@ -19,7 +19,13 @@ package ir
 // Types form an arbitrary graph (self-referential structs via pointer
 // fields), so the table is decoded in two passes: allocate one shell
 // per kind byte, then fill payloads, letting any payload reference any
-// index. Instructions likewise: shells first, then operands.
+// index. Instructions are decoded in one pass: a function's blocks are
+// created from their stored count before its first instruction, and
+// every operand, successor, callee, phi edge and stack-plan slot is
+// resolved as it is read. An instruction's ID is its block-order
+// position, so a reference to a later instruction takes that
+// instruction's shell early; one past the function's last instruction
+// is an error.
 //
 // Encoding is deterministic — map-backed fields (attrs, metadata) are
 // emitted in sorted key order — so equal modules produce equal bytes
@@ -339,224 +345,143 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 	}
 	m := NewModule(d.str())
 
-	ntypes := d.count()
-	types := make([]Type, ntypes)
-	for i := range types {
+	d.types = make([]Type, d.count())
+	for i := range d.types {
 		switch k := d.b(); k {
 		case tkVoid:
-			types[i] = Void // the one void every builder uses
+			d.types[i] = Void // the one void every builder uses
 		case tkInt:
-			types[i] = &IntType{}
+			d.types[i] = &IntType{}
 		case tkPtr:
-			types[i] = &PtrType{}
+			d.types[i] = &PtrType{}
 		case tkArray:
-			types[i] = &ArrayType{}
+			d.types[i] = &ArrayType{}
 		case tkStruct:
-			types[i] = &StructType{}
+			d.types[i] = &StructType{}
 		case tkFunc:
-			types[i] = &FuncType{}
+			d.types[i] = &FuncType{}
 		default:
 			return nil, fmt.Errorf("ir: decode: unknown type kind %d", k)
 		}
 	}
-	typeAt := func(i uint64) Type {
-		return types[i] // panics (recovered) on out-of-range corrupt index
-	}
-	for _, t := range types {
+	for _, t := range d.types {
 		switch tt := t.(type) {
 		case *VoidType:
 		case *IntType:
 			tt.Bits = int(d.u())
 		case *PtrType:
-			tt.Elem = typeAt(d.u())
+			tt.Elem = d.typ()
 		case *ArrayType:
-			tt.Elem = typeAt(d.u())
+			tt.Elem = d.typ()
 			tt.Len = d.i()
 		case *StructType:
 			tt.Name = d.str()
-			n := d.count()
-			tt.Fields = make([]StructField, n)
+			tt.Fields = make([]StructField, d.count())
 			for i := range tt.Fields {
 				tt.Fields[i].Name = d.str()
-				tt.Fields[i].Type = typeAt(d.u())
+				tt.Fields[i].Type = d.typ()
 			}
 		case *FuncType:
-			tt.Ret = typeAt(d.u())
-			n := d.count()
-			tt.Params = make([]Type, n)
+			tt.Ret = d.typ()
+			tt.Params = make([]Type, d.count())
 			for i := range tt.Params {
-				tt.Params[i] = typeAt(d.u())
+				tt.Params[i] = d.typ()
 			}
 			tt.Variadic = d.bool()
 		}
 	}
 
-	nglobals := d.count()
-	globals := make([]*Global, nglobals)
-	for i := range globals {
-		g := &Global{GName: d.str(), Elem: typeAt(d.u())}
-		g.Init = d.bytes()
-		g.Str = d.str()
-		g.Sealed = d.bool()
-		globals[i] = g
-		m.Globals = append(m.Globals, g)
+	d.globals = make([]*Global, d.count())
+	for i := range d.globals {
+		d.globals[i] = &Global{GName: d.str(), Elem: d.typ(), Init: d.bytes(), Str: d.str(), Sealed: d.bool()}
 	}
+	m.Globals = d.globals
 
-	nfuncs := d.count()
-	funcs := make([]*Func, nfuncs)
-	for i := range funcs {
+	d.funcs = make([]*Func, d.count())
+	for i := range d.funcs {
 		f := &Func{FName: d.str(), Parent: m}
-		sig, ok := typeAt(d.u()).(*FuncType)
+		sig, ok := d.typ().(*FuncType)
 		if !ok {
 			return nil, fmt.Errorf("ir: decode: @%s signature is not a func type", f.FName)
 		}
 		f.Sig = sig
 		f.Channel = ChannelKind(d.i())
-		nparams := d.count()
-		for pi := 0; pi < nparams; pi++ {
-			f.Params = append(f.Params, &Param{
-				PName: d.str(), Typ: typeAt(d.u()), Index: pi, Parent: f,
-			})
+		f.Params = make([]*Param, d.count())
+		for pi := range f.Params {
+			f.Params[pi] = &Param{PName: d.str(), Typ: d.typ(), Index: pi, Parent: f}
 		}
 		f.Attrs = d.sortedMap()
 		f.nextName = int(d.u())
 		f.nextBlk = int(d.u())
-		funcs[i] = f
-		m.Funcs = append(m.Funcs, f)
+		d.funcs[i] = f
 		m.funcIndex[f.FName] = f
 	}
+	m.Funcs = d.funcs
 	if d.err != nil {
 		return nil, d.err
 	}
 
-	for _, f := range funcs {
-		nblocks := d.count()
-		var flat []*Instr
-		type fixup struct {
-			in        *Instr
-			args      [][2]uint64 // tag, payload of deferred refs (consts resolved inline)
-			succs     []uint64
-			incVals   [][2]uint64
-			incConsts map[int]*Const
-			incPreds  []uint64
-			callee    int64 // -1 none
+	for _, f := range d.funcs {
+		d.f, d.instrs = f, d.instrs[:0]
+		f.Blocks = make([]*Block, d.count())
+		for bi := range f.Blocks {
+			f.Blocks[bi] = &Block{Parent: f}
 		}
-		var fixups []*fixup
-		for bi := 0; bi < nblocks; bi++ {
-			b := &Block{Name: d.str(), Parent: f}
-			f.Blocks = append(f.Blocks, b)
-			ninstrs := d.count()
-			for ii := 0; ii < ninstrs; ii++ {
-				in := &Instr{Op: Op(d.i()), Nam: d.str(), Typ: typeAt(d.u()), Block: b}
-				fx := &fixup{in: in, callee: -1}
-				nargs := d.count()
-				in.Args = make([]Value, nargs)
-				for ai := 0; ai < nargs; ai++ {
-					tag, payload, c := d.valRef(typeAt)
-					if c != nil {
-						in.Args[ai] = c
-					} else {
-						// Deferred refs fill the nil arg slots in order
-						// once every instruction shell exists.
-						fx.args = append(fx.args, [2]uint64{tag, payload})
-					}
+		n := 0 // instructions read so far
+		for _, b := range f.Blocks {
+			b.Name = d.str()
+			for ni := d.count(); ni > 0; ni-- {
+				in := d.instr(uint64(n))
+				in.Op, in.Nam, in.Typ, in.Block = Op(d.i()), d.str(), d.typ(), b
+				in.Args = make([]Value, d.count())
+				for ai := range in.Args {
+					in.Args[ai] = d.value()
 				}
 				if d.bool() {
-					in.AllocTy = typeAt(d.u())
+					in.AllocTy = d.typ()
 				}
 				in.Pred = Pred(d.i())
-				nsuccs := d.count()
-				for si := 0; si < nsuccs; si++ {
-					fx.succs = append(fx.succs, d.u())
-				}
-				if d.bool() {
-					fx.callee = int64(d.u())
-				}
-				ninc := d.count()
-				in.Incoming = make([]PhiEdge, ninc)
-				for ei := 0; ei < ninc; ei++ {
-					tag, payload, c := d.valRef(typeAt)
-					if c != nil {
-						if fx.incConsts == nil {
-							fx.incConsts = map[int]*Const{}
-						}
-						fx.incConsts[ei] = c
-					} else {
-						fx.incVals = append(fx.incVals, [2]uint64{tag, payload})
+				if ns := d.count(); ns > 0 {
+					in.Succs = make([]*Block, ns)
+					for si := range in.Succs {
+						in.Succs[si] = f.Blocks[d.u()]
 					}
-					fx.incPreds = append(fx.incPreds, d.u())
+				}
+				// A callee index past int64 decodes as no callee.
+				if d.bool() {
+					if ci := int64(d.u()); ci >= 0 {
+						in.Callee = d.funcs[ci]
+					}
+				}
+				in.Incoming = make([]PhiEdge, d.count())
+				for ei := range in.Incoming {
+					in.Incoming[ei] = PhiEdge{Val: d.value(), Pred: f.Blocks[d.u()]}
 				}
 				in.DefID = int(d.i())
-				nallowed := d.count()
-				for ai := 0; ai < nallowed; ai++ {
+				for na := d.count(); na > 0; na-- {
 					in.Allowed = append(in.Allowed, int(d.i()))
 				}
 				in.Meta = d.sortedMap()
-				if id := d.i(); d.err == nil && id != int64(len(flat)) {
-					return nil, fmt.Errorf("ir: decode: @%s instruction %d stores id %d", f.FName, len(flat), id)
+				if id := d.i(); d.err == nil && id != int64(n) {
+					return nil, fmt.Errorf("ir: decode: @%s instruction %d stores id %d", f.FName, n, id)
 				}
-				in.ID = len(flat)
+				// Grown by append, as the builders grow it, so a pass
+				// that inserts into a block while ranging over it sees
+				// the same spare capacity in a decoded module.
 				b.Instrs = append(b.Instrs, in)
-				flat = append(flat, in)
-				fixups = append(fixups, fx)
+				n++
 			}
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
-		resolve := func(tag, payload uint64) (Value, error) {
-			switch tag {
-			case vtGlobal:
-				return globals[payload], nil
-			case vtParam:
-				return f.Params[payload], nil
-			case vtInstr:
-				return flat[payload], nil
-			}
-			return nil, fmt.Errorf("ir: decode: bad value tag %d", tag)
-		}
-		for _, fx := range fixups {
-			ref := 0
-			for ai := range fx.in.Args {
-				if fx.in.Args[ai] != nil {
-					continue
-				}
-				v, err := resolve(fx.args[ref][0], fx.args[ref][1])
-				if err != nil {
-					return nil, err
-				}
-				fx.in.Args[ai] = v
-				ref++
-			}
-			for _, si := range fx.succs {
-				fx.in.Succs = append(fx.in.Succs, f.Blocks[si])
-			}
-			if fx.callee >= 0 {
-				fx.in.Callee = funcs[fx.callee]
-			}
-			ref = 0
-			for ei := range fx.in.Incoming {
-				if c, ok := fx.incConsts[ei]; ok {
-					fx.in.Incoming[ei].Val = c
-				} else {
-					v, err := resolve(fx.incVals[ref][0], fx.incVals[ref][1])
-					if err != nil {
-						return nil, err
-					}
-					fx.in.Incoming[ei].Val = v
-					ref++
-				}
-				fx.in.Incoming[ei].Pred = f.Blocks[fx.incPreds[ei]]
-			}
+		if d.err == nil && len(d.instrs) > n {
+			return nil, fmt.Errorf("ir: decode: @%s references instruction %d past its end (it has %d)", f.FName, len(d.instrs)-1, n)
 		}
 		if d.bool() {
 			plan := &StackPlan{Size: d.i()}
-			nslots := d.count()
-			plan.Slots = make([]StackSlot, nslots)
+			plan.Slots = make([]StackSlot, d.count())
 			for i := range plan.Slots {
 				s := &plan.Slots[i]
 				if ai := d.i(); ai >= 0 {
-					s.Alloca = flat[ai]
+					s.Alloca = d.instrs[ai]
 				}
 				s.Offset = d.i()
 				s.Size = d.i()
@@ -613,11 +538,20 @@ func (e *encoder) sortedMap(m map[string]string) {
 	}
 }
 
-// decoder reads the encoder's output, latching the first error.
+// decoder reads the encoder's output, latching the first error, and
+// resolves each reference as it reads it: to the type table, the
+// globals, the functions, and the instructions of the function whose
+// body it is reading.
 type decoder struct {
 	buf []byte
 	off int
 	err error
+
+	types   []Type
+	globals []*Global
+	funcs   []*Func
+	f       *Func    // the function whose body is being read
+	instrs  []*Instr // f's instructions by ID, shells of later ones included
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -707,18 +641,43 @@ func (d *decoder) sortedMap() map[string]string {
 	return m
 }
 
-// valRef reads one value reference. Constants are materialized
-// immediately (third return); other kinds return (tag, payload) for the
-// caller to resolve once the referenced object exists.
-func (d *decoder) valRef(typeAt func(uint64) Type) (uint64, uint64, *Const) {
-	switch tag := uint64(d.b()); tag {
+// typ reads a type-table index. An index out of range panics, which
+// DecodeModule recovers as an error, as it does for a global, param,
+// block or callee index.
+func (d *decoder) typ() Type { return d.types[d.u()] }
+
+// value reads one value reference and resolves it.
+func (d *decoder) value() Value {
+	switch tag := d.b(); tag {
 	case vtConst:
-		t := typeAt(d.u())
-		return tag, 0, &Const{Typ: t, Val: d.i()}
-	case vtGlobal, vtParam, vtInstr:
-		return tag, d.u(), nil
+		return &Const{Typ: d.typ(), Val: d.i()}
+	case vtGlobal:
+		return d.globals[d.u()]
+	case vtParam:
+		return d.f.Params[d.u()]
+	case vtInstr:
+		return d.instr(d.u())
 	default:
 		d.fail("bad value tag %d", tag)
-		return tag, 0, nil
+		return nil
 	}
+}
+
+// instr returns d.f's instruction whose ID is id. An ID is a block-order
+// position, so an instruction not read yet gets its shell here and is
+// filled in when the decoder reaches it; DecodeModule refuses a function
+// whose references end past its last instruction. Each instruction
+// still to read takes at least one byte, which bounds the shells.
+func (d *decoder) instr(id uint64) *Instr {
+	if id >= uint64(len(d.instrs)) {
+		if id-uint64(len(d.instrs)) > uint64(len(d.buf)-d.off) {
+			d.fail("@%s references instruction %d past its end", d.f.FName, id)
+			return nil
+		}
+		d.instrs = append(d.instrs, make([]*Instr, id+1-uint64(len(d.instrs)))...)
+	}
+	if d.instrs[id] == nil {
+		d.instrs[id] = &Instr{ID: int(id)}
+	}
+	return d.instrs[id]
 }

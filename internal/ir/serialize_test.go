@@ -2,6 +2,10 @@ package ir_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -218,6 +222,22 @@ func TestCloneIsDeepAndIndependent(t *testing.T) {
 	}
 }
 
+// TestCloneUnnumberedPanics: Clone is a decode of the encoding, so a
+// module the encoder refuses panics, naming the module.
+func TestCloneUnnumberedPanics(t *testing.T) {
+	m, f := buildRet(t)
+	m.Name = "unnumbered-clone"
+	zero := ir.ConstInt(ir.I64, 0)
+	f.Entry().InsertBefore(ir.NewInstr(ir.OpAdd, f.GenName("n"), ir.I64, zero, zero), f.Entry().Instrs[0])
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "unnumbered-clone") {
+			t.Fatalf("Clone panicked with %v, want a message naming the module", r)
+		}
+	}()
+	m.Clone()
+}
+
 // decodeSeeds lists the decoder's checked-in seeds: the encodings
 // Pipeline.Build gives the quick profiles and the attack corpus under
 // the four headline schemes, and unnumbered.pyir, a module whose
@@ -257,15 +277,16 @@ func FuzzDecodeModule(f *testing.F) {
 }
 
 // checkDecoded decodes data and, if it is accepted, checks that every
-// function is numbered and that re-encoding reaches a fixed point. A
-// stream EncodeModule would not write (an overlong varint, a bool byte
-// of 2) may decode to a module that re-encodes to other bytes, but
-// those bytes must then be stable.
-func checkDecoded(t *testing.T, data []byte) (accepted bool) {
+// function is numbered and that re-encoding reaches a fixed point, and
+// returns the re-encoding (nil when data is refused). A stream
+// EncodeModule would not write (an overlong varint, a bool byte of 2)
+// may decode to a module that re-encodes to other bytes, but those
+// bytes must then be stable.
+func checkDecoded(t *testing.T, data []byte) []byte {
 	t.Helper()
 	mod, err := ir.DecodeModule(data)
 	if err != nil {
-		return false
+		return nil
 	}
 	for _, fn := range mod.Funcs {
 		id := 0
@@ -289,7 +310,7 @@ func checkDecoded(t *testing.T, data []byte) (accepted bool) {
 	if enc2, err := ir.EncodeModule(again); err != nil || !bytes.Equal(enc2, enc) {
 		t.Fatalf("re-encoding is not a fixed point (err %v)", err)
 	}
-	return true
+	return enc
 }
 
 // TestDecodeRejectsOutOfPlaceID: a stream whose stored instruction ids
@@ -302,6 +323,114 @@ func TestDecodeRejectsOutOfPlaceID(t *testing.T) {
 	}
 	if _, err := ir.DecodeModule(data); err == nil || !strings.Contains(err.Error(), "stores id") {
 		t.Fatalf("DecodeModule = %v, want an out-of-place id error", err)
+	}
+}
+
+// phiStream hand-builds the encoding of a module with one function,
+//
+//	entry: br loop
+//	loop:  %p = phi i64 [0, entry], [<instruction ref>, loop]
+//	       %n = add i64 %p, 1
+//	       br loop
+//
+// whose phi's second edge names instruction ref: 2 is %n, a forward
+// reference, and 4 or more lies past the function's end.
+func phiStream(ref uint64) []byte {
+	b := []byte("PYIR")
+	u := func(v uint64) { b = binary.AppendUvarint(b, v) }
+	i := func(v int64) { b = binary.AppendVarint(b, v) }
+	str := func(s string) { u(uint64(len(s))); b = append(b, s...) }
+	const tFunc, tI64, tVoid = 0, 1, 2 // the type table below
+	u(ir.SerialVersion)
+	str("fwd")
+	u(3)
+	b = append(b, 5, 1, 0) // kinds: func, int, void
+	u(tI64)                // func i64(): return type,
+	u(0)                   // no params,
+	b = append(b, 0)       // not variadic
+	u(64)                  // i64
+	u(0)                   // no globals
+	u(1)                   // one function, @f of type func i64()
+	str("f")
+	u(tFunc)
+	i(0) // channel
+	u(0) // params
+	u(0) // attrs
+	u(0) // next name
+	u(0) // next block
+	// instr writes one instruction with no alloca type, predicate,
+	// callee, def-set or metadata; refs are encoded value references.
+	instr := func(op ir.Op, name string, typ uint64, args [][]byte, succs []uint64, edges [][]byte, id int64) {
+		i(int64(op))
+		str(name)
+		u(typ)
+		u(uint64(len(args)))
+		for _, a := range args {
+			b = append(b, a...)
+		}
+		b = append(b, 0)
+		i(0)
+		u(uint64(len(succs)))
+		for _, s := range succs {
+			u(s)
+		}
+		b = append(b, 0)
+		u(uint64(len(edges)))
+		for _, e := range edges {
+			b = append(b, e...)
+		}
+		i(0)
+		u(0)
+		u(0)
+		i(id)
+	}
+	const vtConst, vtInstr = 0, 3
+	constRef := func(v int64) []byte { return binary.AppendVarint([]byte{vtConst, tI64}, v) }
+	instrRef := func(id uint64) []byte { return binary.AppendUvarint([]byte{vtInstr}, id) }
+	edge := func(ref []byte, pred uint64) []byte { return binary.AppendUvarint(ref, pred) }
+	u(2) // blocks
+	str("entry")
+	u(1)
+	instr(ir.OpBr, "", tVoid, nil, []uint64{1}, nil, 0)
+	str("loop")
+	u(3)
+	instr(ir.OpPhi, "p", tI64, nil, nil, [][]byte{edge(constRef(0), 0), edge(instrRef(ref), 1)}, 1)
+	instr(ir.OpAdd, "n", tI64, [][]byte{instrRef(1), constRef(1)}, nil, nil, 2)
+	instr(ir.OpBr, "", tVoid, nil, []uint64{1}, nil, 3)
+	b = append(b, 0) // no stack plan
+	return b
+}
+
+// TestDecodeForwardPhiReference: a phi naming a later instruction
+// decodes onto that instruction itself, not onto a copy or a shell left
+// unfilled.
+func TestDecodeForwardPhiReference(t *testing.T) {
+	mod, err := ir.DecodeModule(phiStream(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ir.Verify(mod); err != nil {
+		t.Fatal(err)
+	}
+	loop := mod.Func("f").Blocks[1]
+	phi, add := loop.Instrs[0], loop.Instrs[1]
+	if phi.Incoming[1].Val != ir.Value(add) || add.Args[0] != ir.Value(phi) {
+		t.Fatalf("phi and add do not reference each other:\n%s", mod.Func("f"))
+	}
+	if add.Op != ir.OpAdd || add.Block != loop || add.ID != 2 {
+		t.Fatalf("forward-referenced instruction decoded as %v in %s, id %d", add, add.Block.Name, add.ID)
+	}
+}
+
+// TestDecodeRejectsReferencePastEnd: a phi naming an instruction past
+// its function's last is a decode error the decoder reports itself,
+// whether the name lies within the bytes left or beyond them.
+func TestDecodeRejectsReferencePastEnd(t *testing.T) {
+	for _, ref := range []uint64{4, 1000} {
+		_, err := ir.DecodeModule(phiStream(ref))
+		if err == nil || !strings.Contains(err.Error(), "past its end") {
+			t.Errorf("ref %d: DecodeModule = %v, want a past-the-end error", ref, err)
+		}
 	}
 }
 
@@ -324,8 +453,13 @@ func TestEncodeRejectsUnnumbered(t *testing.T) {
 // TestDecodeMutantsReencodeStably substitutes bytes of small seeds one
 // at a time and checks every mutant the decoder accepts as the fuzz
 // target does: the fuzz property, replayed over a fixed neighbourhood.
+// It also pins which mutants the decoder accepts and what each
+// re-encodes to, as a count and a digest, so any change in what the
+// decoder accepts, or in the module it decodes, fails it.
 func TestDecodeMutantsReencodeStably(t *testing.T) {
-	accepted := 0
+	const wantTried, wantAccepted, wantDigest = 12083, 6186, "e8029d32ba543fbb"
+	h := sha256.New()
+	tried, accepted := 0, 0
 	for _, name := range []string{"heap-overflow.pythia.pyir", "scanf-scalar-taint.dfi.pyir"} {
 		data, err := os.ReadFile(filepath.Join("testdata/decode", name))
 		if err != nil {
@@ -338,14 +472,18 @@ func TestDecodeMutantsReencodeStably(t *testing.T) {
 				}
 				mut := append([]byte(nil), data...)
 				mut[i] = v
-				if checkDecoded(t, mut) {
+				tried++
+				if enc := checkDecoded(t, mut); enc != nil {
 					accepted++
+					fmt.Fprintf(h, "%s %d %d %x\n", name, i, v, sha256.Sum256(enc))
 				}
 			}
 		}
 	}
-	if accepted == 0 {
-		t.Fatal("no substitution decoded: the test exercises nothing")
+	digest := hex.EncodeToString(h.Sum(nil))[:16]
+	if tried != wantTried || accepted != wantAccepted || digest != wantDigest {
+		t.Fatalf("accepted %d of %d mutants, digest %s; want %d of %d, digest %s",
+			accepted, tried, digest, wantAccepted, wantTried, wantDigest)
 	}
 }
 

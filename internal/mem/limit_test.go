@@ -24,8 +24,8 @@ func TestPageLimitFreshCommit(t *testing.T) {
 	if !errors.As(err, &le) {
 		t.Fatalf("fresh-page access over the cap: got %v, want LimitError", err)
 	}
-	if le.Limit != m.PageLimit() {
-		t.Fatalf("LimitError.Limit = %d, want %d", le.Limit, m.PageLimit())
+	if le.Limit != m.limit {
+		t.Fatalf("LimitError.Limit = %d, want %d", le.Limit, m.limit)
 	}
 	if m.Footprint() != before {
 		t.Fatalf("failed access committed pages: %d -> %d", before, m.Footprint())
@@ -112,8 +112,8 @@ func TestPageLimitUnlimitedAndReset(t *testing.T) {
 	}
 	m.SetPageLimit(2)
 	m.Reset()
-	if m.Footprint() != 0 || m.PageLimit() != 2 {
-		t.Fatalf("after reset: footprint=%d limit=%d, want 0 and 2", m.Footprint(), m.PageLimit())
+	if m.Footprint() != 0 || m.limit != 2 {
+		t.Fatalf("after reset: footprint=%d limit=%d, want 0 and 2", m.Footprint(), m.limit)
 	}
 	if err := m.WriteBytes(SharedBase, make([]byte, 2*PageSize)); err != nil {
 		t.Fatalf("exactly-at-cap commit: %v", err)

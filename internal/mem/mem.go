@@ -102,9 +102,6 @@ func (m *Memory) Reset() {
 // lay out an image first and quota runtime growth afterwards.
 func (m *Memory) SetPageLimit(n int) { m.limit = n }
 
-// PageLimit returns the configured page quota (0 = unlimited).
-func (m *Memory) PageLimit() int { return m.limit }
-
 func (m *Memory) page(addr uint64) *[pageSize]byte {
 	base := addr &^ uint64(pageSize-1)
 	if m.lastPage != nil && base == m.lastBase {

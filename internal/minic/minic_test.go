@@ -31,7 +31,7 @@ int main() {
 	int a = 6, b = 7;
 	return a * b + (100 / 5) - (9 % 4);
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	if got := int64(res.Ret); got != 6*7+20-1 {
@@ -51,7 +51,7 @@ int main() {
 	do { j++; } while (j < 5);
 	return sum + j;
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	want := int64(0+2+4+6+8-5) + 5
@@ -70,7 +70,7 @@ int main() {
 	if (a || bump()) { }
 	return side;
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	if got := int64(res.Ret); got != 1 {
@@ -91,7 +91,7 @@ int main() {
 	int *q = &arr[9];
 	return x + y + *q; // 9+16+81
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	if got := int64(res.Ret); got != 9+16+81 {
@@ -111,7 +111,7 @@ int main() {
 	printf("%s!%d\n", buf, 42);
 	return 0;
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	if res.Ret != 0 {
@@ -134,7 +134,7 @@ int main() {
 	free(buf);
 	return total;
 }`, "5\n")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	want := int64(0)
@@ -156,7 +156,7 @@ int main() {
 	q->x = q->x * 10;
 	return p.x + p.y + p.tag;
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	if got := int64(res.Ret); got != 30+4+'z' {
@@ -179,7 +179,7 @@ int main() {
 	buf[7] = '\0';
 	return fib(10) + strlen(buf);
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	if got := int64(res.Ret); got != 55+7 {
@@ -198,7 +198,7 @@ int main() {
 	bump(2);
 	return counter + tag;
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	if got := int64(res.Ret); got != 10+'x' {
@@ -218,7 +218,7 @@ int main() {
 	if (strcmp(user, "normal") != 0) { return 99; }
 	return 0;
 }`, "AAAAAAAAAAAAAAAAAAAAAAAA\n")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("vanilla run should not fault, got %v", res.Fault)
 	}
 	if res.Ret != 99 {
@@ -272,7 +272,7 @@ int main() {
 	int postdec = i--; /* 6, i becomes 5 */
 	return post * 1000 + pre * 100 + predec * 10 + (postdec - i);
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	want := int64(5*1000 + 7*100 + 6*10 + 1)
@@ -292,7 +292,7 @@ int main() {
 	int *q = ++p;    /* both at arr+2 */
 	return a + *q;   /* 10 + 20 */
 }`, "")
-	if !res.Ok() {
+	if res.Fault != nil {
 		t.Fatalf("fault: %v", res.Fault)
 	}
 	if got := int64(res.Ret); got != 30 {

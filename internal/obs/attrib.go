@@ -120,9 +120,6 @@ type AttribRow struct {
 	Sites []SiteCostRow `json:"sites,omitempty"`
 }
 
-// Residual returns the row's unattributed remainder.
-func (r *AttribRow) Residual() float64 { return r.Categories[harden.CategoryResidual] }
-
 // Reconcile checks the accounting identity: every category (residual
 // included) must sum to the overhead delta within ReconcileTol. A
 // failure means sites were dropped or double-counted somewhere between

@@ -51,9 +51,6 @@ func TestAttribRowsHandComputed(t *testing.T) {
 			t.Errorf("category %s = %g, want %g", cat, got, w)
 		}
 	}
-	if r.Residual() != 8 {
-		t.Errorf("Residual() = %g", r.Residual())
-	}
 	if err := r.Reconcile(); err != nil {
 		t.Errorf("Reconcile: %v", err)
 	}

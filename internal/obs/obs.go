@@ -132,6 +132,17 @@ func ObserveMS(name string, d time.Duration) {
 	}
 }
 
+// Count adds one to the named registry counter; one nil check when no
+// metrics are armed. The registry is resolved at each call, so a
+// long-lived caller built before a session started (a bench Runner, a
+// pythiad engine, an artifact store) counts into whichever session is
+// active now.
+func Count(name string) {
+	if reg := CurrentMetrics(); reg != nil {
+		reg.Add(name, 1)
+	}
+}
+
 func noopEnd() {}
 
 // TraceSpan opens a span in the active session's journal. Disabled, it

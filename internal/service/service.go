@@ -236,7 +236,7 @@ func (e *Engine) Close() {
 func (e *Engine) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	j, err := e.prepare(req)
 	if err != nil {
-		count("service.rejected.bad_request")
+		obs.Count("service.rejected.bad_request")
 		return nil, err
 	}
 	if err := e.admit(j); err != nil {
@@ -296,14 +296,14 @@ func (e *Engine) admit(j *job) error {
 	e.mu.Lock()
 	if e.draining {
 		e.mu.Unlock()
-		count("service.rejected.draining")
+		obs.Count("service.rejected.draining")
 		return ErrDraining
 	}
 	t := e.tenantLocked(j.tName)
 	if t.inflight >= e.cfg.TenantInflight {
 		t.rejected++
 		e.mu.Unlock()
-		count("service.rejected.tenant")
+		obs.Count("service.rejected.tenant")
 		return &TenantSaturatedError{Tenant: j.tName, Limit: e.cfg.TenantInflight}
 	}
 	t.inflight++
@@ -316,7 +316,7 @@ func (e *Engine) admit(j *job) error {
 	j.enq = time.Now()
 	select {
 	case e.queue <- j:
-		count("service.submits")
+		obs.Count("service.submits")
 		gaugeQueueDepth(len(e.queue))
 		return nil
 	default:
@@ -325,7 +325,7 @@ func (e *Engine) admit(j *job) error {
 		t.rejected++
 		e.mu.Unlock()
 		e.inflight.Done()
-		count("service.rejected.saturated")
+		obs.Count("service.rejected.saturated")
 		return ErrSaturated
 	}
 }
@@ -363,7 +363,7 @@ func (e *Engine) run(j *job) {
 
 	j.done <- jobOut{resp: resp, err: err}
 	e.inflight.Done()
-	count("service.completed")
+	obs.Count("service.completed")
 }
 
 func shortDigest(d string) string {
@@ -452,7 +452,7 @@ func (e *Engine) maybePrune() {
 	e.pruneMu.Lock()
 	defer e.pruneMu.Unlock()
 	if _, err := st.Prune(e.cfg.CacheMaxBytes); err != nil {
-		count("service.prune.errors")
+		obs.Count("service.prune.errors")
 	}
 }
 
@@ -463,12 +463,6 @@ func (e *Engine) QueueDepth() (depth, capacity int) {
 
 // Uptime reports how long the engine has been running.
 func (e *Engine) Uptime() time.Duration { return time.Since(e.start) }
-
-func count(name string) {
-	if reg := obs.CurrentMetrics(); reg != nil {
-		reg.Add(name, 1)
-	}
-}
 
 func gaugeQueueDepth(n int) {
 	if reg := obs.CurrentMetrics(); reg != nil {

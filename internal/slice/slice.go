@@ -276,9 +276,6 @@ type BranchSlice struct {
 	PointerVars int
 }
 
-// ReachesIC reports whether the slice covers at least one input channel.
-func (s *BranchSlice) ReachesIC() bool { return len(s.ICs) > 0 }
-
 // ContainsIC reports whether the slice covers the given channel call.
 func (s *BranchSlice) ContainsIC(call *ir.Instr) bool {
 	for _, c := range s.ICs {

@@ -58,21 +58,12 @@ func (m *Machine) putSlots(s []uint64) {
 	}
 }
 
-// dtick is the decoded engine's per-instruction charge on an armed
-// machine (a Trace callback or an observability attachment), equivalent
-// to tick: trace, profile, meter, fuel. Hardening pcs (di.site) are
-// counted on every machine (SitesExecuted); other pcs only when a
-// session arms the full profile. An unarmed machine charges inline in
+// dtick is the decoded engine's per-instruction charge on a machine
+// with an observability attachment, equivalent to tick: observe and
+// profile, meter, fuel. An unarmed machine charges inline in
 // execDecoded instead.
 func (m *Machine) dtick(d *dfunc, di *dinstr) {
-	if m.Trace != nil {
-		m.Trace(d.f, di.in)
-	}
-	if m.obs != nil {
-		m.obsTick(d.f, di.in, d.prof, di.pc, di.site)
-	} else if di.site {
-		d.prof.n[di.pc].execs++
-	}
+	m.obsTick(d.f, di.in, d.prof, di.pc, di.site)
 	m.Meter.OnInstr(di.op)
 	m.Fuel--
 	if m.Fuel <= 0 {
@@ -129,7 +120,7 @@ blockLoop:
 			di := &blk.code[ci]
 			// Every decoded instruction retires one tick before its own
 			// work. An unarmed machine charges it here without a call.
-			if m.Trace != nil || m.obs != nil {
+			if m.obs != nil {
 				m.dtick(d, di)
 			} else {
 				if di.site {

@@ -104,9 +104,6 @@ type Machine struct {
 	// sectionInitDone tracks the one-time heap sectioning cost.
 	sectionInitDone bool
 
-	// Trace, when non-nil, receives every executed instruction.
-	Trace func(f *ir.Func, in *ir.Instr)
-
 	// cov receives branch-edge coverage from the decoded engine; nil
 	// whenever coverage is disabled, so taken branches pay one nil check.
 	cov *Coverage
@@ -135,10 +132,6 @@ type Config struct {
 	// engines must produce byte-identical results — and costs roughly
 	// 2× the run time; production callers leave it false.
 	Reference bool
-
-	// Trace, when non-nil, receives every executed instruction (set on
-	// the machine; also settable after New).
-	Trace func(f *ir.Func, in *ir.Instr)
 
 	// Flight arms a fault flight recorder keeping the last N executed
 	// instructions, independent of any obs.Session; faults then carry a
@@ -179,7 +172,6 @@ func New(mod *ir.Module, cfg Config) *Machine {
 		decoded:      make(map[*ir.Func]*dfunc),
 		plans:        make(map[*ir.Func]*ir.StackPlan),
 		ref:          cfg.Reference,
-		Trace:        cfg.Trace,
 		cov:          cfg.Cover,
 	}
 	m.obs = newObsState(cfg)
@@ -311,9 +303,6 @@ type Result struct {
 	Sites map[string]obs.SiteCount
 }
 
-// Ok reports whether the run completed without a fault.
-func (r *Result) Ok() bool { return r.Fault == nil }
-
 // Run executes the named function with integer arguments and returns the
 // result; a fault is reported in Result rather than as a Go error (a Go
 // error means the harness itself was misused).
@@ -417,9 +406,6 @@ func (m *Machine) random() *rand.Rand {
 // fuel (reference-interpreter path; the decoded engine charges in
 // execDecoded, or in dtick on an armed machine).
 func (m *Machine) tick(fr *refFrame, in *ir.Instr) {
-	if m.Trace != nil {
-		m.Trace(fr.f, in)
-	}
 	site := in.Op.IsHardening()
 	if m.obs != nil {
 		m.obsTick(fr.f, in, fr.prof, int32(in.ID), site)

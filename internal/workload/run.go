@@ -58,14 +58,10 @@ func Source(p *Profile) string {
 	src, ok := genCache[fp]
 	genMu.Unlock()
 	if ok {
-		if reg := obs.CurrentMetrics(); reg != nil {
-			reg.Add("pipeline.generate.hits", 1)
-		}
+		obs.Count("pipeline.generate.hits")
 		return src
 	}
-	if reg := obs.CurrentMetrics(); reg != nil {
-		reg.Add("pipeline.generate.misses", 1)
-	}
+	obs.Count("pipeline.generate.misses")
 	src = Generate(p)
 	genMu.Lock()
 	genCache[fp] = src

@@ -10,6 +10,8 @@
 package alias
 
 import (
+	"slices"
+
 	"repro/internal/ir"
 )
 
@@ -268,13 +270,31 @@ func (s *solver) solve() {
 	}
 }
 
-// PointsTo returns the objects value v may point to.
+// PointsTo returns the objects value v may point to, in ascending ID
+// order: the passes insert one check per object in this order, so it
+// must not depend on map iteration.
 func (r *Result) PointsTo(v ir.Value) []*Object {
-	var out []*Object
-	for id := range r.pts[node{v}] {
+	set := r.pts[node{v}]
+	if len(set) == 0 {
+		return nil
+	}
+	out := make([]*Object, 0, len(set))
+	for id := range set {
 		out = append(out, r.Objects[id])
 	}
+	slices.SortFunc(out, func(a, b *Object) int { return a.ID - b.ID })
 	return out
+}
+
+// AppendPointsTo appends the IDs of the objects value v may point to,
+// in ascending order, to dst and returns the extended slice.
+func (r *Result) AppendPointsTo(dst []int, v ir.Value) []int {
+	n := len(dst)
+	for id := range r.pts[node{v}] {
+		dst = append(dst, id)
+	}
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // ObjectOf returns the abstract object for an alloca/global/heap-call

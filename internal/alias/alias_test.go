@@ -95,6 +95,14 @@ int main() {
 	if !r.MayPointToObject(p, r.ObjectOf(x)) || !r.MayPointToObject(p, r.ObjectOf(y)) {
 		t.Fatal("p must may-point to both arms' targets")
 	}
+	// The passes insert one check per object in PointsTo order, so it
+	// must be ascending IDs, never map order.
+	for i := 0; i < 20; i++ {
+		objs, ids := r.PointsTo(p), r.AppendPointsTo(nil, p)
+		if len(objs) != 2 || len(ids) != 2 || objs[0].ID >= objs[1].ID || ids[0] != objs[0].ID || ids[1] != objs[1].ID {
+			t.Fatalf("PointsTo %v and AppendPointsTo %v are not both ascending", objs, ids)
+		}
+	}
 }
 
 func TestGEPIsFieldInsensitive(t *testing.T) {

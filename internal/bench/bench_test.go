@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -63,6 +64,40 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 				t.Fatal("rendered table must carry its id")
 			}
 		})
+	}
+}
+
+// TestOneAnalysisPerCompile runs Prewarm and every experiment on the
+// quick config: every scheme's harden and every Analyze of one compile
+// share its one vulnerability analysis, so no compile is analyzed twice.
+func TestOneAnalysisPerCompile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("quick subset still takes seconds")
+	}
+	sess := obs.Start(&obs.Session{Journal: obs.NewJournal()})
+	defer obs.Stop()
+	cfg := bench.DefaultConfig()
+	cfg.Quick = true
+	cfg.Parallel = 2
+	cfg.Prewarm(bench.All())
+	for _, e := range bench.All() {
+		if _, err := e.Run(cfg); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+	analyses := make(map[string]int)
+	for _, ev := range sess.Journal.Events() {
+		if ev.Ev == "point" && ev.Name == "pipeline.analysis.misses" {
+			analyses[ev.Attrs["name"]+" "+ev.Attrs["compile"]]++
+		}
+	}
+	if len(analyses) == 0 {
+		t.Fatal("no analysis recorded")
+	}
+	for compile, n := range analyses {
+		if n != 1 {
+			t.Errorf("%s analyzed %d times", compile, n)
+		}
 	}
 }
 

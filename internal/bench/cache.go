@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/core"
@@ -33,8 +34,8 @@ type analysisEntry struct {
 // executed at most once per Runner — concurrent requests for the same
 // pair coalesce onto a single in-flight execution (singleflight), and
 // later callers get the cached result, error included. The vulnerability
-// analysis (vanilla build + slicing) is memoized the same way, keyed by
-// fingerprint alone.
+// analysis (Pipeline.Analyze: slicing a fresh decode of the vanilla
+// compile) is memoized the same way, keyed by fingerprint alone.
 //
 // Every build flows through the Runner's core.Pipeline, so the compile
 // and harden stages are additionally shared across schemes (and across
@@ -144,8 +145,9 @@ func (r *Runner) Schemes(p *workload.Profile, schemes ...core.Scheme) (map[core.
 	return out, nil
 }
 
-// Analyze compiles p's vanilla module and runs the vulnerability
-// analysis, memoized by profile fingerprint.
+// Analyze runs the vulnerability analysis of p's vanilla compile,
+// memoized by profile fingerprint. Through the pipeline, it also gives
+// the compile the analysis its instrumenting hardens read.
 func (r *Runner) Analyze(p *workload.Profile) (*slice.VulnReport, error) {
 	fp := p.Fingerprint()
 	r.mu.Lock()
@@ -165,12 +167,10 @@ func (r *Runner) Analyze(p *workload.Profile) (*slice.VulnReport, error) {
 	}
 	pp := *p
 	e.once.Do(func() {
-		prog, err := workload.BuildWith(r.pipeline, &pp, core.SchemeVanilla)
-		if err != nil {
-			e.err = err
-			return
+		e.vr, e.err = r.pipeline.Analyze(pp.Name, workload.Source(&pp))
+		if e.err != nil {
+			e.err = fmt.Errorf("workload %s: %w", pp.Name, e.err)
 		}
-		e.vr = core.Analyze(prog.Mod)
 	})
 	return e.vr, e.err
 }

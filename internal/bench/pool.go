@@ -93,17 +93,20 @@ func forEach(workers, n int, fn func(i int)) {
 }
 
 // Prewarm populates the run cache with every task the experiments
-// declare, in three explicitly staged batches over a pool of
+// declare, in four explicitly staged batches over a pool of
 // cfg.Parallel workers (0 = GOMAXPROCS):
 //
 //  1. compile: every distinct profile front-end compile, once
-//  2. harden:  every distinct (profile, scheme) instrumentation,
+//  2. analyze: every declared vulnerability analysis, each of which
+//     also hands its compile the analysis its hardens read
+//  3. harden:  every distinct (profile, scheme) instrumentation,
 //     each decoded from stage 1's vanilla IR bytes
-//  3. run:     every execution and analysis, all stages warm
+//  4. run:     every execution, all stages warm
 //
 // Each batch saturates the pool with the widest level of the build DAG,
-// so no scheme's harden waits behind another profile's compile. Returns
-// the worker count used.
+// so no scheme's harden waits behind another profile's compile, and a
+// profile's hardens find its declared analysis ready. Returns the
+// worker count used.
 func (c *Config) Prewarm(exps []Experiment) int {
 	tasks := WarmTasks(c, exps)
 	workers := c.Parallel
@@ -142,37 +145,38 @@ func (c *Config) Prewarm(exps []Experiment) int {
 		})
 	}()
 
-	// Stage 2: distinct hardens. Runs need their scheme's module;
-	// analyses only need the vanilla compile stage 1 already paid.
-	var hardens []Task
-	seenHarden := make(map[taskKey]bool)
+	// Split the rest: WarmTasks already dropped duplicates.
+	var analyses, runs []Task
 	for _, t := range tasks {
 		if t.Analyze {
-			continue
-		}
-		if k := t.key(); !seenHarden[k] {
-			seenHarden[k] = true
-			hardens = append(hardens, t)
+			analyses = append(analyses, t)
+		} else {
+			runs = append(runs, t)
 		}
 	}
+
+	// Stage 2: analyses, before any harden needs one.
 	func() {
-		defer obs.TraceSpan(fmt.Sprintf("prewarm harden x%d", len(hardens)), "bench")()
-		forEach(workers, len(hardens), func(i int) {
-			t := hardens[i]
+		defer obs.TraceSpan(fmt.Sprintf("prewarm analyze x%d", len(analyses)), "bench")()
+		forEach(workers, len(analyses), func(i int) {
+			r.Analyze(&analyses[i].Profile)
+		})
+	}()
+
+	// Stage 3: hardens, one per distinct (profile, scheme) run.
+	func() {
+		defer obs.TraceSpan(fmt.Sprintf("prewarm harden x%d", len(runs)), "bench")()
+		forEach(workers, len(runs), func(i int) {
+			t := runs[i]
 			pl.PrewarmHarden(t.Profile.Name, workload.Source(&t.Profile), t.Scheme)
 		})
 	}()
 
-	// Stage 3: runs and analyses, every build stage now warm.
+	// Stage 4: runs, every build stage now warm.
 	func() {
-		defer obs.TraceSpan(fmt.Sprintf("prewarm run x%d", len(tasks)), "bench")()
-		forEach(workers, len(tasks), func(i int) {
-			t := tasks[i]
-			if t.Analyze {
-				r.Analyze(&t.Profile)
-			} else {
-				r.Run(&t.Profile, t.Scheme)
-			}
+		defer obs.TraceSpan(fmt.Sprintf("prewarm run x%d", len(runs)), "bench")()
+		forEach(workers, len(runs), func(i int) {
+			r.Run(&runs[i].Profile, runs[i].Scheme)
 		})
 	}()
 	return workers

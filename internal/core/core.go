@@ -95,8 +95,20 @@ func CompileC(name, src string) (*ir.Module, error) {
 	return mod, nil
 }
 
-// Protect applies the scheme's instrumentation to mod in place.
+// Protect applies the scheme's instrumentation to mod in place,
+// analyzing mod first when the scheme reads the analysis.
 func Protect(mod *ir.Module, scheme Scheme) (*Protection, error) {
+	var facts *slice.Facts
+	if scheme.Analyzes() {
+		facts = slice.AnalyzeVulnerabilities(mod).Facts()
+	}
+	return protect(mod, scheme, facts)
+}
+
+// protect applies the scheme's instrumentation to mod in place, reading
+// facts, the analysis of mod's vanilla compile (nil for the schemes that
+// do not analyze).
+func protect(mod *ir.Module, scheme Scheme, facts *slice.Facts) (*Protection, error) {
 	defer obs.TraceSpan(fmt.Sprintf("harden %v", scheme), "harden")()
 	if scheme == SchemeDFI {
 		r, err := dfi.Apply(mod)
@@ -108,7 +120,7 @@ func Protect(mod *ir.Module, scheme Scheme) (*Protection, error) {
 		harden.AssignSites(mod)
 		return &Protection{Scheme: scheme, DFI: r}, nil
 	}
-	r, err := harden.Apply(mod, scheme)
+	r, err := harden.ApplyFacts(mod, scheme, facts)
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,13 @@ package core
 // processes. The harden stage derives each scheme's module by decoding
 // the shared vanilla compile's bytes instead of recompiling.
 //
+// The vulnerability analysis depends only on the vanilla compile, so
+// each compile entry carries one, computed by the first harden miss (or
+// Analyze) that needs it and read by every scheme's harden as
+// slice.Facts, which hold no module pointers: each harden binds them to
+// its own decode. The analysis is never persisted, since a harden disk
+// hit needs none.
+//
 // Determinism invariant: a Program built through any mix of cold
 // stages, warm in-process stages, and warm on-disk stages is
 // bit-identical in behavior. The pipeline enforces this by
@@ -35,6 +42,7 @@ import (
 	"repro/internal/harden"
 	"repro/internal/ir"
 	"repro/internal/obs"
+	"repro/internal/slice"
 )
 
 // PipelineVersion names the pipeline's artifact schema. It is folded
@@ -59,12 +67,30 @@ type Pipeline struct {
 }
 
 // compileEntry is one memoized vanilla compile: the canonical encoding
-// every downstream harden decodes its module from.
+// every downstream harden decodes its module from, and the analysis of
+// that encoding every instrumenting harden reads.
 type compileEntry struct {
 	once   sync.Once
 	enc    []byte
 	digest string // artifact.Key of enc: the harden stage's upstream key
 	err    error
+
+	analysisOnce sync.Once
+	facts        *slice.Facts
+}
+
+// analysis returns the compile's analysis, computing it from mod, a
+// decode of enc that no pass has edited yet, when no stage has.
+func (e *compileEntry) analysis(name string, mod *ir.Module) *slice.Facts {
+	e.analysisOnce.Do(func() { e.facts = e.analyze(name, mod).Facts() })
+	return e.facts
+}
+
+// analyze runs the vulnerability analysis of mod, a decode of enc.
+func (e *compileEntry) analyze(name string, mod *ir.Module) *slice.VulnReport {
+	count("pipeline.analysis.misses", map[string]string{"name": name, "compile": e.digest})
+	defer obs.TraceSpan("analyze "+name, "slice")()
+	return slice.AnalyzeVulnerabilities(mod)
 }
 
 // hardenEntry is one memoized (vanilla IR, scheme) instrumentation: the
@@ -242,7 +268,11 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (*harde
 			e.err = fmt.Errorf("core: reload compiled %s: %w", name, err)
 			return
 		}
-		prot, err := Protect(mod, scheme)
+		var facts *slice.Facts
+		if scheme.Analyzes() {
+			facts = ce.analysis(name, mod)
+		}
+		prot, err := protect(mod, scheme, facts)
 		if err != nil {
 			e.err = err
 			return
@@ -265,6 +295,25 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (*harde
 		}
 	})
 	return e, ok
+}
+
+// Analyze returns the vulnerability analysis of src's vanilla compile,
+// run on a fresh decode that the report keeps. When no harden has
+// analyzed the compile yet, the compile keeps this analysis for its
+// hardens, so analyzing a compile before hardening it pays for one
+// analysis, not two.
+func (pl *Pipeline) Analyze(name, src string) (*slice.VulnReport, error) {
+	ce := pl.compile(name, src)
+	if ce.err != nil {
+		return nil, fmt.Errorf("core: compile %s: %w", name, ce.err)
+	}
+	mod, err := ir.DecodeModule(ce.enc)
+	if err != nil {
+		return nil, fmt.Errorf("core: reload compiled %s: %w", name, err)
+	}
+	vr := ce.analyze(name, mod)
+	ce.analysisOnce.Do(func() { ce.facts = vr.Facts() })
+	return vr, nil
 }
 
 // PrewarmCompile resolves the compile stage for (name, src) without

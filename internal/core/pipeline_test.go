@@ -371,6 +371,83 @@ int main() {
 	}
 }
 
+// sharedAnalysisSrc exercises every pass that reads the analysis: a
+// store through a pointer with two targets, a tainted heap buffer, a
+// struct whose array field a channel writes, and stack buffers.
+const sharedAnalysisSrc = `
+struct rec { char name[8]; long id; };
+int main() {
+	struct rec r; int a; int b; int *p; char buf[16]; char *h;
+	a = 0; b = 0; r.id = 0;
+	h = malloc(16);
+	gets(buf);
+	gets(r.name);
+	fgets(h, 16);
+	if (buf[0] == 120) { p = &a; } else { p = &b; }
+	*p = buf[1];
+	if (a != 0) { printf("A\n"); }
+	if (b != 0) { printf("B\n"); }
+	if (r.id != 0) { return 99; }
+	if (h[0] == 65) { return 2; }
+	return 0;
+}`
+
+// TestPipelineSharesOneAnalysis builds one source under every scheme
+// from eight goroutines through one pipeline (run it under -race): the
+// compile is analyzed exactly once, and every scheme's module encodes
+// to the bytes core.Protect gives on a fresh decode of the vanilla
+// compile, which analyzes that decode itself.
+func TestPipelineSharesOneAnalysis(t *testing.T) {
+	pl := core.NewPipeline()
+	got := make([][]byte, len(allSchemes))
+	reg := withMetrics(t, func() {
+		var wg sync.WaitGroup
+		for i, s := range allSchemes {
+			wg.Add(1)
+			go func(i int, s core.Scheme) {
+				defer wg.Done()
+				prog, err := pl.Build("shared", sharedAnalysisSrc, s)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i], err = ir.EncodeModule(prog.Mod)
+				if err != nil {
+					t.Error(err)
+				}
+			}(i, s)
+		}
+		wg.Wait()
+	})
+	if n := counter(reg, "pipeline.analysis.misses"); n != 1 {
+		t.Errorf("analysis misses = %d, want 1 for one compile", n)
+	}
+	vanilla, err := pl.Compile("shared", sharedAnalysisSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ir.EncodeModule(vanilla)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range allSchemes {
+		mod, err := ir.DecodeModule(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Protect(mod, s); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ir.EncodeModule(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Errorf("%v: the pipeline's module differs from core.Protect's", s)
+		}
+	}
+}
+
 // TestWrapperThroughLocalCopy: a wrapper that forwards its parameter
 // through a local copy is a channel like one that forwards it directly,
 // since the front end classifies wrappers after mem2reg has promoted the

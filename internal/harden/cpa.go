@@ -1,7 +1,6 @@
 package harden
 
 import (
-	"repro/internal/alias"
 	"repro/internal/dataflow"
 	"repro/internal/ir"
 	"repro/internal/slice"
@@ -49,13 +48,13 @@ func (p *sealPlan) object(v ir.Value) bool { return p.kind[v] == sealObject }
 // applyCPA implements Algorithm 2: every unrefined vulnerable variable is
 // sealed with ARM-PA — encrypted at definition, authenticated before
 // every use.
-func applyCPA(mod *ir.Module, vr *slice.VulnReport, rep *Report) {
+func applyCPA(mod *ir.Module, vb *slice.Binding, rep *Report) {
 	plan := newSealPlan()
-	for root := range vr.CPAVars {
+	for _, root := range vb.CPAVars() {
 		classifyRoot(plan, root, rep)
 	}
 	for _, f := range mod.Defined() {
-		instrumentSeals(f, vr.Analysis, plan, vr.CPAVars, rep)
+		instrumentSeals(f, vb, plan, rep)
 	}
 }
 
@@ -140,29 +139,29 @@ func nameGen(f *ir.Func, hint string) string { return f.GenName(hint) }
 // instrumentSeals rewrites one function's loads/stores/calls per the
 // seal plan. It is shared by the CPA pass and Pythia's heap-pointer
 // sealing (which passes a narrower plan).
-func instrumentSeals(f *ir.Func, a *slice.Analysis, plan *sealPlan, vuln map[ir.Value]bool, rep *Report) {
+func instrumentSeals(f *ir.Func, vb *slice.Binding, plan *sealPlan, rep *Report) {
 	var edits []edit
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpLoad:
-				edits = append(edits, sealLoadEdits(f, a, plan, in, rep)...)
+				edits = append(edits, sealLoadEdits(f, vb, plan, in, rep)...)
 			case ir.OpStore:
-				edits = append(edits, sealStoreEdits(f, a, plan, in, rep)...)
+				edits = append(edits, sealStoreEdits(f, vb, plan, in, rep)...)
 			case ir.OpCall:
 				if plan.object(ir.Value(in)) {
 					// Initial seal of a freshly allocated heap object.
 					edits = append(edits, edit{before: in, insert: []*ir.Instr{objSeal(f, in, plan.sizeValue(in))}, after: true})
 					rep.PAInstrs++
 				}
-				edits = append(edits, sealCallEdits(f, a, plan, in, rep)...)
+				edits = append(edits, sealCallEdits(f, vb, plan, in, rep)...)
 			}
 		}
 	}
 	applyEdits(edits)
 }
 
-func sealLoadEdits(f *ir.Func, a *slice.Analysis, plan *sealPlan, in *ir.Instr, rep *Report) []edit {
+func sealLoadEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, rep *Report) []edit {
 	addr := in.Args[0]
 	root := dataflow.MemRoot(addr)
 	switch {
@@ -186,7 +185,7 @@ func sealLoadEdits(f *ir.Func, a *slice.Analysis, plan *sealPlan, in *ir.Instr, 
 	case root == nil:
 		// Computed address: verify every sealed object it may read.
 		var ins []*ir.Instr
-		for _, obj := range a.AA.PointsTo(addr) {
+		for _, obj := range vb.PointsTo(addr) {
 			r := scopedRoot(f, obj)
 			switch {
 			case plan.object(r):
@@ -204,7 +203,7 @@ func sealLoadEdits(f *ir.Func, a *slice.Analysis, plan *sealPlan, in *ir.Instr, 
 	return nil
 }
 
-func sealStoreEdits(f *ir.Func, a *slice.Analysis, plan *sealPlan, in *ir.Instr, rep *Report) []edit {
+func sealStoreEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, rep *Report) []edit {
 	addr := in.Args[1]
 	root := dataflow.MemRoot(addr)
 	switch {
@@ -228,7 +227,7 @@ func sealStoreEdits(f *ir.Func, a *slice.Analysis, plan *sealPlan, in *ir.Instr,
 		// A store through a computed pointer may legitimately write any
 		// sealed object it aliases: reseal them afterwards.
 		var ins []*ir.Instr
-		for _, obj := range a.AA.PointsTo(addr) {
+		for _, obj := range vb.PointsTo(addr) {
 			r := scopedRoot(f, obj)
 			switch {
 			case plan.object(r):
@@ -250,7 +249,7 @@ func sealStoreEdits(f *ir.Func, a *slice.Analysis, plan *sealPlan, in *ir.Instr,
 // callee reads authenticated state — and pre-existing corruption is
 // caught here) and a seal after (the callee may have legitimately
 // written through the pointer, including input channels).
-func sealCallEdits(f *ir.Func, a *slice.Analysis, plan *sealPlan, in *ir.Instr, rep *Report) []edit {
+func sealCallEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, rep *Report) []edit {
 	var before, after []*ir.Instr
 	seen := make(map[ir.Value]bool)
 	consider := func(r ir.Value) {
@@ -274,7 +273,7 @@ func sealCallEdits(f *ir.Func, a *slice.Analysis, plan *sealPlan, in *ir.Instr, 
 			continue
 		}
 		consider(dataflow.MemRoot(arg))
-		for _, obj := range a.AA.PointsTo(arg) {
+		for _, obj := range vb.PointsTo(arg) {
 			consider(scopedRoot(f, obj))
 		}
 	}
@@ -305,28 +304,12 @@ func objSeal(f *ir.Func, root ir.Value, size ir.Value) *ir.Instr {
 	return markPass(ir.NewInstr(ir.OpObjSeal, "", ir.Void, root, size), "cpa")
 }
 
-// rootOf maps an abstract alias object back to its IR root value.
-func rootOf(obj *alias.Object) ir.Value {
-	switch {
-	case obj.Alloca != nil:
-		return obj.Alloca
-	case obj.Global != nil:
-		return obj.Global
-	case obj.Heap != nil:
-		return obj.Heap
-	}
-	return nil
-}
-
-// scopedRoot returns the object's root only when it is referencable from
+// scopedRoot returns an object's root only when it is referencable from
 // f: globals always; allocas and heap sites only within their owning
 // function (an SSA value cannot cross function boundaries).
-func scopedRoot(f *ir.Func, obj *alias.Object) ir.Value {
-	if obj.Global != nil {
-		return obj.Global
-	}
-	if obj.Fn != f {
+func scopedRoot(f *ir.Func, root ir.Value) ir.Value {
+	if in, ok := root.(*ir.Instr); ok && in.Block.Parent != f {
 		return nil
 	}
-	return rootOf(obj)
+	return root
 }

@@ -20,9 +20,9 @@ import (
 
 // applyFieldCanaries instruments mod in place; it extends a regular
 // Pythia application.
-func applyFieldCanaries(mod *ir.Module, vr *slice.VulnReport, rep *Report) {
+func applyFieldCanaries(mod *ir.Module, vb *slice.Binding, rep *Report) {
 	for _, f := range mod.Defined() {
-		fieldCanariesInFunc(f, vr, rep)
+		fieldCanariesInFunc(f, vb, rep)
 	}
 }
 
@@ -57,7 +57,7 @@ func paddedStruct(st *ir.StructType) (*ir.StructType, map[int]int, []int) {
 	return out, remap, canaries
 }
 
-func fieldCanariesInFunc(f *ir.Func, vr *slice.VulnReport, rep *Report) {
+func fieldCanariesInFunc(f *ir.Func, vb *slice.Binding, rep *Report) {
 	type padded struct {
 		alloca   *ir.Instr
 		st       *ir.StructType
@@ -70,7 +70,7 @@ func fieldCanariesInFunc(f *ir.Func, vr *slice.VulnReport, rep *Report) {
 		if !ok {
 			continue
 		}
-		if !vr.PythiaVars[ir.Value(a)] && !vr.Taint.Roots[ir.Value(a)] {
+		if !vb.Pythia(a) && !vb.TaintRoot(a) {
 			continue
 		}
 		ns, remap, cans := paddedStruct(st)
@@ -144,7 +144,7 @@ func fieldCanariesInFunc(f *ir.Func, vr *slice.VulnReport, rep *Report) {
 			case in.Op == ir.OpCall && in.Callee.Channel.IsChannel():
 				for i := range targets {
 					p := &targets[i]
-					if !channelMayWrite(vr.Analysis, in, p.alloca) {
+					if !channelMayWrite(vb, in, p.alloca) {
 						continue
 					}
 					for _, ci := range p.canaries {
@@ -172,8 +172,8 @@ func fieldCanariesInFunc(f *ir.Func, vr *slice.VulnReport, rep *Report) {
 
 // channelMayWrite reports whether the channel call's destination may be
 // the given alloca (directly or via aliases).
-func channelMayWrite(a *slice.Analysis, call *ir.Instr, alloca *ir.Instr) bool {
+func channelMayWrite(vb *slice.Binding, call *ir.Instr, alloca *ir.Instr) bool {
 	site := inputchan.CallSite{Call: call, Kind: call.Callee.Channel}
-	roots := rootsWrittenBy(a, site, map[ir.Value]bool{ir.Value(alloca): true})
+	roots := rootsWrittenBy(vb, site, map[ir.Value]bool{ir.Value(alloca): true})
 	return len(roots) > 0
 }

@@ -11,8 +11,9 @@
 //     secure_malloc for vulnerable heap objects, and sealing of the
 //     pointer scalars that reference them.
 //
-// Both passes consume the vulnerability analysis of package slice and
-// leave a Report of what they instrumented (the Fig. 6 statistics).
+// Both passes read the vulnerability analysis of package slice, as the
+// pointer-free slice.Facts of the vanilla module, and leave a Report of
+// what they instrumented (the Fig. 6 statistics).
 package harden
 
 import (
@@ -54,6 +55,12 @@ func (s Scheme) String() string {
 	return schemeNames[s]
 }
 
+// Analyzes reports whether the scheme's passes read the vulnerability
+// analysis: every scheme this package applies except Vanilla.
+func (s Scheme) Analyzes() bool {
+	return s > Vanilla && s <= PythiaFields && s != DFIScheme
+}
+
 // Report summarizes one pass application.
 type Report struct {
 	Scheme Scheme
@@ -67,31 +74,47 @@ type Report struct {
 	DFIChecks     int
 }
 
-// Apply runs the selected scheme's instrumentation on mod in place and
-// returns the report. The module must not already be instrumented.
-// Vanilla instruments nothing and so analyzes nothing.
+// Apply analyzes mod and runs the selected scheme's instrumentation on
+// it in place (ApplyFacts). Vanilla instruments nothing and so analyzes
+// nothing.
 func Apply(mod *ir.Module, scheme Scheme) (*Report, error) {
+	var facts *slice.Facts
+	if scheme.Analyzes() {
+		facts = slice.AnalyzeVulnerabilities(mod).Facts()
+	}
+	return ApplyFacts(mod, scheme, facts)
+}
+
+// ApplyFacts runs the selected scheme's instrumentation on mod in place
+// and returns the report. facts is the analysis of mod itself or of the
+// bytes mod was decoded from; schemes that do not analyze ignore it.
+// The module must not already be instrumented.
+func ApplyFacts(mod *ir.Module, scheme Scheme, facts *slice.Facts) (*Report, error) {
 	rep := &Report{Scheme: scheme}
 	if scheme == Vanilla {
 		return rep, nil
 	}
-	vr := slice.AnalyzeVulnerabilities(mod)
+	if !scheme.Analyzes() {
+		return nil, fmt.Errorf("harden: scheme %v not applied by this package", scheme)
+	}
+	vb, err := facts.Bind(mod)
+	if err != nil {
+		return nil, fmt.Errorf("harden: %v: %w", scheme, err)
+	}
 	switch scheme {
 	case CPA:
-		applyCPA(mod, vr, rep)
+		applyCPA(mod, vb, rep)
 	case Pythia:
-		applyPythia(mod, vr, rep, pythiaConfig{Stack: true, Heap: true, Relayout: true})
+		applyPythia(mod, vb, rep, pythiaConfig{Stack: true, Heap: true, Relayout: true})
 	case PythiaStackOnly:
-		applyPythia(mod, vr, rep, pythiaConfig{Stack: true, Relayout: true})
+		applyPythia(mod, vb, rep, pythiaConfig{Stack: true, Relayout: true})
 	case PythiaHeapOnly:
-		applyPythia(mod, vr, rep, pythiaConfig{Heap: true})
+		applyPythia(mod, vb, rep, pythiaConfig{Heap: true})
 	case PythiaNoRelayout:
-		applyPythia(mod, vr, rep, pythiaConfig{Stack: true, Heap: true})
+		applyPythia(mod, vb, rep, pythiaConfig{Stack: true, Heap: true})
 	case PythiaFields:
-		applyFieldCanaries(mod, vr, rep)
-		applyPythia(mod, vr, rep, pythiaConfig{Stack: true, Heap: true, Relayout: true})
-	default:
-		return nil, fmt.Errorf("harden: scheme %v not applied by this package", scheme)
+		applyFieldCanaries(mod, vb, rep)
+		applyPythia(mod, vb, rep, pythiaConfig{Stack: true, Heap: true, Relayout: true})
 	}
 	for _, f := range mod.Defined() {
 		f.Renumber()
@@ -114,7 +137,7 @@ func isScalar(t ir.Type) bool { return ir.IsInt(t) || ir.IsPtr(t) }
 
 // rootsWrittenBy returns the vulnerable roots an input-channel call may
 // write (destination arguments, direct or via aliases).
-func rootsWrittenBy(a *slice.Analysis, site inputchan.CallSite, vuln map[ir.Value]bool) []ir.Value {
+func rootsWrittenBy(vb *slice.Binding, site inputchan.CallSite, vuln map[ir.Value]bool) []ir.Value {
 	var out []ir.Value
 	seen := make(map[ir.Value]bool)
 	add := func(v ir.Value) {
@@ -128,15 +151,8 @@ func rootsWrittenBy(a *slice.Analysis, site inputchan.CallSite, vuln map[ir.Valu
 			continue
 		}
 		add(dataflow.MemRoot(arg))
-		for _, obj := range a.AA.PointsTo(arg) {
-			switch {
-			case obj.Alloca != nil:
-				add(obj.Alloca)
-			case obj.Global != nil:
-				add(obj.Global)
-			case obj.Heap != nil:
-				add(obj.Heap)
-			}
+		for _, root := range vb.PointsTo(arg) {
+			add(root)
 		}
 	}
 	return out

@@ -250,6 +250,49 @@ func TestAblationConfigsApply(t *testing.T) {
 	}
 }
 
+// twoTargetSrc stores through a pointer that may reach either of two
+// locals, so the CPA pass reseals both after the store, one per
+// points-to object.
+const twoTargetSrc = `
+int main() { int a; int b; int *p; char buf[16]; a = 0; b = 0; gets(buf);
+  if (buf[0] == 120) { p = &a; } else { p = &b; }
+  *p = buf[1]; if (a != 0) { printf("A\n"); } if (b != 0) { printf("B\n"); } return 0; }`
+
+// TestHardenIsDeterministic hardens one vanilla encoding many times
+// under every scheme: the checks a pass inserts per points-to object
+// must come out in one order, or two processes could persist different
+// bytes under one harden key.
+func TestHardenIsDeterministic(t *testing.T) {
+	mod, err := core.CompileC("t", twoTargetSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vanilla, err := ir.EncodeModule(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := core.SchemeVanilla; s <= core.SchemeFields; s++ {
+		encs := make(map[string]bool)
+		for i := 0; i < 40; i++ {
+			mod, err := ir.DecodeModule(vanilla)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.Protect(mod, s); err != nil {
+				t.Fatalf("%v: %v", s, err)
+			}
+			enc, err := ir.EncodeModule(mod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			encs[string(enc)] = true
+		}
+		if len(encs) != 1 {
+			t.Errorf("%v: 40 hardenings of one encoding gave %d distinct encodings", s, len(encs))
+		}
+	}
+}
+
 func TestVanillaIsIdentity(t *testing.T) {
 	mod, err := core.CompileC("t", vulnSrc)
 	if err != nil {

@@ -1,6 +1,8 @@
 package harden
 
 import (
+	"slices"
+
 	"repro/internal/inputchan"
 	"repro/internal/ir"
 	"repro/internal/slice"
@@ -18,22 +20,21 @@ type pythiaConfig struct {
 // vulnerable set (branch sub-variables ∩ input-channel taint) is
 // protected with stack canaries + re-layout and heap sectioning instead
 // of across-the-board sealing.
-func applyPythia(mod *ir.Module, vr *slice.VulnReport, rep *Report, cfg pythiaConfig) {
-	refined := vr.PythiaVars
+func applyPythia(mod *ir.Module, vb *slice.Binding, rep *Report, cfg pythiaConfig) {
 	if cfg.Heap {
-		sectionHeap(mod, vr, rep)
+		sectionHeap(mod, vb, rep)
 	}
 	// Heap-pointer scalars still get PA sealing (Alg. 4 encrypts the
 	// vulnerable heap variable's uses); everything else stack-local is
 	// covered by canaries.
 	ptrPlan := newSealPlan()
 	if cfg.Heap {
-		for root := range refined {
+		for _, root := range vb.PythiaVars() {
 			a, ok := root.(*ir.Instr)
 			if !ok || a.Op != ir.OpAlloca || !ir.IsPtr(a.AllocTy) {
 				continue
 			}
-			if pointsToHeap(vr.Analysis, a) {
+			if vb.MayHoldHeapPointer(a) {
 				ptrPlan.kind[root] = sealScalar
 				a.AllocTy = ir.ArrayOf(ir.I64, 2)
 				a.SetMeta("sealed", "1")
@@ -43,32 +44,18 @@ func applyPythia(mod *ir.Module, vr *slice.VulnReport, rep *Report, cfg pythiaCo
 	}
 	for _, f := range mod.Defined() {
 		if len(ptrPlan.kind) > 0 {
-			instrumentSeals(f, vr.Analysis, ptrPlan, refined, rep)
+			instrumentSeals(f, vb, ptrPlan, rep)
 		}
 		if cfg.Stack {
-			protectStack(f, vr, refined, rep, cfg)
+			protectStack(f, vb, rep, cfg)
 		}
 	}
-}
-
-// pointsToHeap reports whether the pointer stored in alloca a may
-// reference a heap object.
-func pointsToHeap(a *slice.Analysis, al *ir.Instr) bool {
-	fn := al.Block.Parent
-	for _, st := range a.Chains(fn).MemDefs[ir.Value(al)] {
-		for _, obj := range a.AA.PointsTo(st.Args[0]) {
-			if obj.Heap != nil {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // sectionHeap rewrites vulnerable allocation sites to secure_malloc
 // (Algorithm 4: relocate vulnerable heap variables into the isolated
 // section).
-func sectionHeap(mod *ir.Module, vr *slice.VulnReport, rep *Report) {
+func sectionHeap(mod *ir.Module, vb *slice.Binding, rep *Report) {
 	secure := mod.Func("secure_malloc")
 	if secure == nil {
 		secure = inputchan.Declare(mod)["secure_malloc"]
@@ -79,7 +66,7 @@ func sectionHeap(mod *ir.Module, vr *slice.VulnReport, rep *Report) {
 				if in.Op != ir.OpCall || in.Callee.FName != "malloc" {
 					continue
 				}
-				if vr.PythiaVars[in] || vr.Taint.Roots[in] {
+				if vb.Pythia(in) || vb.TaintRoot(in) {
 					in.Callee = secure
 					in.SetMeta("pass", "pythia.heap")
 					rep.HeapRelocated++
@@ -93,7 +80,7 @@ func sectionHeap(mod *ir.Module, vr *slice.VulnReport, rep *Report) {
 // vulnerable stack variables, re-arrange the frame so they sit together
 // at the top (high addresses) each followed by a PA-signed canary, and
 // instrument input-channel calls with re-randomization + checks.
-func protectStack(f *ir.Func, vr *slice.VulnReport, refined map[ir.Value]bool, rep *Report, cfg pythiaConfig) {
+func protectStack(f *ir.Func, vb *slice.Binding, rep *Report, cfg pythiaConfig) {
 	var vuln []*ir.Instr
 	for _, a := range f.Allocas() {
 		if a.GetMeta("sealed") != "" || a.GetMeta("canary") != "" {
@@ -103,7 +90,7 @@ func protectStack(f *ir.Func, vr *slice.VulnReport, refined map[ir.Value]bool, r
 		// input-channel destination buffer — the overflow *sources* the
 		// paper canaries in §6.3 ("classifies 'someinput' as a stack
 		// variable ... and adds a canary after it").
-		if refined[ir.Value(a)] || (vr.Taint.Roots[ir.Value(a)] && ir.IsAggregate(a.AllocTy)) {
+		if vb.Pythia(a) || (vb.TaintRoot(a) && ir.IsAggregate(a.AllocTy)) {
 			vuln = append(vuln, a)
 		}
 	}
@@ -151,7 +138,7 @@ func protectStack(f *ir.Func, vr *slice.VulnReport, refined map[ir.Value]bool, r
 			switch {
 			case in.Op == ir.OpCall && in.Callee.Channel.IsChannel():
 				site := inputchan.CallSite{Caller: f, Call: in, Kind: in.Callee.Channel}
-				for _, r := range rootsWrittenBy(vr.Analysis, site, vulnSet) {
+				for _, r := range rootsWrittenBy(vb, site, vulnSet) {
 					a := r.(*ir.Instr)
 					sp := spans[a]
 					if sp == nil {
@@ -171,12 +158,8 @@ func protectStack(f *ir.Func, vr *slice.VulnReport, refined map[ir.Value]bool, r
 				// call — before any branch can consume corrupted state.
 				var checks []*ir.Instr
 				for _, a := range vuln {
-					obj := vr.Analysis.AA.ObjectOf(a)
-					if obj == nil {
-						continue
-					}
 					for _, arg := range in.Args {
-						if ir.IsPtr(arg.Type()) && vr.Analysis.AA.MayPointToObject(arg, obj) {
+						if ir.IsPtr(arg.Type()) && slices.Contains(vb.PointsTo(arg), ir.Value(a)) {
 							checks = append(checks, canaryOp(ir.OpCanaryCheck, canaryOf[a]))
 							rep.PAInstrs++
 							break

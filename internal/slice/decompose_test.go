@@ -74,8 +74,8 @@ func sortedNames(vals []ir.Value) string {
 	return strings.Join(names, ",")
 }
 
-// sliceRecord renders every set a decomposition reports. ICs are a set:
-// their order follows alias.PointsTo's map iteration.
+// sliceRecord renders every set a decomposition reports. ICs are
+// rendered as a set, so the record does not pin their discovery order.
 func sliceRecord(s *slice.BranchSlice) string {
 	instrs := make([]ir.Value, 0, len(s.Instrs))
 	for _, in := range s.Instrs {

@@ -13,7 +13,8 @@ type Graph struct {
 	RPO    []*ir.Block       // reverse postorder, entry first
 	rpoNum map[*ir.Block]int // block -> RPO index
 	IDom   map[*ir.Block]*ir.Block
-	// DomChildren lists the dominator-tree children of each block.
+	// DomChildren lists the dominator-tree children of each block, in
+	// the order of F.Blocks.
 	DomChildren map[*ir.Block][]*ir.Block
 }
 
@@ -98,8 +99,10 @@ func (g *Graph) computeDominators() {
 			}
 		}
 	}
-	for b, d := range g.IDom {
-		if b != d {
+	// Children in block order: mem2reg renames along this tree, so the
+	// order fixes the order of a join phi's incoming edges.
+	for _, b := range g.F.Blocks {
+		if d, ok := g.IDom[b]; ok && b != d {
 			g.DomChildren[d] = append(g.DomChildren[d], b)
 		}
 	}

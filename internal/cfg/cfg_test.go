@@ -165,3 +165,21 @@ func TestUnreachableBlocks(t *testing.T) {
 		t.Fatal("dominance over unreachable blocks must be false")
 	}
 }
+
+// TestDomChildrenInBlockOrder: entry dominates then, else and join
+// directly, and lists them in block order on every build.
+func TestDomChildrenInBlockOrder(t *testing.T) {
+	f, _ := diamond(t)
+	want := names(f.Blocks[1:])
+	for i := 0; i < 20; i++ {
+		got := names(cfg.New(f).DomChildren[f.Entry()])
+		if len(got) != len(want) {
+			t.Fatalf("entry's dominator children = %v, want %v", got, want)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("build %d: entry's dominator children = %v, want %v", i, got, want)
+			}
+		}
+	}
+}

@@ -19,6 +19,22 @@ func benchSource() (name, src string) {
 	return p.Name, workload.Source(p)
 }
 
+var compileSink *ir.Module
+
+// BenchmarkCompileC measures the front end on 523.xalancbmk_r: the
+// minic compile and irpass.Optimize.
+func BenchmarkCompileC(b *testing.B) {
+	name, src := benchSource()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		mod, err := core.CompileC(name, src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		compileSink = mod
+	}
+}
+
 // BenchmarkProtect measures one scheme's harden pass, its vulnerability
 // analysis included, on a fresh decode of the vanilla compile; the
 // decode is not timed.

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -197,7 +198,7 @@ func (f *Func) NewBlock(hint string) *Block {
 	if hint == "" {
 		hint = "bb"
 	}
-	name := fmt.Sprintf("%s%d", hint, f.nextBlk)
+	name := hint + strconv.Itoa(f.nextBlk)
 	f.nextBlk++
 	b := &Block{Name: name, Parent: f}
 	f.Blocks = append(f.Blocks, b)
@@ -209,7 +210,7 @@ func (f *Func) GenName(hint string) string {
 	if hint == "" {
 		hint = "t"
 	}
-	name := fmt.Sprintf("%s.%d", hint, f.nextName)
+	name := hint + "." + strconv.Itoa(f.nextName)
 	f.nextName++
 	return name
 }

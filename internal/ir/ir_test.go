@@ -105,49 +105,72 @@ func TestVerifyRejects(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(m *ir.Module, f *ir.Func, b *ir.Builder)
+		want string // part of the error, when the case pins it
 	}{
-		{"empty-block", func(m *ir.Module, f *ir.Func, b *ir.Builder) {}},
+		{"empty-block", func(m *ir.Module, f *ir.Func, b *ir.Builder) {}, ""},
 		{"no-terminator", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			b.Alloca("x", ir.I64)
-		}},
+		}, ""},
 		{"alloca-outside-entry", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			next := f.NewBlock("bb")
 			b.Br(next)
 			b.SetBlock(next)
 			b.Alloca("x", ir.I64)
 			b.Ret(nil)
-		}},
+		}, ""},
 		{"ret-value-in-void", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			b.Cur.Append(ir.NewInstr(ir.OpRet, "", ir.Void, ir.ConstInt(ir.I64, 1)))
-		}},
+		}, ""},
 		{"terminator-mid-block", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			b.Ret(nil)
 			b.Ret(nil)
-		}},
+		}, ""},
 		{"load-from-int", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			in := ir.NewInstr(ir.OpLoad, "v", ir.I64, ir.ConstInt(ir.I64, 5))
 			b.Cur.Append(in)
 			b.Ret(nil)
-		}},
+		}, ""},
 		{"call-arity", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			g := m.NewFunc("g", ir.Void, []string{"a"}, []ir.Type{ir.I64})
 			call := ir.NewInstr(ir.OpCall, "", ir.Void)
 			call.Callee = g
 			b.Cur.Append(call)
 			b.Ret(nil)
-		}},
+		}, ""},
+		{"deleted-operand", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
+			x := b.Bin(ir.OpAdd, ir.ConstInt(ir.I64, 1), ir.ConstInt(ir.I64, 2))
+			b.Bin(ir.OpMul, x, ir.ConstInt(ir.I64, 3))
+			b.Ret(nil)
+			b.Cur.Remove(x) // the mul still reads it
+		}, "not an instruction of this function"},
+		{"foreign-phi-value", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
+			g := m.NewFunc("g", ir.I64, nil, nil)
+			gb := ir.NewBuilder(g, g.NewBlock("entry"))
+			other := gb.Bin(ir.OpAdd, ir.ConstInt(ir.I64, 1), ir.ConstInt(ir.I64, 2))
+			gb.Ret(other)
+			g.Renumber()
+			next := f.NewBlock("bb")
+			b.Br(next)
+			b.SetBlock(next)
+			ir.AddIncoming(b.Phi(ir.I64), other, f.Entry())
+			b.Ret(nil)
+		}, "not an instruction of this function"},
 		{"phi-edge-count", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			next := f.NewBlock("bb")
 			b.Br(next)
 			b.SetBlock(next)
 			b.Phi(ir.I64) // 1 pred, 0 edges
 			b.Ret(nil)
-		}},
+		}, ""},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if err := build(c.mut); err == nil {
+			err := build(c.mut)
+			if err == nil {
 				t.Fatal("verifier accepted invalid IR")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q, want it to say %q", err, c.want)
 			}
 		})
 	}

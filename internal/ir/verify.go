@@ -16,7 +16,9 @@ import (
 //   - operand and successor counts match each opcode;
 //   - loads/stores/geps take pointer operands;
 //   - calls match callee arity (variadic callees accept extra args);
-//   - every instruction's ID is its position in block order (Renumber).
+//   - every instruction's ID is its position in block order (Renumber);
+//   - every operand and phi value that is an instruction is one of the
+//     function's own.
 func Verify(m *Module) error {
 	var errs []error
 	for _, f := range m.Funcs {
@@ -41,7 +43,17 @@ func verifyFunc(f *Func) error {
 			preds[s] = append(preds[s], b)
 		}
 	}
-	id := 0
+	// instrs indexes the function's instructions by ID, so an operand
+	// is one of them exactly when instrs[ID] is that operand.
+	instrs := make([]*Instr, 0, f.NumInstrs())
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.ID != len(instrs) {
+				return fmt.Errorf("block %%%s: %s: id %d, want %d (not numbered)", b.Name, in, in.ID, len(instrs))
+			}
+			instrs = append(instrs, in)
+		}
+	}
 	for bi, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("block %%%s is empty", b.Name)
@@ -52,10 +64,6 @@ func verifyFunc(f *Func) error {
 		}
 		seenNonPhi := false
 		for ii, in := range b.Instrs {
-			if in.ID != id {
-				return fmt.Errorf("block %%%s: %s: id %d, want %d (not numbered)", b.Name, in, in.ID, id)
-			}
-			id++
 			if in.Op.IsTerminator() && ii != len(b.Instrs)-1 {
 				return fmt.Errorf("block %%%s: terminator %s mid-block", b.Name, in.Op)
 			}
@@ -66,9 +74,32 @@ func verifyFunc(f *Func) error {
 			} else {
 				seenNonPhi = true
 			}
+			if err := verifyOperands(instrs, in); err != nil {
+				return fmt.Errorf("block %%%s: %s: %w", b.Name, in, err)
+			}
 			if err := verifyInstr(f, b, in, bi, preds, inFunc); err != nil {
 				return fmt.Errorf("block %%%s: %s: %w", b.Name, in, err)
 			}
+		}
+	}
+	return nil
+}
+
+// verifyOperands rejects an operand or phi value that is an instruction
+// of another function, or one that was deleted from this one.
+func verifyOperands(instrs []*Instr, in *Instr) error {
+	foreign := func(v Value) bool {
+		x, ok := v.(*Instr)
+		return ok && (x.ID < 0 || x.ID >= len(instrs) || instrs[x.ID] != x)
+	}
+	for i, a := range in.Args {
+		if foreign(a) {
+			return fmt.Errorf("operand %d %s is not an instruction of this function", i, a.Operand())
+		}
+	}
+	for _, e := range in.Incoming {
+		if foreign(e.Val) {
+			return fmt.Errorf("phi value %s is not an instruction of this function", e.Val.Operand())
 		}
 	}
 	return nil

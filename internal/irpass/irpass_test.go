@@ -1,6 +1,7 @@
 package irpass_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/ir"
@@ -18,9 +19,11 @@ func compile(t *testing.T, src string) *ir.Module {
 	return mod
 }
 
-func run(t *testing.T, mod *ir.Module, stdin string) *vm.Result {
+// run executes mod's main on stdin, on the reference engine when ref is
+// set, and fails the test on an error or a fault.
+func run(t *testing.T, mod *ir.Module, stdin string, ref bool) *vm.Result {
 	t.Helper()
-	m := vm.New(mod, vm.Config{Seed: 3})
+	m := vm.New(mod, vm.Config{Seed: 3, Reference: ref})
 	m.Stdin.SetInput([]byte(stdin))
 	res, err := m.Run("main")
 	if err != nil {
@@ -75,26 +78,105 @@ int main() {
 	if (c) { x = 7; }
 	return x;
 }`, ""},
+	{"diamond", `
+int main() {
+	int a; int b; int c;
+	scanf("%d", &c);
+	if (c > 3) { a = 1; b = c; } else { a = 2; b = c * 3; }
+	return a * 100 + b;
+}`, "5\n"},
+	{"else-if-chain", diamondRepro, "5\n"},
+	{"nested-loops", `
+int main() {
+	int total = 0;
+	for (int i = 0; i < 6; i++) {
+		int j = 0;
+		while (j < i) { total = total + i * j; j++; }
+		for (int k = 0; k < 3; k++) { total = total + k; }
+	}
+	return total;
+}`, ""},
+	{"use-before-def-on-one-path", `
+int main() {
+	int x; int c;
+	scanf("%d", &c);
+	if (c > 2) { x = c; }
+	return x + 1;
+}`, "1\n"},
+	{"break-continue", `
+int main() {
+	int s = 0; int i = 0; int skipped = 0;
+	while (1) {
+		i++;
+		if (i % 3 == 0) { skipped = skipped + 1; continue; }
+		if (i > 20) { break; }
+		s = s + i;
+	}
+	for (int j = 0; j < 10; j++) {
+		if (j == 2) { continue; }
+		if (j == 7) { break; }
+		s = s + j * skipped;
+	}
+	return s;
+}`, ""},
+	{"read-after-return", deadCodeRepro, ""},
+	{"dead-loop-edge", deadLoopRepro, ""},
 }
+
+// diamondRepro's joins each merge two sibling arms, so the edge order
+// of their phis follows the order of the dominator tree's children.
+const diamondRepro = `int main() { int a; int c; scanf("%d", &c); if (c > 3) { a = 1; } else { a = 2; } if (c > 5) { a = a + 3; } else if (c > 4) { a = a + 7; } else { a = a * 2; } return a; }`
+
+// deadCodeRepro reads a promoted local in code after a return, which
+// mem2reg's walk never reaches.
+const deadCodeRepro = `int main() { int a = 1; return a; a = a + 1; return a; }`
+
+// deadLoopRepro's code after the return branches back to the loop head,
+// so the phi there has a predecessor mem2reg's walk never reaches.
+const deadLoopRepro = `int main() { int c = 10; while (c) { if (c > 3) { c = c - 1; continue; } c = c - 2; return c; } return 0; }`
 
 func TestOptimizePreservesSemantics(t *testing.T) {
 	for _, c := range optCorpus {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			plain := run(t, compile(t, c.src), c.stdin)
 			opt := compile(t, c.src)
 			irpass.Optimize(opt)
 			if err := ir.Verify(opt); err != nil {
 				t.Fatalf("optimized module invalid: %v", err)
 			}
-			res := run(t, opt, c.stdin)
-			if res.Ret != plain.Ret {
-				t.Fatalf("optimized ret %d != plain %d", int64(res.Ret), int64(plain.Ret))
+			if _, err := ir.EncodeModule(opt); err != nil {
+				t.Fatalf("optimized module does not encode: %v", err)
 			}
-			if string(res.Stdout) != string(plain.Stdout) {
-				t.Fatalf("optimized stdout %q != plain %q", res.Stdout, plain.Stdout)
+			for _, ref := range []bool{false, true} {
+				plain := run(t, compile(t, c.src), c.stdin, ref)
+				res := run(t, opt, c.stdin, ref)
+				if res.Ret != plain.Ret {
+					t.Fatalf("reference=%v: optimized ret %d != plain %d", ref, int64(res.Ret), int64(plain.Ret))
+				}
+				if string(res.Stdout) != string(plain.Stdout) {
+					t.Fatalf("reference=%v: optimized stdout %q != plain %q", ref, res.Stdout, plain.Stdout)
+				}
 			}
 		})
+	}
+}
+
+// TestOptimizeIsDeterministic compiles a program whose joins merge
+// sibling arms twenty times: every compile must encode the same.
+func TestOptimizeIsDeterministic(t *testing.T) {
+	var first []byte
+	for i := 0; i < 20; i++ {
+		mod := compile(t, diamondRepro)
+		irpass.Optimize(mod)
+		enc, err := ir.EncodeModule(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = enc
+		} else if !bytes.Equal(enc, first) {
+			t.Fatalf("compile %d encodes differently from compile 0", i)
+		}
 	}
 }
 
@@ -176,6 +258,43 @@ func TestConstFold(t *testing.T) {
 	res := runModule(t, mod)
 	if res != 1 {
 		t.Fatalf("folded result %d, want 1", res)
+	}
+}
+
+// foldable builds main(p): two folds (2+3, then that times 4), a dead
+// chain on p that cannot fold, and a return of the folded product.
+func foldable() (*ir.Module, *ir.Func) {
+	mod := ir.NewModule("t")
+	f := mod.NewFunc("main", ir.I64, []string{"p"}, []ir.Type{ir.I64})
+	b := ir.NewBuilder(f, f.NewBlock("entry"))
+	sum := b.Bin(ir.OpAdd, ir.ConstInt(ir.I64, 2), ir.ConstInt(ir.I64, 3))
+	prod := b.Bin(ir.OpMul, sum, ir.ConstInt(ir.I64, 4))
+	dead := b.Bin(ir.OpAdd, f.Params[0], ir.ConstInt(ir.I64, 1))
+	b.Bin(ir.OpMul, dead, ir.ConstInt(ir.I64, 3))
+	b.Ret(prod)
+	f.Renumber()
+	return mod, f
+}
+
+// TestFoldAndDCECounts pins what the two passes return: ConstFold the
+// instructions it folded, DeadCodeElim the instructions it removed.
+func TestFoldAndDCECounts(t *testing.T) {
+	_, f := foldable()
+	if n := irpass.DeadCodeElim(f); n != 2 {
+		t.Fatalf("DeadCodeElim removed %d, want the 2-instruction dead chain", n)
+	}
+	mod, f := foldable()
+	if n := irpass.ConstFold(f); n != 2 {
+		t.Fatalf("ConstFold folded %d, want 2", n)
+	}
+	if n := f.NumInstrs(); n != 1 {
+		t.Fatalf("fold left %d instructions, want only the return", n)
+	}
+	if err := ir.Verify(mod); err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := f.Entry().Instrs[0].Args[0].(*ir.Const); !ok || c.Val != 20 {
+		t.Fatalf("returns %v, want 20", f.Entry().Instrs[0].Args[0])
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package irpass holds generic (non-security) IR transformations: the
 // mem2reg SSA-promotion pass the paper runs before its analyses, plus
 // constant folding and dead-code elimination used by the -O pipeline.
+// The passes index a function's instructions by ID (Func.Renumber) and
+// never rescan the function per promoted load, fold or removal.
 package irpass
 
 import (
@@ -16,205 +18,268 @@ import (
 // through a GEP — remain in memory, which is precisely the set the Pythia
 // passes instrument ("intrinsic functions for the remaining loads,
 // stores, and alloca instructions").
+//
+// Renaming is the dominator-tree walk of Cytron et al. (TOPLAS 1991):
+// one current value per variable, restored from an undo log on the way
+// back up, and a replacement recorded for each promoted load. One final
+// pass rewrites every operand through those replacements and drops the
+// promoted allocas, loads and stores.
 func Mem2Reg(f *ir.Func) int {
 	if f.IsDecl() {
 		return 0
 	}
-	g := cfg.New(f)
-	promotable := collectPromotable(f)
-	if len(promotable) == 0 {
+	p := &promotion{instrs: numbered(f)}
+	p.collectPromotable()
+	if len(p.allocas) == 0 {
 		return 0
 	}
-	df := g.DominanceFrontiers()
-
-	// Phase 1: place phis at iterated dominance frontiers of defs.
-	phiFor := make(map[*ir.Instr]map[*ir.Block]*ir.Instr) // alloca -> block -> phi
-	for _, a := range promotable {
-		phiFor[a] = make(map[*ir.Block]*ir.Instr)
-		var work []*ir.Block
-		seen := make(map[*ir.Block]bool)
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpStore && in.Args[1] == ir.Value(a) {
-					if !seen[b] {
-						seen[b] = true
-						work = append(work, b)
-					}
-				}
-			}
-		}
-		placed := make(map[*ir.Block]bool)
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			for _, fr := range df[b] {
-				if placed[fr] {
-					continue
-				}
-				placed[fr] = true
-				phi := ir.NewInstr(ir.OpPhi, f.GenName("m2r"), a.AllocTy)
-				phi.SetMeta("var", a.GetMeta("var"))
-				phi.Block = fr
-				fr.Instrs = append([]*ir.Instr{phi}, fr.Instrs...)
-				phiFor[a][fr] = phi
-				if !seen[fr] {
-					seen[fr] = true
-					work = append(work, fr)
-				}
-			}
-		}
-	}
-
-	// Phase 2: rename along the dominator tree.
-	type state map[*ir.Instr]ir.Value // alloca -> current value
-	rename := renamer{f: f, g: g, phiFor: phiFor, promotable: promotableSet(promotable)}
-	rename.walk(f.Entry(), state{})
-
-	// Phase 3: delete the promoted allocas and their loads/stores.
-	removed := 0
-	for _, b := range f.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			switch {
-			case in.Op == ir.OpAlloca && rename.promotable[in]:
-				removed++
-			case in.Op == ir.OpStore && isPromoted(rename.promotable, in.Args[1]):
-			case in.Op == ir.OpLoad && isPromoted(rename.promotable, in.Args[0]):
-			default:
-				kept = append(kept, in)
-			}
-		}
-		b.Instrs = append([]*ir.Instr(nil), kept...)
-	}
+	p.g = cfg.New(f)
+	p.placePhis(f)
+	p.cur = make([]ir.Value, len(p.allocas))
+	p.repl = make([]ir.Value, len(p.instrs))
+	p.rename(f.Entry())
+	p.edgesFromUnreachable(f)
+	p.rewrite(f)
 	f.Renumber()
-	return removed
+	return len(p.allocas)
 }
 
-func isPromoted(set map[*ir.Instr]bool, v ir.Value) bool {
-	in, ok := v.(*ir.Instr)
-	return ok && set[in]
+// promotion is one Mem2Reg run over a function.
+type promotion struct {
+	g       *cfg.Graph
+	instrs  []*ir.Instr // the function's instructions, by ID
+	slot    []int32     // by ID: 1 + the variable index of a promoted alloca, else 0
+	allocas []*ir.Instr // the promoted allocas, in block order
+
+	phis map[*ir.Block][]placedPhi // each block's phis, in placement order
+
+	cur  []ir.Value // by variable: its current value; nil before any store
+	undo []saved    // cur entries to restore when the walk leaves a block
+	repl []ir.Value // by ID: the value a promoted load was renamed to
 }
 
-func promotableSet(list []*ir.Instr) map[*ir.Instr]bool {
-	m := make(map[*ir.Instr]bool, len(list))
-	for _, a := range list {
-		m[a] = true
-	}
-	return m
+type placedPhi struct {
+	v   int // variable index
+	phi *ir.Instr
 }
 
-// collectPromotable returns allocas of scalar type used only as the
-// address operand of loads and full stores.
-func collectPromotable(f *ir.Func) []*ir.Instr {
-	escaped := make(map[*ir.Instr]bool)
-	var allocas []*ir.Instr
+type saved struct {
+	v   int
+	old ir.Value
+}
+
+// numbered renumbers f and returns its instructions indexed by ID.
+func numbered(f *ir.Func) []*ir.Instr {
+	f.Renumber()
+	out := make([]*ir.Instr, 0, f.NumInstrs())
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpAlloca {
-				if ir.IsAggregate(in.AllocTy) {
-					escaped[in] = true // arrays/structs stay in memory
-				}
-				allocas = append(allocas, in)
-			}
-		}
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for i, arg := range in.Args {
-				a, ok := arg.(*ir.Instr)
-				if !ok || a.Op != ir.OpAlloca {
-					continue
-				}
-				switch {
-				case in.Op == ir.OpLoad && i == 0:
-				case in.Op == ir.OpStore && i == 1:
-				default:
-					escaped[a] = true // address escapes (call arg, gep, stored value...)
-				}
-			}
-			for _, e := range in.Incoming {
-				if a, ok := e.Val.(*ir.Instr); ok && a.Op == ir.OpAlloca {
-					escaped[a] = true
-				}
-			}
-		}
-	}
-	var out []*ir.Instr
-	for _, a := range allocas {
-		if !escaped[a] {
-			out = append(out, a)
-		}
+		out = append(out, b.Instrs...)
 	}
 	return out
 }
 
-type renamer struct {
-	f          *ir.Func
-	g          *cfg.Graph
-	phiFor     map[*ir.Instr]map[*ir.Block]*ir.Instr
-	promotable map[*ir.Instr]bool
+// idOf returns the ID of v when v is one of instrs, the numbered
+// instructions of a function, and -1 otherwise.
+func idOf(instrs []*ir.Instr, v ir.Value) int {
+	in, ok := v.(*ir.Instr)
+	if !ok || in.ID < 0 || in.ID >= len(instrs) || instrs[in.ID] != in {
+		return -1
+	}
+	return in.ID
 }
 
-// walk performs the standard SSA renaming over the dominator tree.
-func (r *renamer) walk(b *ir.Block, cur map[*ir.Instr]ir.Value) {
-	// Copy-on-write of the incoming state for this subtree.
-	local := make(map[*ir.Instr]ir.Value, len(cur))
-	for k, v := range cur {
-		local[k] = v
-	}
-	// Phis placed in this block define new current values.
-	for a, phis := range r.phiFor {
-		if phi, ok := phis[b]; ok {
-			local[a] = phi
+// collectPromotable finds the allocas of scalar type used only as the
+// address operand of loads and full stores.
+func (p *promotion) collectPromotable() {
+	escaped := make([]bool, len(p.instrs))
+	escape := func(v ir.Value) {
+		if id := idOf(p.instrs, v); id >= 0 && p.instrs[id].Op == ir.OpAlloca {
+			escaped[id] = true // address escapes (call arg, gep, stored value...)
 		}
+	}
+	for _, in := range p.instrs {
+		if in.Op == ir.OpAlloca && ir.IsAggregate(in.AllocTy) {
+			escaped[in.ID] = true // arrays/structs stay in memory
+		}
+		for i, a := range in.Args {
+			if !(in.Op == ir.OpLoad && i == 0 || in.Op == ir.OpStore && i == 1) {
+				escape(a)
+			}
+		}
+		for _, e := range in.Incoming {
+			escape(e.Val)
+		}
+	}
+	p.slot = make([]int32, len(p.instrs))
+	for _, in := range p.instrs {
+		if in.Op == ir.OpAlloca && !escaped[in.ID] {
+			p.allocas = append(p.allocas, in)
+			p.slot[in.ID] = int32(len(p.allocas))
+		}
+	}
+}
+
+// varOf returns the variable index of v when v is a promoted alloca,
+// and -1 otherwise.
+func (p *promotion) varOf(v ir.Value) int {
+	if id := idOf(p.instrs, v); id >= 0 {
+		return int(p.slot[id]) - 1
+	}
+	return -1
+}
+
+// placePhis places one phi per variable at the iterated dominance
+// frontier of the blocks that store to it.
+func (p *promotion) placePhis(f *ir.Func) {
+	defs := make([][]*ir.Block, len(p.allocas))
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op != ir.OpStore {
+				continue
+			}
+			if v := p.varOf(in.Args[1]); v >= 0 && (len(defs[v]) == 0 || defs[v][len(defs[v])-1] != b) {
+				defs[v] = append(defs[v], b)
+			}
+		}
+	}
+	df := p.g.DominanceFrontiers()
+	// state[b] is 3v+1 once block b has been queued for variable v, and
+	// 3v+2 once b also holds v's phi; smaller values are another
+	// variable's.
+	state := make(map[*ir.Block]int, len(f.Blocks))
+	p.phis = make(map[*ir.Block][]placedPhi)
+	for v, a := range p.allocas {
+		queued, placed := 3*v+1, 3*v+2
+		work := defs[v]
+		for _, b := range work {
+			state[b] = queued
+		}
+		for len(work) > 0 {
+			b := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, fr := range df[b] {
+				if state[fr] == placed {
+					continue
+				}
+				phi := ir.NewInstr(ir.OpPhi, f.GenName("m2r"), a.AllocTy)
+				phi.SetMeta("var", a.GetMeta("var"))
+				phi.Block = fr
+				p.phis[fr] = append(p.phis[fr], placedPhi{v, phi})
+				if state[fr] != queued {
+					work = append(work, fr)
+				}
+				state[fr] = placed
+			}
+		}
+	}
+}
+
+// value is variable v's current value, or zero before any store.
+func (p *promotion) value(v int) ir.Value {
+	if val := p.cur[v]; val != nil {
+		return val
+	}
+	return p.zero(v) // use before def
+}
+
+func (p *promotion) zero(v int) ir.Value { return ir.ConstInt(p.allocas[v].AllocTy, 0) }
+
+func (p *promotion) set(v int, val ir.Value) {
+	p.undo = append(p.undo, saved{v, p.cur[v]})
+	p.cur[v] = val
+}
+
+// resolve returns what v reads once the promoted loads are gone: the
+// value a load was renamed to, or v itself. A load the walk never
+// reached, in unreachable code, reads the zero of its type.
+func (p *promotion) resolve(v ir.Value) ir.Value {
+	id := idOf(p.instrs, v)
+	if id < 0 || p.instrs[id].Op != ir.OpLoad || p.varOf(p.instrs[id].Args[0]) < 0 {
+		return v
+	}
+	if p.repl[id] == nil {
+		p.repl[id] = ir.ConstInt(p.instrs[id].Typ, 0)
+	}
+	return p.repl[id]
+}
+
+// rename walks the dominator tree from b.
+func (p *promotion) rename(b *ir.Block) {
+	mark := len(p.undo)
+	for _, ph := range p.phis[b] {
+		p.set(ph.v, ph.phi)
 	}
 	for _, in := range b.Instrs {
 		switch in.Op {
 		case ir.OpLoad:
-			if a, ok := in.Args[0].(*ir.Instr); ok && r.promotable[a] {
-				val := local[a]
-				if val == nil {
-					val = ir.ConstInt(a.AllocTy, 0) // use before def: zero
-				}
-				replaceUses(r.f, in, val)
+			if v := p.varOf(in.Args[0]); v >= 0 {
+				p.repl[in.ID] = p.value(v)
 			}
 		case ir.OpStore:
-			if a, ok := in.Args[1].(*ir.Instr); ok && r.promotable[a] {
-				local[a] = in.Args[0]
+			if v := p.varOf(in.Args[1]); v >= 0 {
+				p.set(v, p.resolve(in.Args[0]))
 			}
 		}
 	}
-	// Fill phi edges of successors.
 	for _, s := range b.Succs() {
-		for a, phis := range r.phiFor {
-			if phi, ok := phis[s]; ok {
-				val := local[a]
-				if val == nil {
-					val = ir.ConstInt(a.AllocTy, 0)
-				}
-				ir.AddIncoming(phi, val, b)
-			}
+		for _, ph := range p.phis[s] {
+			ir.AddIncoming(ph.phi, p.value(ph.v), b)
 		}
 	}
-	for _, child := range r.g.DomChildren[b] {
-		r.walk(child, local)
+	for _, child := range p.g.DomChildren[b] {
+		p.rename(child)
+	}
+	for len(p.undo) > mark {
+		e := p.undo[len(p.undo)-1]
+		p.cur[e.v] = e.old
+		p.undo = p.undo[:len(p.undo)-1]
 	}
 }
 
-// replaceUses rewrites every use of old to new across the function.
-func replaceUses(f *ir.Func, old *ir.Instr, newV ir.Value) {
+// edgesFromUnreachable gives each placed phi a zero edge from every
+// predecessor the walk never reaches, so it has one edge per
+// predecessor; code there never runs.
+func (p *promotion) edgesFromUnreachable(f *ir.Func) {
 	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for i, a := range in.Args {
-				if a == ir.Value(old) {
-					in.Args[i] = newV
-				}
-			}
-			for i := range in.Incoming {
-				if in.Incoming[i].Val == ir.Value(old) {
-					in.Incoming[i].Val = newV
-				}
+		if p.g.Reachable(b) {
+			continue
+		}
+		for _, s := range b.Succs() {
+			for _, ph := range p.phis[s] {
+				ir.AddIncoming(ph.phi, p.zero(ph.v), b)
 			}
 		}
+	}
+}
+
+// rewrite puts each block's phis in front of it, latest placed first,
+// drops the promoted allocas, loads and stores, and resolves every
+// remaining operand and phi edge.
+func (p *promotion) rewrite(f *ir.Func) {
+	var kept []*ir.Instr
+	for _, b := range f.Blocks {
+		kept = kept[:0]
+		phis := p.phis[b]
+		for i := len(phis) - 1; i >= 0; i-- {
+			kept = append(kept, phis[i].phi)
+		}
+		for _, in := range b.Instrs {
+			switch {
+			case in.Op == ir.OpAlloca && p.varOf(in) >= 0:
+			case in.Op == ir.OpStore && p.varOf(in.Args[1]) >= 0:
+			case in.Op == ir.OpLoad && p.varOf(in.Args[0]) >= 0:
+			default:
+				kept = append(kept, in)
+			}
+		}
+		for _, in := range kept {
+			for i, a := range in.Args {
+				in.Args[i] = p.resolve(a)
+			}
+			for i := range in.Incoming {
+				in.Incoming[i].Val = p.resolve(in.Incoming[i].Val)
+			}
+		}
+		b.Instrs = append([]*ir.Instr(nil), kept...)
 	}
 }

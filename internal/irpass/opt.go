@@ -5,29 +5,43 @@ import (
 	"repro/internal/ir"
 )
 
-// ConstFold evaluates instructions whose operands are all constants and
-// replaces their uses, returning the number of instructions folded.
+// ConstFold evaluates instructions whose operands are all constants,
+// replaces their uses and deletes what that leaves dead. It returns the
+// number of instructions folded.
+//
+// Each sweep resolves an instruction's operands through the fold table
+// as it visits it, so a chain folds in one sweep when its uses follow
+// its definitions in block order; a sweep that folds nothing new has
+// rewritten every operand, and ends the loop.
 func ConstFold(f *ir.Func) int {
+	instrs := numbered(f)
+	fold := make([]*ir.Const, len(instrs))
 	folded := 0
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				c := foldInstr(in)
-				if c == nil {
-					continue
+		for _, in := range instrs {
+			if fold[in.ID] != nil {
+				continue
+			}
+			for i, a := range in.Args {
+				if id := idOf(instrs, a); id >= 0 && fold[id] != nil {
+					in.Args[i] = fold[id]
 				}
-				replaceUses(f, in, c)
-				changed = true
+			}
+			for i, e := range in.Incoming {
+				if id := idOf(instrs, e.Val); id >= 0 && fold[id] != nil {
+					in.Incoming[i].Val = fold[id]
+				}
+			}
+			if c := foldInstr(in); c != nil {
+				fold[in.ID] = c
 				folded++
+				changed = true
 			}
 		}
-		if changed {
-			folded -= DeadCodeElim(f) - folded // DCE count not double-reported
-			folded = max(folded, 0)
-			DeadCodeElim(f)
-		}
+	}
+	if folded > 0 {
+		DeadCodeElim(f)
 	}
 	return folded
 }
@@ -101,36 +115,65 @@ func foldInstr(in *ir.Instr) *ir.Const {
 
 // DeadCodeElim removes value-producing instructions with no uses and no
 // side effects. Returns the number removed.
+//
+// It counts each instruction's uses once; an operand that is not an
+// instruction of f counts for nothing. A worklist then removes every
+// pure instruction whose count is zero, and lowers its operands' counts:
+// removal only lowers counts, so this is the fixpoint of removing dead
+// instructions round after round.
 func DeadCodeElim(f *ir.Func) int {
-	removed := 0
-	for {
-		used := make(map[ir.Value]bool)
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				for _, a := range in.Args {
-					used[a] = true
-				}
-				for _, e := range in.Incoming {
-					used[e.Val] = true
-				}
+	instrs := numbered(f)
+	uses := make([]int32, len(instrs))
+	for _, in := range instrs {
+		for _, a := range in.Args {
+			if id := idOf(instrs, a); id >= 0 {
+				uses[id]++
 			}
 		}
-		n := 0
-		for _, b := range f.Blocks {
-			kept := b.Instrs[:0]
-			for _, in := range b.Instrs {
-				if isPure(in) && !used[ir.Value(in)] {
-					n++
-					continue
-				}
+		for _, e := range in.Incoming {
+			if id := idOf(instrs, e.Val); id >= 0 {
+				uses[id]++
+			}
+		}
+	}
+	var work []*ir.Instr
+	for _, in := range instrs {
+		if uses[in.ID] == 0 && isPure(in) {
+			work = append(work, in)
+		}
+	}
+	dead := make([]bool, len(instrs))
+	removed := 0
+	release := func(v ir.Value) {
+		if id := idOf(instrs, v); id >= 0 {
+			if uses[id]--; uses[id] == 0 && isPure(instrs[id]) {
+				work = append(work, instrs[id])
+			}
+		}
+	}
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		dead[in.ID] = true
+		removed++
+		for _, a := range in.Args {
+			release(a)
+		}
+		for _, e := range in.Incoming {
+			release(e.Val)
+		}
+	}
+	for _, b := range f.Blocks {
+		kept := b.Instrs[:0]
+		for _, in := range b.Instrs {
+			if !dead[in.ID] {
 				kept = append(kept, in)
 			}
-			b.Instrs = append([]*ir.Instr(nil), kept...)
 		}
-		removed += n
-		if n == 0 {
-			break
-		}
+		// Every block gets a fresh slice sized by append: what
+		// fieldCanariesInFunc emits depends on the spare capacity of the
+		// blocks it inserts into, so that capacity is part of the output.
+		b.Instrs = append([]*ir.Instr(nil), kept...)
 	}
 	f.Renumber()
 	return removed
@@ -160,7 +203,6 @@ func Optimize(m *ir.Module) {
 		Mem2Reg(f)
 		ConstFold(f)
 		DeadCodeElim(f)
-		f.Renumber()
 	}
 	inputchan.Classify(m)
 }

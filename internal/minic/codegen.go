@@ -171,6 +171,12 @@ type cval struct {
 
 func (g *gen) genFunc(fd *FuncDecl) error {
 	f := g.mod.Func(fd.Name)
+	if len(f.Blocks) > 0 {
+		return g.errAt(fd.Pos, "redefinition of %s", fd.Name)
+	}
+	if len(f.Params) != len(fd.Params) {
+		return g.errAt(fd.Pos, "%s is defined with %d parameters but declared with %d", fd.Name, len(fd.Params), len(f.Params))
+	}
 	g.f = f
 	entry := f.NewBlock("entry")
 	g.b = ir.NewBuilder(f, entry)

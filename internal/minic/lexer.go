@@ -152,7 +152,7 @@ func Lex(src string) ([]Token, error) {
 			l0, c0 := line, col
 			j := i + 1
 			var v int64
-			if j < len(src) && src[j] == '\\' {
+			if j+1 < len(src) && src[j] == '\\' {
 				v = int64(unescape(src[j+1]))
 				j += 2
 			} else if j < len(src) {
@@ -239,18 +239,26 @@ func replaceWords(line string, macros map[string]string) string {
 	return out.String()
 }
 
-var puncts = []string{
-	"<<=", ">>=", "...",
-	"==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "->",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
-	"+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~",
-	"(", ")", "{", "}", "[", "]", ";", ",", ".", "?", ":",
-}
-
+// punct returns the punctuator at the start of s, longest first, or "".
 func punct(s string) string {
-	for _, p := range puncts {
-		if strings.HasPrefix(s, p) {
-			return p
+	if len(s) >= 3 {
+		switch s[:3] {
+		case "<<=", ">>=", "...":
+			return s[:3]
+		}
+	}
+	if len(s) >= 2 {
+		switch s[:2] {
+		case "==", "!=", "<=", ">=", "&&", "||", "<<", ">>", "->",
+			"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--":
+			return s[:2]
+		}
+	}
+	if len(s) >= 1 {
+		switch s[0] {
+		case '+', '-', '*', '/', '%', '=', '<', '>', '!', '&', '|', '^', '~',
+			'(', ')', '{', '}', '[', ']', ';', ',', '.', '?', ':':
+			return s[:1]
 		}
 	}
 	return ""

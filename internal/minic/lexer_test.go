@@ -126,7 +126,7 @@ int Nx; int xN; int N;`)
 }
 
 func TestLexErrors(t *testing.T) {
-	for _, bad := range []string{"\"unterminated", "/* open", "'x", "int @;"} {
+	for _, bad := range []string{"\"unterminated", "/* open", "'x", "'\\", "int @;"} {
 		if _, err := minic.Lex(bad); err == nil {
 			t.Errorf("Lex(%q) must fail", bad)
 		}

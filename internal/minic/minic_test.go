@@ -233,6 +233,10 @@ func TestParseErrors(t *testing.T) {
 		`int main() { undefined_fn(); return 0; }`,
 		`int main() { struct nope n; return 0; }`,
 		`int main() { break; }`,
+		`long A={`,
+		`int main() { int b[2] = {`,
+		`int f() { return 1; } int f() { return 2; } int main() { return f(); }`,
+		`void f() {} void f(char c) { f(c); }`,
 	}
 	for _, src := range cases {
 		if _, err := minic.Compile("bad", src); err == nil {

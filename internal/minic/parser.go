@@ -19,8 +19,17 @@ func Parse(src string) (*Program, error) {
 	return p.program()
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+// cur returns the token under the cursor. A rule may step over the EOF
+// token without looking at it (a brace initializer skips its element),
+// so past the end of the stream cur keeps returning EOF.
+func (p *Parser) cur() Token {
+	if p.pos < len(p.toks) {
+		return p.toks[p.pos]
+	}
+	return p.toks[len(p.toks)-1]
+}
+
+func (p *Parser) next() Token { t := p.cur(); p.pos++; return t }
 
 func (p *Parser) peekIs(kind TokKind, text string) bool {
 	t := p.cur()

@@ -1,7 +1,8 @@
 // Package cfg provides control-flow-graph utilities over the IR:
 // predecessor maps, reverse postorder, dominator trees (Cooper–Harvey–
-// Kennedy), dominance frontiers, and natural-loop detection. These feed
-// the mem2reg pass and the loop-awareness of the performance model.
+// Kennedy) and dominance frontiers. These feed the mem2reg pass, the
+// reaching-definitions analysis of the DFI baseline and the VM's
+// dominance proof.
 package cfg
 
 import "repro/internal/ir"
@@ -172,68 +173,4 @@ func contains(s []*ir.Block, b *ir.Block) bool {
 		}
 	}
 	return false
-}
-
-// Loop describes one natural loop.
-type Loop struct {
-	Header *ir.Block
-	Blocks map[*ir.Block]bool
-	Depth  int // nesting depth, 1 for outermost
-}
-
-// Loops finds natural loops from back-edges (edge b→h where h dominates
-// b) and computes nesting depth per block. The performance model uses
-// depth to weight dynamic execution counts.
-func (g *Graph) Loops() []*Loop {
-	var loops []*Loop
-	for _, b := range g.RPO {
-		for _, s := range b.Succs() {
-			if g.Dominates(s, b) {
-				loops = append(loops, g.naturalLoop(s, b))
-			}
-		}
-	}
-	// Merge loops sharing a header (multiple back-edges).
-	byHeader := make(map[*ir.Block]*Loop)
-	var merged []*Loop
-	for _, l := range loops {
-		if ex, ok := byHeader[l.Header]; ok {
-			for b := range l.Blocks {
-				ex.Blocks[b] = true
-			}
-			continue
-		}
-		byHeader[l.Header] = l
-		merged = append(merged, l)
-	}
-	// Nesting depth: a loop nested in another iff its header is inside it.
-	for _, l := range merged {
-		l.Depth = 1
-		for _, outer := range merged {
-			if outer != l && outer.Blocks[l.Header] {
-				l.Depth++
-			}
-		}
-	}
-	return merged
-}
-
-func (g *Graph) naturalLoop(header, latch *ir.Block) *Loop {
-	l := &Loop{Header: header, Blocks: map[*ir.Block]bool{header: true}}
-	var stack []*ir.Block
-	if latch != header {
-		l.Blocks[latch] = true
-		stack = append(stack, latch)
-	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range g.Preds[b] {
-			if !l.Blocks[p] && g.Reachable(p) {
-				l.Blocks[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return l
 }

@@ -84,7 +84,7 @@ func TestDominanceFrontiers(t *testing.T) {
 	}
 }
 
-// loopFunc compiles a doubly-nested loop to exercise loop detection.
+// loopFunc compiles a doubly-nested loop.
 func loopFunc(t *testing.T) *ir.Func {
 	t.Helper()
 	mod, err := minic.Compile("t", `
@@ -101,32 +101,6 @@ int main() {
 		t.Fatal(err)
 	}
 	return mod.Func("main")
-}
-
-func TestLoopDetection(t *testing.T) {
-	f := loopFunc(t)
-	g := cfg.New(f)
-	loops := g.Loops()
-	if len(loops) != 2 {
-		t.Fatalf("found %d loops, want 2", len(loops))
-	}
-	maxDepth := 0
-	for _, l := range loops {
-		if l.Depth > maxDepth {
-			maxDepth = l.Depth
-		}
-	}
-	if maxDepth != 2 {
-		t.Fatalf("max nesting depth %d, want 2", maxDepth)
-	}
-	// Every loop header must dominate all of its blocks.
-	for _, l := range loops {
-		for blk := range l.Blocks {
-			if !g.Dominates(l.Header, blk) {
-				t.Fatalf("header %s does not dominate member %s", l.Header.Name, blk.Name)
-			}
-		}
-	}
 }
 
 // TestIDomIsProperDominator is the dominator-tree invariant: the

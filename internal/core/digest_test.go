@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,4 +101,111 @@ func TestHardenedEncodingsGolden(t *testing.T) {
 	if len(want) != len(lines) {
 		t.Errorf("golden has %d lines, the suite %d", len(want), len(lines))
 	}
+}
+
+// fieldCanarySrc is the §6.4 program: gets overflows name into priv, a
+// sibling field of the same struct.
+const fieldCanarySrc = `
+struct session { char name[8]; long priv; };
+int main() {
+	struct session s;
+	s.priv = 0;
+	gets(s.name);
+	if (s.priv != 0) { printf("GRANTED\n"); return 99; }
+	printf("normal\n");
+	return 0;
+}`
+
+// TestHardenIgnoresSliceCapacity hardens each pinned program and the
+// §6.4 program under every scheme twice from one decoded compile: once
+// as decoded, and once with every block's Instrs clipped to its length.
+// A pass that inserted into a block while ranging over it would see the
+// spare capacity and emit different code for the two. The §6.4 gets
+// call must be guarded once per field canary: one set before it and one
+// check after it.
+func TestHardenIgnoresSliceCapacity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("hardens every program under every scheme twice")
+	}
+	for _, p := range append(digestPrograms(), [2]string{"fieldcanary", fieldCanarySrc}) {
+		mod, err := core.CompileC(p[0], p[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := ir.EncodeModule(mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range allSchemes {
+			var encs [2][]byte
+			var hardened *ir.Module
+			for i := range encs {
+				m, err := ir.DecodeModule(enc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 1 {
+					for _, f := range m.Funcs {
+						for _, b := range f.Blocks {
+							b.Instrs = slices.Clip(b.Instrs)
+						}
+					}
+				}
+				if _, err := core.Protect(m, s); err != nil {
+					t.Fatalf("%s under %v: %v", p[0], s, err)
+				}
+				if encs[i], err = ir.EncodeModule(m); err != nil {
+					t.Fatal(err)
+				}
+				hardened = m
+			}
+			if !bytes.Equal(encs[0], encs[1]) {
+				t.Errorf("%s under %v: clipping the blocks changes the encoding", p[0], s)
+			}
+			if p[0] == "fieldcanary" && s == core.SchemeFields {
+				sets, checks := fieldGuards(t, hardened.Func("main"), "gets")
+				if sets != 1 || checks != 1 {
+					t.Errorf("gets has %d field canary sets before it and %d checks after it, want 1 and 1 (name[8] has one canary)\n%s",
+						sets, checks, hardened.Func("main"))
+				}
+			}
+		}
+	}
+}
+
+// fieldGuards counts the canary.set ops on field-canary GEPs in the run
+// of guard code right before the call to callee in f, and the
+// canary.check ops on them right after it.
+func fieldGuards(t *testing.T, f *ir.Func, callee string) (sets, checks int) {
+	t.Helper()
+	field := func(in *ir.Instr) bool { return in.GetMeta("pass") == "pythia.field" }
+	guard := func(in *ir.Instr) bool {
+		return field(in) || in.Op == ir.OpCanarySet || in.Op == ir.OpCanaryCheck
+	}
+	count := func(in *ir.Instr, op ir.Op) int {
+		if g, ok := in.Args[0].(*ir.Instr); ok && in.Op == op && field(g) {
+			return 1
+		}
+		return 0
+	}
+	for _, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			if in.Op != ir.OpCall || in.Callee.FName != callee {
+				continue
+			}
+			for j := i - 1; j >= 0 && guard(b.Instrs[j]); j-- {
+				if !field(b.Instrs[j]) {
+					sets += count(b.Instrs[j], ir.OpCanarySet)
+				}
+			}
+			for j := i + 1; j < len(b.Instrs) && guard(b.Instrs[j]); j++ {
+				if !field(b.Instrs[j]) {
+					checks += count(b.Instrs[j], ir.OpCanaryCheck)
+				}
+			}
+			return sets, checks
+		}
+	}
+	t.Fatalf("no call to %s in @%s", callee, f.FName)
+	return 0, 0
 }

@@ -53,8 +53,10 @@ import (
 // valid IR but without site identity — must not be served. v3: the
 // front end classifies wrapper channels, so compile artifacts carry
 // their kinds, and v2 compile artifacts, which lack them, must not be
-// served.
-const PipelineVersion = "pythia-pipeline-v3"
+// served. v4: pythia-fields guards each channel call once per field
+// canary, and CPA checks reads through pointers loaded from sealed
+// slots, so v3 harden artifacts hold the old instrumentation.
+const PipelineVersion = "pythia-pipeline-v4"
 
 // Pipeline memoizes the compile and harden stages. The zero value is
 // not usable; construct with NewPipeline or OpenPipeline.

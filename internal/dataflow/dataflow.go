@@ -90,27 +90,6 @@ func MemRoot(addr ir.Value) ir.Value {
 	}
 }
 
-// Defs returns all definitions of v visible to the worklist algorithm:
-// for an SSA value that is the instruction itself; for an alloca/global
-// it is every store into the object. This is the paper's
-// getAllDefinitions (Alg. 1, line 6).
-func (c *Chains) Defs(v ir.Value) []*ir.Instr {
-	switch x := v.(type) {
-	case *ir.Instr:
-		if x.Op == ir.OpAlloca {
-			return c.MemDefs[x]
-		}
-		return []*ir.Instr{x}
-	case *ir.Global, *ir.Param:
-		if defs := c.MemDefs[v]; len(defs) > 0 {
-			return defs
-		}
-		return nil
-	default:
-		return nil
-	}
-}
-
 // MemDef is one numbered store site, the unit the DFI baseline tracks.
 type MemDef struct {
 	ID    int

@@ -125,25 +125,6 @@ int main() {
 	}
 }
 
-func TestDefsForSSAAndRoots(t *testing.T) {
-	f := compile(t, chainsSrc, "main")
-	c := dataflow.Build(f)
-	x := allocaNamed(t, f, "x")
-	defs := c.Defs(x)
-	if len(defs) != 2 {
-		t.Fatalf("Defs(alloca x) = %d stores, want 2", len(defs))
-	}
-	// An SSA value's definition is itself.
-	add := findOp(f, ir.OpAdd)
-	if add == nil {
-		t.Fatal("no add instruction")
-	}
-	defs = c.Defs(add)
-	if len(defs) != 1 || defs[0] != add {
-		t.Fatal("Defs(ssa) must be the instruction itself")
-	}
-}
-
 func findOp(f *ir.Func, op ir.Op) *ir.Instr {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {

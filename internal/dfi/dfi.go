@@ -154,7 +154,7 @@ func Apply(mod *ir.Module) (*Report, error) {
 			}
 		}
 
-		var edits []pendingEdit
+		ed := ir.NewEdits(f)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				switch in.Op {
@@ -166,7 +166,7 @@ func Apply(mod *ir.Module) (*Report, error) {
 					sd := ir.NewInstr(ir.OpSetDef, "", ir.Void, in.Args[1])
 					sd.DefID = off + id
 					sd.SetMeta("pass", "dfi")
-					edits = append(edits, pendingEdit{anchor: in, instr: sd, after: true})
+					ed.After(in, sd)
 					rep.SetDefs++
 				case ir.OpLoad:
 					atLoad, ok := rd.AtLoad[in]
@@ -185,27 +185,15 @@ func Apply(mod *ir.Module) (*Report, error) {
 					cd := ir.NewInstr(ir.OpChkDef, "", ir.Void, in.Args[0])
 					cd.Allowed = allowed
 					cd.SetMeta("pass", "dfi")
-					edits = append(edits, pendingEdit{anchor: in, instr: cd})
+					ed.Before(in, cd)
 					rep.ChkDefs++
 				}
 			}
 		}
-		for _, e := range edits {
-			if e.after {
-				e.anchor.Block.InsertAfter(e.instr, e.anchor)
-			} else {
-				e.anchor.Block.InsertBefore(e.instr, e.anchor)
-			}
-		}
+		ed.Apply()
 		f.Renumber()
 	}
 	return rep, ir.Verify(mod)
-}
-
-type pendingEdit struct {
-	anchor *ir.Instr
-	instr  *ir.Instr
-	after  bool
 }
 
 // dfiMemRoot resolves an address to its base object using only the

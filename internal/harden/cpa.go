@@ -106,62 +106,37 @@ func classifyRoot(plan *sealPlan, root ir.Value, rep *Report) {
 	}
 }
 
-// edit is one pending block mutation.
-type edit struct {
-	before *ir.Instr // anchor
-	insert []*ir.Instr
-	after  bool
-	remove bool // remove the anchor (insert still applied)
-}
-
-// applyEdits materializes edits per block (anchors must be current).
-func applyEdits(edits []edit) {
-	for _, e := range edits {
-		b := e.before.Block
-		for _, in := range e.insert {
-			if e.after {
-				b.InsertAfter(in, e.before)
-				e.before = in // chain: keep order after the anchor
-				e.after = true
-			} else {
-				b.InsertBefore(in, e.before)
-			}
-		}
-		if e.remove {
-			b.Remove(e.before)
-		}
-	}
-}
-
 // nameGen yields fresh SSA names tied to f.
 func nameGen(f *ir.Func, hint string) string { return f.GenName(hint) }
 
 // instrumentSeals rewrites one function's loads/stores/calls per the
 // seal plan. It is shared by the CPA pass and Pythia's heap-pointer
-// sealing (which passes a narrower plan).
+// sealing (which passes a narrower plan). Every edit is queued while the
+// walk reads the analyzed code, so each operand the walk asks about is
+// one the analysis knows.
 func instrumentSeals(f *ir.Func, vb *slice.Binding, plan *sealPlan, rep *Report) {
-	var edits []edit
+	ed := ir.NewEdits(f)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpLoad:
-				edits = append(edits, sealLoadEdits(f, vb, plan, in, rep)...)
+				sealLoadEdits(ed, f, vb, plan, in, rep)
 			case ir.OpStore:
-				edits = append(edits, sealStoreEdits(f, vb, plan, in, rep)...)
+				sealStoreEdits(ed, f, vb, plan, in, rep)
 			case ir.OpCall:
 				if plan.object(ir.Value(in)) {
 					// Initial seal of a freshly allocated heap object.
-					edits = append(edits, edit{before: in, insert: []*ir.Instr{objSeal(f, in, plan.sizeValue(in))}, after: true})
+					ed.After(in, objSeal(f, in, plan.sizeValue(in)))
 					rep.PAInstrs++
 				}
-				edits = append(edits, sealCallEdits(f, vb, plan, in, rep)...)
+				sealCallEdits(ed, f, vb, plan, in, rep)
 			}
 		}
 	}
-	applyEdits(edits)
+	ed.Apply()
 }
 
-func sealLoadEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, rep *Report) []edit {
+func sealLoadEdits(ed *ir.Edits, f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, rep *Report) {
 	addr := in.Args[0]
 	root := dataflow.MemRoot(addr)
 	switch {
@@ -176,12 +151,12 @@ func sealLoadEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, 
 			ins = append(ins, tr)
 			repl = tr
 		}
-		ir.ReplaceUses(f, in, repl)
-		return []edit{{before: in, insert: ins, remove: true}}
+		ed.Replace(in, repl)
+		ed.Before(in, ins...)
+		ed.Remove(in)
 	case root != nil && plan.object(root):
-		chk := objCheck(f, root, plan.sizeValue(root))
+		ed.Before(in, objCheck(f, root, plan.sizeValue(root)))
 		rep.PAInstrs++
-		return []edit{{before: in, insert: []*ir.Instr{chk}}}
 	case root == nil:
 		// Computed address: verify every sealed object it may read.
 		var ins []*ir.Instr
@@ -196,14 +171,11 @@ func sealLoadEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, 
 				rep.PAInstrs++
 			}
 		}
-		if len(ins) > 0 {
-			return []edit{{before: in, insert: ins}}
-		}
+		ed.Before(in, ins...)
 	}
-	return nil
 }
 
-func sealStoreEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, rep *Report) []edit {
+func sealStoreEdits(ed *ir.Edits, f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, rep *Report) {
 	addr := in.Args[1]
 	root := dataflow.MemRoot(addr)
 	switch {
@@ -217,12 +189,11 @@ func sealStoreEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr,
 		}
 		ss := markPass(ir.NewInstr(ir.OpSealStore, "", ir.Void, val, addr), "cpa")
 		rep.PAInstrs++
-		ins = append(ins, ss)
-		return []edit{{before: in, insert: ins, remove: true}}
+		ed.Before(in, append(ins, ss)...)
+		ed.Remove(in)
 	case root != nil && plan.object(root):
-		seal := objSeal(f, root, plan.sizeValue(root))
+		ed.After(in, objSeal(f, root, plan.sizeValue(root)))
 		rep.PAInstrs++
-		return []edit{{before: in, insert: []*ir.Instr{seal}, after: true}}
 	case root == nil:
 		// A store through a computed pointer may legitimately write any
 		// sealed object it aliases: reseal them afterwards.
@@ -238,18 +209,15 @@ func sealStoreEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr,
 				rep.PAInstrs++
 			}
 		}
-		if len(ins) > 0 {
-			return []edit{{before: in, insert: ins, after: true}}
-		}
+		ed.After(in, ins...)
 	}
-	return nil
 }
 
 // sealCallEdits reseals sealed storage around calls: a check before (the
 // callee reads authenticated state — and pre-existing corruption is
 // caught here) and a seal after (the callee may have legitimately
 // written through the pointer, including input channels).
-func sealCallEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, rep *Report) []edit {
+func sealCallEdits(ed *ir.Edits, f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, rep *Report) {
 	var before, after []*ir.Instr
 	seen := make(map[ir.Value]bool)
 	consider := func(r ir.Value) {
@@ -277,14 +245,8 @@ func sealCallEdits(f *ir.Func, vb *slice.Binding, plan *sealPlan, in *ir.Instr, 
 			consider(scopedRoot(f, obj))
 		}
 	}
-	var out []edit
-	if len(before) > 0 {
-		out = append(out, edit{before: in, insert: before})
-	}
-	if len(after) > 0 {
-		out = append(out, edit{before: in, insert: after, after: true})
-	}
-	return out
+	ed.Before(in, before...)
+	ed.After(in, after...)
 }
 
 // resealScalar emits "v = load root; seal.store v, root" — recomputing

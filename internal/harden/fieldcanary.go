@@ -113,29 +113,32 @@ func fieldCanariesInFunc(f *ir.Func, vb *slice.Binding, rep *Report) {
 		}
 	}
 
-	// canaryAddr emits a GEP to the canary field for set/check ops.
-	canaryAddr := func(bld *ir.Block, anchor *ir.Instr, p *padded, fieldIdx int, after bool) *ir.Instr {
+	// fieldAddr makes a GEP to a canary field for a set or check.
+	fieldAddr := func(p *padded, fieldIdx int) *ir.Instr {
 		gep := ir.NewInstr(ir.OpGEP, f.GenName("fc"), ir.PointerTo(ir.I64),
 			p.alloca, ir.ConstInt(ir.I64, 0), ir.ConstInt(ir.I64, int64(fieldIdx)))
 		gep.SetMeta("pass", "pythia.field")
-		if after {
-			bld.InsertAfter(gep, anchor)
-		} else {
-			bld.InsertBefore(gep, anchor)
-		}
 		return gep
 	}
-
-	var edits []edit
+	// guard queues a GEP and the canary op that reads it before anchor.
+	// Every GEP at an anchor lands ahead of every op there, so ops wait
+	// in `ops` until the walk is done.
+	ed := ir.NewEdits(f)
+	type guarded struct{ anchor, op *ir.Instr }
+	var ops []guarded
+	guard := func(anchor *ir.Instr, p *padded, fieldIdx int, op ir.Op) {
+		gep := fieldAddr(p, fieldIdx)
+		ed.Before(anchor, gep)
+		ops = append(ops, guarded{anchor, canaryOp(op, gep)})
+		rep.PAInstrs++
+	}
 	// Arm every field canary at function entry (after the allocas), and
 	// around channel calls that may write the struct; check at returns.
 	entryAnchor := f.Entry().Instrs[len(f.Entry().Instrs)-1]
 	for i := range targets {
 		p := &targets[i]
 		for _, ci := range p.canaries {
-			gep := canaryAddr(f.Entry(), entryAnchor, p, ci, false)
-			edits = append(edits, edit{before: entryAnchor, insert: []*ir.Instr{canaryOp(ir.OpCanarySet, gep)}})
-			rep.PAInstrs++
+			guard(entryAnchor, p, ci, ir.OpCanarySet)
 		}
 	}
 	for _, b := range f.Blocks {
@@ -148,26 +151,26 @@ func fieldCanariesInFunc(f *ir.Func, vb *slice.Binding, rep *Report) {
 						continue
 					}
 					for _, ci := range p.canaries {
-						g1 := canaryAddr(b, in, p, ci, false)
-						edits = append(edits, edit{before: in, insert: []*ir.Instr{canaryOp(ir.OpCanarySet, g1)}})
-						g2 := canaryAddr(b, in, p, ci, true)
-						edits = append(edits, edit{before: g2, insert: []*ir.Instr{canaryOp(ir.OpCanaryCheck, g2)}, after: true})
-						rep.PAInstrs += 2
+						guard(in, p, ci, ir.OpCanarySet)
+						gep := fieldAddr(p, ci)
+						ed.After(in, gep, canaryOp(ir.OpCanaryCheck, gep))
+						rep.PAInstrs++
 					}
 				}
 			case in.Op == ir.OpRet:
 				for i := range targets {
 					p := &targets[i]
 					for _, ci := range p.canaries {
-						g := canaryAddr(b, in, p, ci, false)
-						edits = append(edits, edit{before: in, insert: []*ir.Instr{canaryOp(ir.OpCanaryCheck, g)}})
-						rep.PAInstrs++
+						guard(in, p, ci, ir.OpCanaryCheck)
 					}
 				}
 			}
 		}
 	}
-	applyEdits(edits)
+	for _, g := range ops {
+		ed.Before(g.anchor, g.op)
+	}
+	ed.Apply()
 }
 
 // channelMayWrite reports whether the channel call's destination may be

@@ -74,17 +74,6 @@ type Report struct {
 	DFIChecks     int
 }
 
-// Apply analyzes mod and runs the selected scheme's instrumentation on
-// it in place (ApplyFacts). Vanilla instruments nothing and so analyzes
-// nothing.
-func Apply(mod *ir.Module, scheme Scheme) (*Report, error) {
-	var facts *slice.Facts
-	if scheme.Analyzes() {
-		facts = slice.AnalyzeVulnerabilities(mod).Facts()
-	}
-	return ApplyFacts(mod, scheme, facts)
-}
-
 // ApplyFacts runs the selected scheme's instrumentation on mod in place
 // and returns the report. facts is the analysis of mod itself or of the
 // bytes mod was decoded from; schemes that do not analyze ignore it.

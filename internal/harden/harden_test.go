@@ -110,11 +110,11 @@ func protect(t *testing.T, src string, scheme core.Scheme) (*ir.Module, *harden.
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := harden.Apply(mod, scheme)
+	p, err := core.Protect(mod, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mod, rep
+	return mod, p.Harden
 }
 
 const vulnSrc = `
@@ -299,14 +299,14 @@ func TestVanillaIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := mod.NumInstrs()
-	rep, err := harden.Apply(mod, harden.Vanilla)
+	p, err := core.Protect(mod, core.SchemeVanilla)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mod.NumInstrs() != before {
 		t.Fatal("vanilla scheme must not touch the module")
 	}
-	if rep.PAInstrs != 0 {
+	if p.PAInstrs() != 0 {
 		t.Fatal("vanilla reports instrumentation")
 	}
 }
@@ -336,12 +336,12 @@ func TestDoubleApplicationRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := harden.Apply(mod, harden.Pythia); err != nil {
+	if _, err := core.Protect(mod, harden.Pythia); err != nil {
 		t.Fatal(err)
 	}
 	// A second application must either error or at minimum keep the
 	// module verifiable; it must never corrupt the IR silently.
-	if _, err := harden.Apply(mod, harden.CPA); err == nil {
+	if _, err := core.Protect(mod, harden.CPA); err == nil {
 		if verr := ir.Verify(mod); verr != nil {
 			t.Fatalf("double instrumentation corrupted the module: %v", verr)
 		}
@@ -360,5 +360,55 @@ func TestAttacksDetectedThroughVM(t *testing.T) {
 	}
 	if res.Fault == nil || res.Fault.Kind != vm.FaultPAC {
 		t.Fatalf("fault = %v, want pac", res.Fault)
+	}
+}
+
+// sealedPtrSrc reads buf through p, a pointer that set stores and CPA
+// seals; the read is the only one of buf's bytes after gets fills it.
+const sealedPtrSrc = `void set(char **pp, char *v) { *pp = v; } int main() { char buf[16]; char *p; set(&p, buf); gets(buf); if (*p == 65) { return 1; } return 0; }`
+
+// TestCPAChecksReadThroughSealedPointer: CPA replaces the load of p
+// with an authenticated check.load, and the read of buf through it
+// still gets buf's object check right before it, since the pass asks
+// the analysis about the load it read, not the check.load that
+// replaces it. The program's results stay the same on both engines.
+func TestCPAChecksReadThroughSealedPointer(t *testing.T) {
+	mod, _ := protect(t, sealedPtrSrc, core.SchemeCPA)
+	f := mod.Func("main")
+	var buf *ir.Instr
+	for _, a := range f.Allocas() {
+		if a.GetMeta("var") == "buf" {
+			buf = a
+		}
+	}
+	var read, prev *ir.Instr
+	for _, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			if in.Op == ir.OpLoad && in.Typ.Equal(ir.I8) && i > 0 {
+				read, prev = in, b.Instrs[i-1]
+			}
+		}
+	}
+	if buf == nil || read == nil {
+		t.Fatalf("no buf alloca or byte read in\n%s", f)
+	}
+	if prev.Op != ir.OpObjCheck || prev.Args[0] != ir.Value(buf) {
+		t.Fatalf("%s is preceded by %s, want obj.check of %s", read, prev, buf.Operand())
+	}
+	for _, c := range []struct {
+		stdin string
+		ret   int64
+	}{{"hi\n", 0}, {"AAAA\n", 1}} {
+		for _, reference := range []bool{false, true} {
+			m := vm.New(mod, vm.Config{Seed: 1, Reference: reference})
+			m.Stdin.SetInput([]byte(c.stdin))
+			res, err := m.Run("main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Fault != nil || int64(res.Ret) != c.ret {
+				t.Errorf("reference=%v, stdin %q: ret=%d fault=%v, want %d", reference, c.stdin, int64(res.Ret), res.Fault, c.ret)
+			}
+		}
 	}
 }

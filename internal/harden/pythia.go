@@ -129,7 +129,7 @@ func protectStack(f *ir.Func, vb *slice.Binding, rep *Report, cfg pythiaConfig) 
 	// are preserved (any overflow is caught before the block's
 	// terminating branch can consume corrupted state) at a fraction of
 	// the static instruction bloat.
-	var edits []edit
+	ed := ir.NewEdits(f)
 	for _, b := range f.Blocks {
 		type span struct{ first, last *ir.Instr }
 		spans := make(map[*ir.Instr]*span)
@@ -166,9 +166,7 @@ func protectStack(f *ir.Func, vb *slice.Binding, rep *Report, cfg pythiaConfig) 
 						}
 					}
 				}
-				if len(checks) > 0 {
-					edits = append(edits, edit{before: in, insert: checks, after: true})
-				}
+				ed.After(in, checks...)
 			case in.Op == ir.OpRet:
 				// Epilogue check of every canary catches overflows whose
 				// channel was in a callee (interprocedural case, §4.4).
@@ -177,17 +175,17 @@ func protectStack(f *ir.Func, vb *slice.Binding, rep *Report, cfg pythiaConfig) 
 					checks = append(checks, canaryOp(ir.OpCanaryCheck, canaryOf[a]))
 					rep.PAInstrs++
 				}
-				edits = append(edits, edit{before: in, insert: checks})
+				ed.Before(in, checks...)
 			}
 		}
 		for _, a := range order {
 			sp := spans[a]
-			edits = append(edits, edit{before: sp.first, insert: []*ir.Instr{canaryOp(ir.OpCanarySet, canaryOf[a])}})
-			edits = append(edits, edit{before: sp.last, insert: []*ir.Instr{canaryOp(ir.OpCanaryCheck, canaryOf[a])}, after: true})
+			ed.Before(sp.first, canaryOp(ir.OpCanarySet, canaryOf[a]))
+			ed.After(sp.last, canaryOp(ir.OpCanaryCheck, canaryOf[a]))
 			rep.PAInstrs += 2
 		}
 	}
-	applyEdits(edits)
+	ed.Apply()
 }
 
 func canaryOp(op ir.Op, canary *ir.Instr) *ir.Instr {

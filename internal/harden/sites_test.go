@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/harden"
 	"repro/internal/ir"
 	"repro/internal/minic"
@@ -32,7 +33,7 @@ func TestAssignSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := harden.Apply(mod, harden.Pythia); err != nil {
+	if _, err := core.Protect(mod, harden.Pythia); err != nil {
 		t.Fatal(err)
 	}
 
@@ -100,7 +101,7 @@ func TestAssignSitesIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := harden.Apply(mod, harden.CPA); err != nil {
+	if _, err := core.Protect(mod, harden.CPA); err != nil {
 		t.Fatal(err)
 	}
 	before := harden.SiteIDs(mod)
@@ -165,7 +166,7 @@ func TestSiteIDsCategorized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := harden.Apply(mod, scheme); err != nil {
+		if _, err := core.Protect(mod, scheme); err != nil {
 			t.Fatal(err)
 		}
 		for _, id := range harden.SiteIDs(mod) {

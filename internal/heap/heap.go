@@ -216,16 +216,6 @@ func (a *Arena) Realloc(addr uint64, size int64) (uint64, int64, error) {
 // Owns reports whether addr lies within this arena's range.
 func (a *Arena) Owns(addr uint64) bool { return addr >= a.base && addr < a.limit }
 
-// Contains reports whether addr lies within a live chunk of this arena.
-func (a *Arena) Contains(addr uint64) bool {
-	for start, sz := range a.sizes {
-		if addr >= start && addr < start+uint64(sz) {
-			return true
-		}
-	}
-	return false
-}
-
 // Stats returns a copy of the activity counters.
 func (a *Arena) Stats() Stats { return a.stats }
 

@@ -36,20 +36,6 @@ func (b *Block) InsertBefore(in *Instr, pos *Instr) {
 	panic(fmt.Sprintf("ir: InsertBefore: %v not in block %s", pos, b.Name))
 }
 
-// InsertAfter inserts in immediately after pos.
-func (b *Block) InsertAfter(in *Instr, pos *Instr) {
-	for i, x := range b.Instrs {
-		if x == pos {
-			in.Block = b
-			b.Instrs = append(b.Instrs, nil)
-			copy(b.Instrs[i+2:], b.Instrs[i+1:])
-			b.Instrs[i+1] = in
-			return
-		}
-	}
-	panic(fmt.Sprintf("ir: InsertAfter: %v not in block %s", pos, b.Name))
-}
-
 // Remove deletes in from the block. It panics if in is absent.
 func (b *Block) Remove(in *Instr) {
 	for i, x := range b.Instrs {
@@ -301,24 +287,6 @@ func (f *Func) String() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// ReplaceUses rewrites every use of old with new across the function.
-func ReplaceUses(f *Func, old, new Value) {
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for i, a := range in.Args {
-				if a == old {
-					in.Args[i] = new
-				}
-			}
-			for i := range in.Incoming {
-				if in.Incoming[i].Val == old {
-					in.Incoming[i].Val = new
-				}
-			}
-		}
-	}
 }
 
 // Module is a compilation unit: globals plus functions.

@@ -185,27 +185,148 @@ func TestBlockEditing(t *testing.T) {
 	if entry.Instrs[0] != nop {
 		t.Fatal("InsertBefore misplaced")
 	}
-	nop2 := ir.NewInstr(ir.OpAdd, f.GenName("n"), ir.I64, ir.ConstInt(ir.I64, 0), ir.ConstInt(ir.I64, 0))
-	entry.InsertAfter(nop2, nop)
-	if entry.Instrs[1] != nop2 {
-		t.Fatal("InsertAfter misplaced")
-	}
 	entry.Remove(nop)
-	entry.Remove(nop2)
 	if entry.Instrs[0] != add {
 		t.Fatal("Remove broke order")
 	}
 }
 
-func TestReplaceUses(t *testing.T) {
-	_, f := buildRet(t)
-	add := f.Entry().Instrs[0]
-	c := ir.ConstInt(ir.I64, 100)
-	ir.ReplaceUses(f, add, c)
-	mul := f.Entry().Instrs[1]
-	if mul.Args[0] != ir.Value(c) {
-		t.Fatal("use not replaced")
+// editFunc builds f(x) = entry: a = x+1; b = a*2; br join. join:
+// p = phi [a, entry]; ret p. It returns the instructions by name.
+func editFunc(t *testing.T) (*ir.Module, *ir.Func, map[string]*ir.Instr) {
+	t.Helper()
+	m := ir.NewModule("t")
+	f := m.NewFunc("f", ir.I64, []string{"x"}, []ir.Type{ir.I64})
+	entry, join := f.NewBlock("entry"), f.NewBlock("join")
+	b := ir.NewBuilder(f, entry)
+	in := map[string]*ir.Instr{}
+	in["a"] = b.Bin(ir.OpAdd, f.Params[0], ir.ConstInt(ir.I64, 1))
+	in["b"] = b.Bin(ir.OpMul, in["a"], ir.ConstInt(ir.I64, 2))
+	b.Br(join)
+	b.SetBlock(join)
+	in["p"] = b.Phi(ir.I64)
+	ir.AddIncoming(in["p"], in["a"], entry)
+	b.Ret(in["p"])
+	in["a"].Nam, in["b"].Nam, in["p"].Nam = "a", "b", "p"
+	f.Renumber()
+	return m, f, in
+}
+
+// TestEdits pins the edit list's rules: insertions before one anchor
+// land in queue order, groups after one anchor land in reverse queue
+// order, a removed anchor keeps what is queued around it, and a
+// replacement reaches operands, phi edges and queued instructions.
+// Apply leaves every original instruction's ID as it was.
+func TestEdits(t *testing.T) {
+	n := func(name string, args ...ir.Value) *ir.Instr {
+		for len(args) < 2 {
+			args = append(args, ir.ConstInt(ir.I64, 0))
+		}
+		return ir.NewInstr(ir.OpAdd, name, ir.I64, args...)
 	}
+	cases := []struct {
+		name string
+		edit func(ed *ir.Edits, in map[string]*ir.Instr)
+		want string
+	}{
+		{"none", func(ed *ir.Edits, in map[string]*ir.Instr) {},
+			"a b br | p ret"},
+		{"before-in-queue-order", func(ed *ir.Edits, in map[string]*ir.Instr) {
+			ed.Before(in["b"], n("n1"))
+			ed.Before(in["b"], n("n2"), n("n3"))
+		}, "a n1 n2 n3 b br | p ret"},
+		{"after-groups-reversed", func(ed *ir.Edits, in map[string]*ir.Instr) {
+			ed.After(in["a"], n("n1"), n("n2"))
+			ed.After(in["a"], n("n3"))
+			ed.After(in["a"], n("n4"), n("n5"))
+		}, "a n4 n5 n3 n1 n2 b br | p ret"},
+		{"before-and-after", func(ed *ir.Edits, in map[string]*ir.Instr) {
+			ed.After(in["a"], n("n1"))
+			ed.Before(in["a"], n("n2"))
+			ed.Before(in["b"], n("n3"))
+			ed.After(in["p"], n("n4"))
+		}, "n2 a n1 n3 b br | p n4 ret"},
+		{"remove-keeps-neighbours", func(ed *ir.Edits, in map[string]*ir.Instr) {
+			ed.Before(in["b"], n("n1"))
+			ed.Remove(in["b"])
+			ed.After(in["b"], n("n2"))
+		}, "a n1 n2 br | p ret"},
+		{"replace", func(ed *ir.Edits, in map[string]*ir.Instr) {
+			c := ir.NewInstr(ir.OpSub, "c", ir.I64, in["a"].Args[0], ir.ConstInt(ir.I64, 1))
+			ed.Before(in["a"], c)
+			ed.Remove(in["a"])
+			ed.Replace(in["a"], c)
+			ed.After(in["b"], n("n1", in["a"], in["b"]))
+		}, "c b(c) n1(c,b) br | p(c) ret(p)"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, f, in := editFunc(t)
+			ids := make(map[*ir.Instr]int)
+			for _, b := range f.Blocks {
+				for _, x := range b.Instrs {
+					ids[x] = x.ID
+				}
+			}
+			ed := ir.NewEdits(f)
+			c.edit(ed, in)
+			ed.Apply()
+			// Render each block as its instructions' names; a case
+			// that replaces also shows every instruction's operands.
+			showArgs := strings.Contains(c.want, "(")
+			var blocks []string
+			for _, b := range f.Blocks {
+				var names []string
+				for _, x := range b.Instrs {
+					if x.Block != b {
+						t.Errorf("%s is in block %s but points at %v", x, b.Name, x.Block)
+					}
+					if id, ok := ids[x]; ok && x.ID != id {
+						t.Errorf("%s: ID %d, want %d", x, x.ID, id)
+					}
+					name := x.Nam
+					if name == "" {
+						name = x.Op.String()
+					}
+					var ops []string
+					for _, a := range x.Args {
+						if _, ok := a.(*ir.Instr); ok {
+							ops = append(ops, a.Name())
+						}
+					}
+					for _, e := range x.Incoming {
+						ops = append(ops, e.Val.Name())
+					}
+					if showArgs && len(ops) > 0 {
+						name += "(" + strings.Join(ops, ",") + ")"
+					}
+					names = append(names, name)
+				}
+				blocks = append(blocks, strings.Join(names, " "))
+			}
+			if got := strings.Join(blocks, " | "); got != c.want {
+				t.Fatalf("got  %s\nwant %s", got, c.want)
+			}
+			f.Renumber()
+			if err := ir.Verify(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestEditsRejectForeignAnchor: an anchor that is not in the function
+// is a pass bug, and Apply panics on it.
+func TestEditsRejectForeignAnchor(t *testing.T) {
+	_, f, _ := editFunc(t)
+	ed := ir.NewEdits(f)
+	ed.Before(ir.NewInstr(ir.OpAdd, "lost", ir.I64), ir.NewInstr(ir.OpAdd, "n", ir.I64))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Apply accepted an anchor outside the function")
+		}
+	}()
+	ed.Apply()
 }
 
 // TestRenumber: an inserted instruction leaves the function unnumbered,

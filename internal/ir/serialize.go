@@ -465,9 +465,6 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 				if id := d.i(); d.err == nil && id != int64(n) {
 					return nil, fmt.Errorf("ir: decode: @%s instruction %d stores id %d", f.FName, n, id)
 				}
-				// Grown by append, as the builders grow it, so a pass
-				// that inserts into a block while ranging over it sees
-				// the same spare capacity in a decoded module.
 				b.Instrs = append(b.Instrs, in)
 				n++
 			}

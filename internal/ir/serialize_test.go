@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/harden"
 	"repro/internal/ir"
 	"repro/internal/irpass"
 	"repro/internal/minic"
@@ -23,9 +22,9 @@ import (
 // codec's full surface: struct types, arrays, globals with initializers,
 // phi nodes, calls, channels, and — through the Pythia pass — stack
 // plans, canaries, sealed globals, and instruction metadata.
-func hardenedModule(t *testing.T) *ir.Module { return hardenedModuleWith(t, harden.Pythia) }
+func hardenedModule(t *testing.T) *ir.Module { return hardenedModuleWith(t, core.SchemePythia) }
 
-func hardenedModuleWith(t *testing.T, scheme harden.Scheme) *ir.Module {
+func hardenedModuleWith(t *testing.T, scheme core.Scheme) *ir.Module {
 	t.Helper()
 	mod, err := minic.Compile("ser", `
 struct point { int x; int y; };
@@ -47,7 +46,7 @@ int main() {
 		t.Fatal(err)
 	}
 	irpass.Optimize(mod)
-	if _, err := harden.Apply(mod, scheme); err != nil {
+	if _, err := core.Protect(mod, scheme); err != nil {
 		t.Fatal(err)
 	}
 	return mod

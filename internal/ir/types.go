@@ -31,7 +31,6 @@ type IntType struct {
 var (
 	I1    = &IntType{Bits: 1}
 	I8    = &IntType{Bits: 8}
-	I16   = &IntType{Bits: 16}
 	I32   = &IntType{Bits: 32}
 	I64   = &IntType{Bits: 64}
 	Void  = &VoidType{}

@@ -6,9 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/harden"
 	"repro/internal/ir"
 	"repro/internal/irpass"
 	"repro/internal/minic"
+	"repro/internal/slice"
 )
 
 // genSource returns a generated single-function program of about kb
@@ -16,8 +18,10 @@ import (
 // runs random `vD = vX + vY;` statements, every eighth an if/else that
 // assigns one of two locals. Each statement is two promoted loads and a
 // store, and each if/else a join of phis, so the optimizer's work grows
-// with the source.
-func genSource(kb int) string {
+// with the source. With scan, a scanf reads every local first, so each
+// stays in memory, tainted, and every statement's loads and store are
+// ones CPA seals.
+func genSource(kb int, scan bool) string {
 	const locals = 200
 	rng := rand.New(rand.NewSource(1))
 	v := func() int { return rng.Intn(locals) }
@@ -25,6 +29,9 @@ func genSource(kb int) string {
 	b.WriteString("int main() {\n")
 	for i := 0; i < locals; i++ {
 		fmt.Fprintf(&b, "\tint v%d = %d;\n", i, i)
+	}
+	for i := 0; scan && i < locals; i++ {
+		fmt.Fprintf(&b, "\tscanf(\"%%d\", &v%d);\n", i)
 	}
 	for i := 0; b.Len() < kb<<10; i++ {
 		if i%8 == 7 {
@@ -44,7 +51,7 @@ var optimizeSink *ir.Module
 // sizes; each iteration optimizes a fresh, untimed minic compile.
 func BenchmarkOptimize(b *testing.B) {
 	for _, kb := range []int{26, 50, 98} {
-		src := genSource(kb)
+		src := genSource(kb, false)
 		b.Run(fmt.Sprintf("%dKB", kb), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -58,5 +65,45 @@ func BenchmarkOptimize(b *testing.B) {
 				optimizeSink = mod
 			}
 		})
+	}
+}
+
+var instrumentSink *harden.Report
+
+// BenchmarkInstrument measures the instrument step alone: one
+// harden.ApplyFacts under cpa and pythia on genSource with a scanf per
+// local, at two sizes. Each size's compile and analysis run once,
+// untimed, and each iteration decodes a fresh copy of the compile,
+// untimed.
+func BenchmarkInstrument(b *testing.B) {
+	for _, kb := range []int{26, 55} {
+		mod, err := minic.Compile("gen", genSource(kb, true))
+		if err != nil {
+			b.Fatal(err)
+		}
+		irpass.Optimize(mod)
+		facts := slice.AnalyzeVulnerabilities(mod).Facts()
+		enc, err := ir.EncodeModule(mod)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range []harden.Scheme{harden.CPA, harden.Pythia} {
+			b.Run(fmt.Sprintf("%v/%dKB", s, kb), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					mod, err := ir.DecodeModule(enc)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					rep, err := harden.ApplyFacts(mod, s, facts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					instrumentSink = rep
+				}
+			})
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package irpass
 
 import (
+	"slices"
+
 	"repro/internal/inputchan"
 	"repro/internal/ir"
 )
@@ -164,16 +166,7 @@ func DeadCodeElim(f *ir.Func) int {
 		}
 	}
 	for _, b := range f.Blocks {
-		kept := b.Instrs[:0]
-		for _, in := range b.Instrs {
-			if !dead[in.ID] {
-				kept = append(kept, in)
-			}
-		}
-		// Every block gets a fresh slice sized by append: what
-		// fieldCanariesInFunc emits depends on the spare capacity of the
-		// blocks it inserts into, so that capacity is part of the output.
-		b.Instrs = append([]*ir.Instr(nil), kept...)
+		b.Instrs = slices.DeleteFunc(b.Instrs, func(in *ir.Instr) bool { return dead[in.ID] })
 	}
 	f.Renumber()
 	return removed

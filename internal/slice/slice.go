@@ -22,7 +22,6 @@ import (
 	"slices"
 
 	"repro/internal/alias"
-	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/inputchan"
 	"repro/internal/ir"
@@ -67,7 +66,6 @@ type Analysis struct {
 	Taint *Taint
 
 	chains    map[*ir.Func]*dataflow.Chains
-	graphs    map[*ir.Func]*cfg.Graph
 	callersOf map[*ir.Func][]*ir.Instr
 	// icByCall maps an input-channel call instruction to its site info.
 	icByCall map[*ir.Instr]inputchan.CallSite
@@ -108,7 +106,6 @@ func NewAnalysis(mod *ir.Module) *Analysis {
 		AA:        alias.Analyze(mod),
 		Sites:     inputchan.Scan(mod),
 		chains:    make(map[*ir.Func]*dataflow.Chains),
-		graphs:    make(map[*ir.Func]*cfg.Graph),
 		callersOf: make(map[*ir.Func][]*ir.Instr),
 		icByCall:  make(map[*ir.Instr]inputchan.CallSite),
 		globalIdx: make(map[*ir.Global]int32, len(mod.Globals)),
@@ -125,7 +122,6 @@ func NewAnalysis(mod *ir.Module) *Analysis {
 	unresolved := make(map[*ir.Func][]*ir.Instr)
 	for _, f := range mod.Defined() {
 		a.chains[f] = dataflow.Build(f)
-		a.graphs[f] = cfg.New(f)
 		base := funcBase{instrs: int32(a.numValues)}
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
@@ -244,9 +240,6 @@ func (a *Analysis) addWriter(root ir.Value, site inputchan.CallSite) {
 		d.writers = append(d.writers, site)
 	}
 }
-
-// Graph returns the cached CFG for f.
-func (a *Analysis) Graph(f *ir.Func) *cfg.Graph { return a.graphs[f] }
 
 // Chains returns the cached def-use chains for f.
 func (a *Analysis) Chains(f *ir.Func) *dataflow.Chains { return a.chains[f] }

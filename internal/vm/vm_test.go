@@ -277,8 +277,8 @@ int main() {
 				}
 			}
 		}
-		seal := ir.NewInstr(ir.OpObjSeal, "", ir.Void, buf, ir.ConstInt(ir.I64, 16))
-		call.Block.InsertAfter(seal, call)
+		ed := ir.NewEdits(f)
+		ed.After(call, ir.NewInstr(ir.OpObjSeal, "", ir.Void, buf, ir.ConstInt(ir.I64, 16)))
 		// Check right before the return's load — find the LAST load.
 		var lastLoad *ir.Instr
 		for _, b := range f.Blocks {
@@ -288,8 +288,8 @@ int main() {
 				}
 			}
 		}
-		chk := ir.NewInstr(ir.OpObjCheck, "", ir.Void, buf, ir.ConstInt(ir.I64, 16))
-		lastLoad.Block.InsertBefore(chk, lastLoad)
+		ed.Before(lastLoad, ir.NewInstr(ir.OpObjCheck, "", ir.Void, buf, ir.ConstInt(ir.I64, 16)))
+		ed.Apply()
 		return numbered(mod)
 	}
 
@@ -338,14 +338,16 @@ int main() {
 				buf = a
 			}
 		}
+		ed := ir.NewEdits(f)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpCall && in.Callee.FName == "strcpy" {
-					b.InsertAfter(ir.NewInstr(op, "", ir.Void, buf, ir.ConstInt(ir.I64, 16)), in)
+					ed.After(in, ir.NewInstr(op, "", ir.Void, buf, ir.ConstInt(ir.I64, 16)))
 					break
 				}
 			}
 		}
+		ed.Apply()
 	}
 	for _, reference := range []bool{false, true} {
 		res := mustRun(t, vm.New(numbered(mod), vm.Config{Seed: 2, Reference: reference}), "main")

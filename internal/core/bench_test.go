@@ -86,3 +86,32 @@ func BenchmarkHardenAllSchemes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuild measures one build miss per headline scheme: each
+// iteration builds gen.p1.d1.c0, the default-suite program of median
+// source size, with HotRounds 1, the base of perfbench's serve-cold
+// programs, through a fresh pipeline, so the compile, the harden and
+// Build's decode are all timed.
+func BenchmarkBuild(b *testing.B) {
+	var p workload.Profile
+	for _, q := range workload.DefaultSuite().Profiles() {
+		if q.Name == "gen.p1.d1.c0" {
+			p = q
+		}
+	}
+	if p.Name == "" {
+		b.Fatal("gen.p1.d1.c0 is not in the default suite")
+	}
+	p.HotRounds = 1
+	src := workload.Source(&p)
+	for _, s := range core.Schemes {
+		b.Run(s.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.NewPipeline().Build(p.Name, src, s); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

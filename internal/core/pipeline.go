@@ -20,19 +20,29 @@ package core
 // its own decode. The analysis is never persisted, since a harden disk
 // hit needs none.
 //
+// Vanilla instruments nothing, so its harden is the compile's own
+// bytes: it decodes, encodes, reads and writes nothing, and counts no
+// miss.
+//
 // Determinism invariant: a Program built through any mix of cold
 // stages, warm in-process stages, and warm on-disk stages is
 // bit-identical in behavior. The pipeline enforces this by
-// construction — both memo stages hold only their canonical encodings,
-// and every module a stage hands on is decoded from them, so the cold
-// path exercises exactly the serialize/deserialize round-trip the warm
-// path depends on. A decoded module takes about 11x the heap of its
-// encoding, so the memo keeps no modules at all.
+// construction — both memo stages hold only their canonical encodings
+// (vanilla's harden shares the compile's), and every module a stage
+// hands on is decoded from them, so the cold path exercises exactly the
+// serialize/deserialize round-trip the warm path depends on. A decoded
+// module takes about 11x the heap of its encoding, so the memo keeps no
+// modules at all.
+//
+// A stage that panics keeps a *StagePanic as its error: sync.Once
+// counts a panicking call as done, so the entry would otherwise hold
+// neither bytes nor an error.
 
 import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"runtime/debug"
 	"strconv"
 	"sync"
 	"time"
@@ -156,6 +166,24 @@ func (pl *Pipeline) Stats() PipelineStats {
 	return PipelineStats{Compiles: len(pl.compiles), Hardens: len(pl.hardens)}
 }
 
+// StagePanic is the error a compile or harden stage keeps when it
+// panicked. Every Build of the key returns it.
+type StagePanic struct {
+	Stage string // "compile" or "harden"
+	Value any    // what the stage panicked with
+	Stack []byte // the panicking goroutine's stack
+}
+
+func (p *StagePanic) Error() string { return fmt.Sprintf("%s stage panicked: %v", p.Stage, p.Value) }
+
+// keepPanic, deferred at the head of a stage, keeps a panic in the
+// stage as the stage's error.
+func keepPanic(stage string, err *error) {
+	if r := recover(); r != nil {
+		*err = &StagePanic{Stage: stage, Value: r, Stack: debug.Stack()}
+	}
+}
+
 // count bumps a pipeline obs counter, resolving the active registry at
 // increment time, and drops a journal point under the requesting span
 // so warm hits stay attributable to the request that made them.
@@ -190,6 +218,7 @@ func (pl *Pipeline) compile(name, src string) *compileEntry {
 		count("pipeline.compile.hits", map[string]string{"name": name})
 	}
 	e.once.Do(func() {
+		defer keepPanic("compile", &e.err)
 		if pl.store != nil {
 			if enc, ok := pl.store.Get(key); ok {
 				// The shared directory is outside input: serve only an
@@ -239,7 +268,8 @@ func (pl *Pipeline) Compile(name, src string) (*ir.Module, error) {
 }
 
 // harden resolves the harden stage for (compiled vanilla, scheme) and
-// reports whether the in-process memo already held it.
+// reports whether the in-process memo already held it. Vanilla's entry
+// holds the compile's bytes and the report protect gives vanilla.
 func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (*hardenEntry, bool) {
 	key := hardenKey(ce.digest, scheme)
 	pl.mu.Lock()
@@ -253,6 +283,11 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (*harde
 		count("pipeline.harden.hits", map[string]string{"name": name, "scheme": scheme.String()})
 	}
 	e.once.Do(func() {
+		defer keepPanic("harden", &e.err)
+		if scheme == SchemeVanilla {
+			e.enc, e.prot = ce.enc, Protection{Scheme: scheme, Harden: &harden.Report{Scheme: harden.Vanilla}}
+			return
+		}
 		if pl.store != nil {
 			if raw, ok := pl.store.Get(key); ok {
 				enc, prot, err := decodeHardened(raw)

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/harden"
 	"repro/internal/ir"
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -34,7 +35,7 @@ func counter(reg *obs.Registry, name string) int64 {
 // TestPipelineOneCompilePerSource is the acceptance check for the
 // staged pipeline: building one source under every scheme — including
 // concurrent duplicate requests — pays exactly one front-end compile
-// and one harden per scheme.
+// and one harden per instrumenting scheme (vanilla's is the compile).
 func TestPipelineOneCompilePerSource(t *testing.T) {
 	pl := core.NewPipeline()
 	reg := withMetrics(t, func() {
@@ -56,8 +57,8 @@ func TestPipelineOneCompilePerSource(t *testing.T) {
 	if got := counter(reg, "pipeline.compile.misses"); got != 1 {
 		t.Errorf("compile misses = %d, want exactly 1 for one source", got)
 	}
-	if got := counter(reg, "pipeline.harden.misses"); got != int64(len(core.Schemes)) {
-		t.Errorf("harden misses = %d, want one per scheme (%d)", got, len(core.Schemes))
+	if got, want := counter(reg, "pipeline.harden.misses"), int64(len(core.Schemes)-1); got != want {
+		t.Errorf("harden misses = %d, want one per instrumenting scheme (%d)", got, want)
 	}
 	if counter(reg, "pipeline.compile.hits")+counter(reg, "pipeline.harden.hits") == 0 {
 		t.Error("duplicate requests must be served as memo hits")
@@ -191,6 +192,49 @@ func TestPipelineDiskCache(t *testing.T) {
 	}
 	if rc.Ret != rw.Ret || string(rc.Stdout) != string(rw.Stdout) || *rc.Counters != *rw.Counters {
 		t.Fatal("warm program diverged from cold program")
+	}
+}
+
+// TestVanillaHardenIsTheCompile: a vanilla Build on a fresh cache-dir
+// pipeline pays no harden miss and writes only the compile artifact,
+// and its module encodes to the compile's bytes.
+func TestVanillaHardenIsTheCompile(t *testing.T) {
+	pl, err := core.OpenPipeline(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built *core.Program
+	reg := withMetrics(t, func() {
+		if built, err = pl.Build("t", prog, core.SchemeVanilla); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := counter(reg, "pipeline.harden.misses"); got != 0 {
+		t.Errorf("vanilla harden misses = %d, want 0", got)
+	}
+	if got := counter(reg, "artifact.put.writes"); got != 1 {
+		t.Errorf("vanilla build wrote %d artifacts, want the compile's alone", got)
+	}
+	if st, err := pl.Store().Stats(); err != nil || st.Entries != 1 {
+		t.Errorf("store holds %d entries (err %v), want 1", st.Entries, err)
+	}
+	got, err := ir.EncodeModule(built.Mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vanilla, err := pl.Compile("t", prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ir.EncodeModule(vanilla)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("vanilla module does not encode to the compile's bytes")
+	}
+	if h := built.Protection.Harden; built.Protection.Scheme != core.SchemeVanilla || h == nil || *h != (harden.Report{Scheme: harden.Vanilla}) {
+		t.Errorf("vanilla protection = %+v", built.Protection)
 	}
 }
 

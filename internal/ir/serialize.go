@@ -34,7 +34,7 @@ package ir
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // SerialVersion is the codec version. Bump it whenever the encoding
@@ -65,73 +65,55 @@ const (
 
 // EncodeModule serializes m to its canonical binary form.
 func EncodeModule(m *Module) ([]byte, error) {
-	e := &encoder{}
+	e := &encoder{typeIdx: make(map[Type]int)}
+
+	// Collect every reachable type in deterministic first-visit order,
+	// recording the index of each instruction's type references as it is
+	// visited (see encoder.tix). Tally the encoding's size on the way, so
+	// the output is allocated once: the tally counts each field's usual
+	// width, and runs 2-10% over the encodings of the decoder's seeds.
+	size := 64
+	for _, g := range m.Globals {
+		e.visitType(g.Elem)
+		size += 8 + len(g.GName) + len(g.Init) + len(g.Str)
+	}
+	for _, f := range m.Funcs {
+		e.visitType(f.Sig)
+		size += 16 + len(f.FName) + 8*len(f.Attrs)
+		for _, p := range f.Params {
+			e.visitType(p.Typ)
+			size += 2 + len(p.PName)
+		}
+		for _, b := range f.Blocks {
+			size += 2 + len(b.Name)
+			for _, in := range b.Instrs {
+				e.tix = append(e.tix, e.visitType(in.Typ))
+				if in.AllocTy != nil {
+					e.tix = append(e.tix, e.visitType(in.AllocTy))
+				}
+				for _, a := range in.Args {
+					e.visitConst(a)
+				}
+				for _, edge := range in.Incoming {
+					e.visitConst(edge.Val)
+				}
+				size += 16 + len(in.Nam) + 3*len(in.Args) + len(in.Succs) + 4*len(in.Incoming) + 2*len(in.Allowed)
+				for k, v := range in.Meta {
+					size += 2 + len(k) + len(v)
+				}
+			}
+		}
+		if f.Plan != nil {
+			size += 4 + 8*len(f.Plan.Slots)
+		}
+	}
+	e.buf = make([]byte, 0, size)
 	e.raw(serialMagic)
 	e.u(SerialVersion)
 	e.str(m.Name)
 
-	// Collect every reachable type in deterministic first-visit order.
-	typeIdx := make(map[Type]int)
-	var types []Type
-	var visitType func(t Type) int
-	visitType = func(t Type) int {
-		if t == nil {
-			panic("ir: encode: nil type")
-		}
-		if i, ok := typeIdx[t]; ok {
-			return i
-		}
-		i := len(types)
-		typeIdx[t] = i
-		types = append(types, t)
-		switch tt := t.(type) {
-		case *PtrType:
-			visitType(tt.Elem)
-		case *ArrayType:
-			visitType(tt.Elem)
-		case *StructType:
-			for _, f := range tt.Fields {
-				visitType(f.Type)
-			}
-		case *FuncType:
-			visitType(tt.Ret)
-			for _, p := range tt.Params {
-				visitType(p)
-			}
-		}
-		return i
-	}
-	visitValType := func(v Value) {
-		if c, ok := v.(*Const); ok {
-			visitType(c.Typ)
-		}
-	}
-	for _, g := range m.Globals {
-		visitType(g.Elem)
-	}
-	for _, f := range m.Funcs {
-		visitType(f.Sig)
-		for _, p := range f.Params {
-			visitType(p.Typ)
-		}
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				visitType(in.Typ)
-				if in.AllocTy != nil {
-					visitType(in.AllocTy)
-				}
-				for _, a := range in.Args {
-					visitValType(a)
-				}
-				for _, edge := range in.Incoming {
-					visitValType(edge.Val)
-				}
-			}
-		}
-	}
-
-	e.u(uint64(len(types)))
-	for _, t := range types {
+	e.u(uint64(len(e.types)))
+	for _, t := range e.types {
 		switch t.(type) {
 		case *VoidType:
 			e.b(tkVoid)
@@ -149,39 +131,39 @@ func EncodeModule(m *Module) ([]byte, error) {
 			return nil, fmt.Errorf("ir: encode: unknown type %T", t)
 		}
 	}
-	for _, t := range types {
+	for _, t := range e.types {
 		switch tt := t.(type) {
 		case *VoidType:
 		case *IntType:
 			e.u(uint64(tt.Bits))
 		case *PtrType:
-			e.u(uint64(typeIdx[tt.Elem]))
+			e.typ(tt.Elem)
 		case *ArrayType:
-			e.u(uint64(typeIdx[tt.Elem]))
+			e.typ(tt.Elem)
 			e.i(tt.Len)
 		case *StructType:
 			e.str(tt.Name)
 			e.u(uint64(len(tt.Fields)))
 			for _, f := range tt.Fields {
 				e.str(f.Name)
-				e.u(uint64(typeIdx[f.Type]))
+				e.typ(f.Type)
 			}
 		case *FuncType:
-			e.u(uint64(typeIdx[tt.Ret]))
+			e.typ(tt.Ret)
 			e.u(uint64(len(tt.Params)))
 			for _, p := range tt.Params {
-				e.u(uint64(typeIdx[p]))
+				e.typ(p)
 			}
 			e.bool(tt.Variadic)
 		}
 	}
 
-	globalIdx := make(map[*Global]int, len(m.Globals))
+	e.globalIdx = make(map[*Global]int, len(m.Globals))
 	e.u(uint64(len(m.Globals)))
 	for i, g := range m.Globals {
-		globalIdx[g] = i
+		e.globalIdx[g] = i
 		e.str(g.GName)
-		e.u(uint64(typeIdx[g.Elem]))
+		e.typ(g.Elem)
 		e.bytes(g.Init)
 		e.str(g.Str)
 		e.bool(g.Sealed)
@@ -194,59 +176,30 @@ func EncodeModule(m *Module) ([]byte, error) {
 	e.u(uint64(len(m.Funcs)))
 	for _, f := range m.Funcs {
 		e.str(f.FName)
-		e.u(uint64(typeIdx[f.Sig]))
+		e.typ(f.Sig)
 		e.i(int64(f.Channel))
 		e.u(uint64(len(f.Params)))
 		for _, p := range f.Params {
 			e.str(p.PName)
-			e.u(uint64(typeIdx[p.Typ]))
+			e.typ(p.Typ)
 		}
 		e.sortedMap(f.Attrs)
 		e.u(uint64(f.nextName))
 		e.u(uint64(f.nextBlk))
 	}
 
-	var flat []*Instr // the function's instructions by ID, reused
+	blockIdx := make(map[*Block]int)
 	for _, f := range m.Funcs {
-		blockIdx := make(map[*Block]int, len(f.Blocks))
-		flat = flat[:0]
+		clear(blockIdx)
+		e.f, e.flat = f, e.flat[:0]
 		for bi, b := range f.Blocks {
 			blockIdx[b] = bi
 			for _, in := range b.Instrs {
-				if in.ID != len(flat) {
-					return nil, fmt.Errorf("ir: encode: @%s is not numbered: instruction %d has id %d", f.FName, len(flat), in.ID)
+				if in.ID != len(e.flat) {
+					return nil, fmt.Errorf("ir: encode: @%s is not numbered: instruction %d has id %d", f.FName, len(e.flat), in.ID)
 				}
-				flat = append(flat, in)
+				e.flat = append(e.flat, in)
 			}
-		}
-		// local reports whether t is one of f's instructions, so its ID
-		// is its reference.
-		local := func(t *Instr) bool { return t.ID >= 0 && t.ID < len(flat) && flat[t.ID] == t }
-		valRef := func(v Value) error {
-			switch t := v.(type) {
-			case *Const:
-				e.b(vtConst)
-				e.u(uint64(typeIdx[t.Typ]))
-				e.i(t.Val)
-			case *Global:
-				e.b(vtGlobal)
-				e.u(uint64(globalIdx[t]))
-			case *Param:
-				if t.Parent != f {
-					return fmt.Errorf("ir: encode: @%s references foreign param %%%s", f.FName, t.PName)
-				}
-				e.b(vtParam)
-				e.u(uint64(t.Index))
-			case *Instr:
-				if !local(t) {
-					return fmt.Errorf("ir: encode: @%s references foreign instr %v", f.FName, t)
-				}
-				e.b(vtInstr)
-				e.u(uint64(t.ID))
-			default:
-				return fmt.Errorf("ir: encode: unsupported value %T", v)
-			}
-			return nil
 		}
 
 		e.u(uint64(len(f.Blocks)))
@@ -256,33 +209,33 @@ func EncodeModule(m *Module) ([]byte, error) {
 			for _, in := range b.Instrs {
 				e.i(int64(in.Op))
 				e.str(in.Nam)
-				e.u(uint64(typeIdx[in.Typ]))
+				e.u(e.nextTix())
+				allocTy := -1
+				if in.AllocTy != nil {
+					allocTy = int(e.nextTix())
+				}
 				e.u(uint64(len(in.Args)))
 				for _, a := range in.Args {
-					if err := valRef(a); err != nil {
+					if err := e.value(a); err != nil {
 						return nil, err
 					}
 				}
-				if in.AllocTy != nil {
-					e.bool(true)
-					e.u(uint64(typeIdx[in.AllocTy]))
-				} else {
-					e.bool(false)
+				e.bool(allocTy >= 0)
+				if allocTy >= 0 {
+					e.u(uint64(allocTy))
 				}
 				e.i(int64(in.Pred))
 				e.u(uint64(len(in.Succs)))
 				for _, s := range in.Succs {
 					e.u(uint64(blockIdx[s]))
 				}
+				e.bool(in.Callee != nil)
 				if in.Callee != nil {
-					e.bool(true)
 					e.u(uint64(funcIdx[in.Callee]))
-				} else {
-					e.bool(false)
 				}
 				e.u(uint64(len(in.Incoming)))
 				for _, edge := range in.Incoming {
-					if err := valRef(edge.Val); err != nil {
+					if err := e.value(edge.Val); err != nil {
 						return nil, err
 					}
 					e.u(uint64(blockIdx[edge.Pred]))
@@ -305,7 +258,7 @@ func EncodeModule(m *Module) ([]byte, error) {
 			e.u(uint64(len(f.Plan.Slots)))
 			for _, s := range f.Plan.Slots {
 				if s.Alloca != nil {
-					if !local(s.Alloca) {
+					if !e.local(s.Alloca) {
 						return nil, fmt.Errorf("ir: encode: @%s plan references foreign alloca", f.FName)
 					}
 					e.i(int64(s.Alloca.ID))
@@ -328,6 +281,11 @@ func EncodeModule(m *Module) ([]byte, error) {
 // treats a failed decode as a cache miss and recompiles. So does a
 // stored instruction id that is not the instruction's block-order
 // position, so every decoded module is numbered.
+//
+// Decoding allocates per function, not per instruction: instructions,
+// constant operands and every per-instruction slice are carved from the
+// decoder's slabs, and every decoded string is a substring of one copy
+// of data.
 func DecodeModule(data []byte) (mod *Module, err error) {
 	defer func() {
 		// Belt and braces: index arithmetic on corrupt input is turned
@@ -336,7 +294,7 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 			mod, err = nil, fmt.Errorf("ir: decode: malformed module: %v", r)
 		}
 	}()
-	d := &decoder{buf: data}
+	d := &decoder{buf: data, s: string(data)}
 	if string(d.raw(len(serialMagic))) != string(serialMagic) {
 		return nil, fmt.Errorf("ir: decode: bad magic")
 	}
@@ -345,23 +303,32 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 	}
 	m := NewModule(d.str())
 
-	d.types = make([]Type, d.count())
-	for i := range d.types {
-		switch k := d.b(); k {
+	// One shell per kind byte, each kind's shells from one slice.
+	kinds := d.raw(d.count())
+	var perKind [tkFunc + 1]int
+	for _, k := range kinds {
+		if k > tkFunc {
+			return nil, fmt.Errorf("ir: decode: unknown type kind %d", k)
+		}
+		perKind[k]++
+	}
+	ints, ptrs, arrays := make([]IntType, perKind[tkInt]), make([]PtrType, perKind[tkPtr]), make([]ArrayType, perKind[tkArray])
+	structs, funcs := make([]StructType, perKind[tkStruct]), make([]FuncType, perKind[tkFunc])
+	d.types = make([]Type, len(kinds))
+	for i, k := range kinds {
+		switch k {
 		case tkVoid:
 			d.types[i] = Void // the one void every builder uses
 		case tkInt:
-			d.types[i] = &IntType{}
+			d.types[i], ints = &ints[0], ints[1:]
 		case tkPtr:
-			d.types[i] = &PtrType{}
+			d.types[i], ptrs = &ptrs[0], ptrs[1:]
 		case tkArray:
-			d.types[i] = &ArrayType{}
+			d.types[i], arrays = &arrays[0], arrays[1:]
 		case tkStruct:
-			d.types[i] = &StructType{}
+			d.types[i], structs = &structs[0], structs[1:]
 		case tkFunc:
-			d.types[i] = &FuncType{}
-		default:
-			return nil, fmt.Errorf("ir: decode: unknown type kind %d", k)
+			d.types[i], funcs = &funcs[0], funcs[1:]
 		}
 	}
 	for _, t := range d.types {
@@ -391,24 +358,30 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 		}
 	}
 
-	d.globals = make([]*Global, d.count())
-	for i := range d.globals {
-		d.globals[i] = &Global{GName: d.str(), Elem: d.typ(), Init: d.bytes(), Str: d.str(), Sealed: d.bool()}
+	globals := make([]Global, d.count())
+	d.globals = make([]*Global, len(globals))
+	for i := range globals {
+		globals[i] = Global{GName: d.str(), Elem: d.typ(), Init: d.bytes(), Str: d.str(), Sealed: d.bool()}
+		d.globals[i] = &globals[i]
 	}
 	m.Globals = d.globals
 
-	d.funcs = make([]*Func, d.count())
-	for i := range d.funcs {
-		f := &Func{FName: d.str(), Parent: m}
+	fns := make([]Func, d.count())
+	d.funcs = make([]*Func, len(fns))
+	for i := range fns {
+		f := &fns[i]
+		f.FName, f.Parent = d.str(), m
 		sig, ok := d.typ().(*FuncType)
 		if !ok {
 			return nil, fmt.Errorf("ir: decode: @%s signature is not a func type", f.FName)
 		}
 		f.Sig = sig
 		f.Channel = ChannelKind(d.i())
-		f.Params = make([]*Param, d.count())
-		for pi := range f.Params {
-			f.Params[pi] = &Param{PName: d.str(), Typ: d.typ(), Index: pi, Parent: f}
+		params := make([]Param, d.count())
+		f.Params = make([]*Param, len(params))
+		for pi := range params {
+			params[pi] = Param{PName: d.str(), Typ: d.typ(), Index: pi, Parent: f}
+			f.Params[pi] = &params[pi]
 		}
 		f.Attrs = d.sortedMap()
 		f.nextName = int(d.u())
@@ -423,17 +396,20 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 
 	for _, f := range d.funcs {
 		d.f, d.instrs = f, d.instrs[:0]
-		f.Blocks = make([]*Block, d.count())
-		for bi := range f.Blocks {
-			f.Blocks[bi] = &Block{Parent: f}
+		blocks := make([]Block, d.count())
+		f.Blocks = make([]*Block, len(blocks))
+		for bi := range blocks {
+			blocks[bi].Parent = f
+			f.Blocks[bi] = &blocks[bi]
 		}
 		n := 0 // instructions read so far
 		for _, b := range f.Blocks {
 			b.Name = d.str()
-			for ni := d.count(); ni > 0; ni-- {
+			b.Instrs = d.code.take(d.count(), d.left())
+			for k := range b.Instrs {
 				in := d.instr(uint64(n))
 				in.Op, in.Nam, in.Typ, in.Block = Op(d.i()), d.str(), d.typ(), b
-				in.Args = make([]Value, d.count())
+				in.Args = d.vals.take(d.count(), d.left())
 				for ai := range in.Args {
 					in.Args[ai] = d.value()
 				}
@@ -441,11 +417,9 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 					in.AllocTy = d.typ()
 				}
 				in.Pred = Pred(d.i())
-				if ns := d.count(); ns > 0 {
-					in.Succs = make([]*Block, ns)
-					for si := range in.Succs {
-						in.Succs[si] = f.Blocks[d.u()]
-					}
+				in.Succs = d.succs.take(d.count(), d.left())
+				for si := range in.Succs {
+					in.Succs[si] = f.Blocks[d.u()]
 				}
 				// A callee index past int64 decodes as no callee.
 				if d.bool() {
@@ -453,19 +427,20 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 						in.Callee = d.funcs[ci]
 					}
 				}
-				in.Incoming = make([]PhiEdge, d.count())
+				in.Incoming = d.edges.take(d.count(), d.left())
 				for ei := range in.Incoming {
 					in.Incoming[ei] = PhiEdge{Val: d.value(), Pred: f.Blocks[d.u()]}
 				}
 				in.DefID = int(d.i())
-				for na := d.count(); na > 0; na-- {
-					in.Allowed = append(in.Allowed, int(d.i()))
+				in.Allowed = d.ints.take(d.count(), d.left())
+				for ai := range in.Allowed {
+					in.Allowed[ai] = int(d.i())
 				}
 				in.Meta = d.sortedMap()
 				if id := d.i(); d.err == nil && id != int64(n) {
 					return nil, fmt.Errorf("ir: decode: @%s instruction %d stores id %d", f.FName, n, id)
 				}
-				b.Instrs = append(b.Instrs, in)
+				b.Instrs[k] = in
 				n++
 			}
 		}
@@ -501,14 +476,113 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 	return m, nil
 }
 
-// encoder is an append-only buffer with typed put helpers.
-type encoder struct{ buf []byte }
+// encoder is an append-only buffer with typed put helpers, and the
+// indices EncodeModule writes references by.
+type encoder struct {
+	buf  []byte
+	keys []string // sortedMap's scratch
+
+	typeIdx map[Type]int
+	types   []Type // by index, in first-visit order
+	// tix holds the index of every instruction's type references, in
+	// the order the first pass visits them: the result type, the alloca
+	// type, then the types of the constants among the operands and the
+	// phi edges. The body writer consumes it in that order, so each
+	// reference costs one map lookup.
+	tix  []int
+	next int // the next entry of tix to write
+
+	globalIdx map[*Global]int
+	f         *Func    // the function whose body is being written
+	flat      []*Instr // f's instructions by ID
+}
+
+// visitType numbers t and every type it reaches that has no index yet,
+// and returns t's index.
+func (e *encoder) visitType(t Type) int {
+	if t == nil {
+		panic("ir: encode: nil type")
+	}
+	if i, ok := e.typeIdx[t]; ok {
+		return i
+	}
+	i := len(e.types)
+	e.typeIdx[t] = i
+	e.types = append(e.types, t)
+	switch tt := t.(type) {
+	case *PtrType:
+		e.visitType(tt.Elem)
+	case *ArrayType:
+		e.visitType(tt.Elem)
+	case *StructType:
+		for _, f := range tt.Fields {
+			e.visitType(f.Type)
+		}
+	case *FuncType:
+		e.visitType(tt.Ret)
+		for _, p := range tt.Params {
+			e.visitType(p)
+		}
+	}
+	return i
+}
+
+// visitConst records the type of v when v is a constant.
+func (e *encoder) visitConst(v Value) {
+	if c, ok := v.(*Const); ok {
+		e.tix = append(e.tix, e.visitType(c.Typ))
+	}
+}
+
+// nextTix returns the next recorded type reference.
+func (e *encoder) nextTix() uint64 {
+	i := e.tix[e.next]
+	e.next++
+	return uint64(i)
+}
+
+// typ writes the index of a type outside the function bodies.
+func (e *encoder) typ(t Type) { e.u(uint64(e.typeIdx[t])) }
+
+// local reports whether t is one of e.f's instructions, so its ID is
+// its reference.
+func (e *encoder) local(t *Instr) bool {
+	return t.ID >= 0 && t.ID < len(e.flat) && e.flat[t.ID] == t
+}
+
+// value writes one value reference of e.f's body.
+func (e *encoder) value(v Value) error {
+	switch t := v.(type) {
+	case *Const:
+		e.b(vtConst)
+		e.u(e.nextTix())
+		e.i(t.Val)
+	case *Global:
+		e.b(vtGlobal)
+		e.u(uint64(e.globalIdx[t]))
+	case *Param:
+		if t.Parent != e.f {
+			return fmt.Errorf("ir: encode: @%s references foreign param %%%s", e.f.FName, t.PName)
+		}
+		e.b(vtParam)
+		e.u(uint64(t.Index))
+	case *Instr:
+		if !e.local(t) {
+			return fmt.Errorf("ir: encode: @%s references foreign instr %v", e.f.FName, t)
+		}
+		e.b(vtInstr)
+		e.u(uint64(t.ID))
+	default:
+		return fmt.Errorf("ir: encode: unsupported value %T", v)
+	}
+	return nil
+}
 
 func (e *encoder) raw(p []byte) { e.buf = append(e.buf, p...) }
 func (e *encoder) b(v byte)     { e.buf = append(e.buf, v) }
 func (e *encoder) u(v uint64)   { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *encoder) i(v int64)    { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *encoder) str(s string) { e.u(uint64(len(s))); e.raw([]byte(s)) }
+func (e *encoder) str(s string) { e.u(uint64(len(s))); e.buf = append(e.buf, s...) }
 func (e *encoder) bytes(p []byte) {
 	e.u(uint64(len(p)))
 	e.raw(p)
@@ -523,13 +597,20 @@ func (e *encoder) bool(v bool) {
 
 // sortedMap emits a string map in sorted key order (deterministic).
 func (e *encoder) sortedMap(m map[string]string) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+	e.u(uint64(len(m)))
+	if len(m) <= 1 {
+		for k, v := range m {
+			e.str(k)
+			e.str(v)
+		}
+		return
 	}
-	sort.Strings(keys)
-	e.u(uint64(len(keys)))
-	for _, k := range keys {
+	e.keys = e.keys[:0]
+	for k := range m {
+		e.keys = append(e.keys, k)
+	}
+	slices.Sort(e.keys)
+	for _, k := range e.keys {
 		e.str(k)
 		e.str(m[k])
 	}
@@ -541,6 +622,7 @@ func (e *encoder) sortedMap(m map[string]string) {
 // body it is reading.
 type decoder struct {
 	buf []byte
+	s   string // buf as a string: every decoded string is a substring of it
 	off int
 	err error
 
@@ -549,6 +631,43 @@ type decoder struct {
 	funcs   []*Func
 	f       *Func    // the function whose body is being read
 	instrs  []*Instr // f's instructions by ID, shells of later ones included
+
+	// The slabs the module's instructions and their parts are carved
+	// from, shared by every function.
+	shells slab[Instr]
+	consts slab[Const]
+	code   slab[*Instr] // blocks' Instrs
+	vals   slab[Value]  // Args
+	succs  slab[*Block]
+	edges  slab[PhiEdge]
+	ints   slab[int] // Allowed
+}
+
+// slab hands out slices of T carved from shared chunks, so a decode
+// allocates per chunk instead of per slice. Chunks double in size from
+// 32 elements to 1,024, which bounds the unused tail of the last one,
+// and never outgrow what the input left to read can fill: every element
+// costs at least one byte of it, so a corrupt count cannot allocate
+// more than the input bounds.
+type slab[T any] struct {
+	free []T
+	next int // the size of the next chunk, before the input bound
+}
+
+// take returns n zeroed elements, nil for none, with capacity n: a pass
+// that appends to the slice reallocates instead of writing into a
+// neighbour. left is the number of input bytes still to read.
+func (s *slab[T]) take(n, left int) []T {
+	if n <= 0 {
+		return nil
+	}
+	if n > len(s.free) {
+		s.next = min(max(2*s.next, 32), 1024)
+		s.free = make([]T, max(n, min(s.next, left)))
+	}
+	p := s.free[:n:n]
+	s.free = s.free[n:]
+	return p
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -557,8 +676,11 @@ func (d *decoder) fail(format string, args ...any) {
 	}
 }
 
+// left returns the number of input bytes still to read.
+func (d *decoder) left() int { return len(d.buf) - d.off }
+
 func (d *decoder) raw(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
+	if d.err != nil || n < 0 || n > d.left() {
 		d.fail("truncated (%d bytes wanted at offset %d)", n, d.off)
 		return nil
 	}
@@ -606,14 +728,20 @@ func (d *decoder) i() int64 {
 // counts fail instead of allocating gigabytes.
 func (d *decoder) count() int {
 	n := d.u()
-	if d.err == nil && n > uint64(len(d.buf)-d.off) {
-		d.fail("implausible count %d with %d bytes left", n, len(d.buf)-d.off)
+	if d.err == nil && n > uint64(d.left()) {
+		d.fail("implausible count %d with %d bytes left", n, d.left())
 		return 0
 	}
 	return int(n)
 }
 
-func (d *decoder) str() string { return string(d.raw(int(d.u()))) }
+// str reads a string as a substring of d.s, so no string is copied.
+func (d *decoder) str() string {
+	n := int(d.u())
+	start := d.off
+	d.raw(n)
+	return d.s[start:d.off]
+}
 
 func (d *decoder) bytes() []byte {
 	p := d.raw(int(d.u()))
@@ -647,7 +775,9 @@ func (d *decoder) typ() Type { return d.types[d.u()] }
 func (d *decoder) value() Value {
 	switch tag := d.b(); tag {
 	case vtConst:
-		return &Const{Typ: d.typ(), Val: d.i()}
+		c := &d.consts.take(1, d.left())[0]
+		c.Typ, c.Val = d.typ(), d.i()
+		return c
 	case vtGlobal:
 		return d.globals[d.u()]
 	case vtParam:
@@ -661,20 +791,22 @@ func (d *decoder) value() Value {
 }
 
 // instr returns d.f's instruction whose ID is id. An ID is a block-order
-// position, so an instruction not read yet gets its shell here and is
-// filled in when the decoder reaches it; DecodeModule refuses a function
-// whose references end past its last instruction. Each instruction
-// still to read takes at least one byte, which bounds the shells.
+// position, so an instruction not read yet gets its shell here, with
+// the shells of every instruction before it, and is filled in when the
+// decoder reaches it; DecodeModule refuses a function whose references
+// end past its last instruction. Each instruction still to read takes
+// at least one byte, which bounds the shells.
 func (d *decoder) instr(id uint64) *Instr {
-	if id >= uint64(len(d.instrs)) {
-		if id-uint64(len(d.instrs)) > uint64(len(d.buf)-d.off) {
+	if have := uint64(len(d.instrs)); id >= have {
+		if id-have > uint64(d.left()) {
 			d.fail("@%s references instruction %d past its end", d.f.FName, id)
 			return nil
 		}
-		d.instrs = append(d.instrs, make([]*Instr, id+1-uint64(len(d.instrs)))...)
-	}
-	if d.instrs[id] == nil {
-		d.instrs[id] = &Instr{ID: int(id)}
+		shells := d.shells.take(int(id+1-have), d.left())
+		for i := range shells {
+			shells[i].ID = int(have) + i
+			d.instrs = append(d.instrs, &shells[i])
+		}
 	}
 	return d.instrs[id]
 }

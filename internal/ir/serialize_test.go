@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/irpass"
@@ -512,14 +513,32 @@ func BenchmarkEncodeModule(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeModule decodes the codec benchmarks' module
+// (xalancbmk) and an attack-corpus victim under Pythia (victim), the
+// decode every serve-hot request pays.
 func BenchmarkDecodeModule(b *testing.B) {
-	_, enc := benchEncoding(b)
-	b.SetBytes(int64(len(enc)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ir.DecodeModule(enc); err != nil {
-			b.Fatal(err)
-		}
+	_, xalan := benchEncoding(b)
+	c := attack.Corpus()[0]
+	prog, err := core.Build(c.Name, c.Source, core.SchemePythia)
+	if err != nil {
+		b.Fatal(err)
+	}
+	victim, err := ir.EncodeModule(prog.Mod)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		enc  []byte
+	}{{"xalancbmk", xalan}, {"victim", victim}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(bc.enc)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ir.DecodeModule(bc.enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -65,7 +65,10 @@ func (e *Error) Error() string { return fmt.Sprintf("%d:%d: %s", e.Line, e.Col, 
 // lines (#define SIZE is handled by simple substitution of object-like
 // macros).
 func Lex(src string) ([]Token, error) {
-	src = expandMacros(src)
+	src, err := expandMacros(src)
+	if err != nil {
+		return nil, err
+	}
 	var toks []Token
 	line, col := 1, 1
 	i := 0
@@ -178,9 +181,19 @@ func Lex(src string) ([]Token, error) {
 	return toks, nil
 }
 
+// maxExpansion caps the source that macro expansion may produce. Each
+// use of an object macro is replaced by its whole value, so V value
+// bytes used U times expand to about V·U bytes: without a cap, a 12 KB
+// source reaches 16 MB. No program the repository compiles defines a
+// macro, and the largest of them (510.parest_r, 60 KB) is a seventeenth
+// of the cap.
+const maxExpansion = 1 << 20
+
 // expandMacros performs textual substitution of simple `#define NAME value`
-// object macros, enough for the listings' `#define SIZE 16` style.
-func expandMacros(src string) string {
+// object macros, enough for the listings' `#define SIZE 16` style. It
+// refuses a source whose expansion would pass maxExpansion bytes before
+// building more of it than that.
+func expandMacros(src string) (string, error) {
 	lines := strings.Split(src, "\n")
 	macros := map[string]string{}
 	for _, ln := range lines {
@@ -194,16 +207,24 @@ func expandMacros(src string) string {
 		}
 	}
 	if len(macros) == 0 {
-		return src
+		return src, nil
 	}
 	// Whole-word replacement outside of the #define lines themselves.
+	var out strings.Builder
 	for i, ln := range lines {
-		if strings.HasPrefix(strings.TrimSpace(ln), "#define") {
-			continue
+		if i > 0 {
+			out.WriteByte('\n')
 		}
-		lines[i] = replaceWords(ln, macros)
+		if strings.HasPrefix(strings.TrimSpace(ln), "#define") {
+			out.WriteString(ln)
+		} else {
+			replaceWords(&out, ln, macros)
+		}
+		if out.Len() > maxExpansion {
+			return "", &Error{Line: i + 1, Col: 1, Msg: fmt.Sprintf("macro expansion exceeds %d bytes", maxExpansion)}
+		}
 	}
-	return strings.Join(lines, "\n")
+	return out.String(), nil
 }
 
 func isSimpleName(s string) bool {
@@ -215,10 +236,11 @@ func isSimpleName(s string) bool {
 	return len(s) > 0 && isIdentStart(s[0])
 }
 
-func replaceWords(line string, macros map[string]string) string {
-	var out strings.Builder
+// replaceWords writes line to out with each whole-word macro use
+// replaced by its value, stopping once out passes maxExpansion bytes.
+func replaceWords(out *strings.Builder, line string, macros map[string]string) {
 	i := 0
-	for i < len(line) {
+	for i < len(line) && out.Len() <= maxExpansion {
 		if isIdentStart(line[i]) {
 			j := i
 			for j < len(line) && isIdentPart(line[j]) {
@@ -236,7 +258,6 @@ func replaceWords(line string, macros map[string]string) string {
 		out.WriteByte(line[i])
 		i++
 	}
-	return out.String()
 }
 
 // punct returns the punctuator at the start of s, longest first, or "".

@@ -1,6 +1,8 @@
 package minic_test
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/minic"
@@ -122,6 +124,28 @@ int Nx; int xN; int N;`)
 	}
 	if len(names) != 2 || names[0] != "Nx" || names[1] != "xN" {
 		t.Fatalf("idents = %v (N alone must expand, substrings must not)", names)
+	}
+}
+
+// blowupSource is 12 KB that macro expansion would turn into 16 MB: a
+// 4,000-byte macro used 4,000 times in a comment.
+func blowupSource() string {
+	return "#define A " + strings.Repeat("x", 4000) + "\n/* " + strings.Repeat("A ", 4000) + "*/\nint main() { return 0; }\n"
+}
+
+// TestLexRefusesMacroBlowup: a source whose expansion passes the cap is
+// refused, and Lex builds no more than the cap of it to find out.
+func TestLexRefusesMacroBlowup(t *testing.T) {
+	src := blowupSource()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := minic.Lex(src)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "macro expansion exceeds") {
+		t.Fatalf("Lex of a %d-byte source expanding to 16 MB = %v, want the expansion cap", len(src), err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("refusing the source allocated %d bytes", grew)
 	}
 }
 

@@ -11,6 +11,7 @@ package service
 //	                      400 malformed / out-of-contract / build error
 //	                      429 queue or tenant quota saturated (Retry-After)
 //	                      503 draining for shutdown (Retry-After)
+//	                      500 the build or run panicked
 //	GET  /api/v1/stats    engine stats: queue, pipeline, artifact store
 //	GET  /api/v1/tenants  per-tenant counters
 

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -117,6 +118,13 @@ type TenantSaturatedError struct {
 func (e *TenantSaturatedError) Error() string {
 	return fmt.Sprintf("service: tenant %q at its admission quota (%d in flight)", e.Tenant, e.Limit)
 }
+
+// InternalError answers a request whose build or run panicked — 500.
+// The panic is the service's fault, not the submission's, and the
+// engine recovers it per job, so it ends only that request.
+type InternalError struct{ Panic string }
+
+func (e *InternalError) Error() string { return "service: internal error: " + e.Panic }
 
 // RequestError is a malformed or out-of-contract submission — 400.
 type RequestError struct{ Msg string }
@@ -344,12 +352,7 @@ func (e *Engine) run(j *job) {
 	wait := time.Since(j.enq)
 	obs.ObserveMS("service.queue_wait.ms", wait)
 	gaugeQueueDepth(len(e.queue))
-	if e.runHook != nil {
-		e.runHook(j)
-	}
-	end := obs.TraceSpan(fmt.Sprintf("submit %s [%s]", shortDigest(j.digest), j.req.Scheme), "service")
-	resp, err := e.execute(j)
-	end()
+	resp, err := e.serve(j)
 	if resp != nil {
 		resp.Tenant = j.tName
 		resp.QueueWaitMS = float64(wait.Nanoseconds()) / 1e6
@@ -366,6 +369,32 @@ func (e *Engine) run(j *job) {
 	obs.Count("service.completed")
 }
 
+// serve runs the job's build and run, answering a panic in either with
+// an InternalError: one bad submission must not end the daemon.
+func (e *Engine) serve(j *job) (resp *SubmitResponse, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			resp, err = nil, panicked(j, r, debug.Stack())
+		}
+	}()
+	if e.runHook != nil {
+		e.runHook(j)
+	}
+	defer obs.TraceSpan(fmt.Sprintf("submit %s [%s]", shortDigest(j.digest), j.req.Scheme), "service")()
+	return e.execute(j)
+}
+
+// panicked counts a panic that ended a job's build or run, journals it
+// with its stack, and returns the job's answer.
+func panicked(j *job, value any, stack []byte) error {
+	obs.Count("service.panics")
+	obs.Point("service.panic", "service", map[string]string{
+		"digest": j.digest, "scheme": j.req.Scheme, "tenant": j.tName,
+		"panic": fmt.Sprint(value), "stack": string(stack),
+	})
+	return &InternalError{Panic: fmt.Sprint(value)}
+}
+
 func shortDigest(d string) string {
 	if len(d) > 12 {
 		return d[:12]
@@ -379,6 +408,10 @@ func (e *Engine) execute(j *job) (*SubmitResponse, error) {
 	name := "submit-" + shortDigest(j.digest)
 	prog, err := e.pl.Build(name, j.req.Source, j.scheme)
 	if err != nil {
+		var sp *core.StagePanic
+		if errors.As(err, &sp) {
+			return nil, panicked(j, sp.Value, sp.Stack)
+		}
 		// A compile or harden failure is the client's program, not the
 		// service, so it maps to 400 — and it is memoized like any other
 		// pipeline outcome, so resubmitting it stays cheap.

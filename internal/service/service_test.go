@@ -7,8 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -471,5 +474,71 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 	if hits < 64 {
 		t.Fatalf("cache hits = %d, want at least the full second wave", hits)
+	}
+}
+
+// TestPanicAnswers500: a panic while serving one request answers that
+// request 500, counts it and journals it; the next request answers 200,
+// and the panicking job still released its tenant slot and its
+// in-flight count, so Close drains.
+func TestPanicAnswers500(t *testing.T) {
+	reg, jr := obs.NewRegistry(), obs.NewJournal()
+	obs.Start(&obs.Session{Metrics: reg, Journal: jr})
+	t.Cleanup(obs.Stop)
+	e := newEngine(t, Config{Workers: 1})
+	var armed atomic.Bool
+	armed.Store(true)
+	e.runHook = func(*job) {
+		if armed.CompareAndSwap(true, false) {
+			panic("injected")
+		}
+	}
+	mux := http.NewServeMux()
+	e.Mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	post := func() int {
+		body := `{"source": "int main() { return 5; }", "scheme": "vanilla", "tenant": "t"}`
+		resp, err := http.Post(srv.URL+"/api/v1/submit", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := post(); got != http.StatusInternalServerError {
+		t.Fatalf("panicking request answered %d, want 500", got)
+	}
+	if got := post(); got != http.StatusOK {
+		t.Fatalf("request after the panic answered %d, want 200", got)
+	}
+	if got := reg.Counter("service.panics").Value(); got != 1 {
+		t.Errorf("service.panics = %d, want 1", got)
+	}
+	journaled := 0
+	for _, ev := range jr.Events() {
+		if ev.Name == "service.panic" && ev.Attrs["panic"] == "injected" && ev.Attrs["stack"] != "" {
+			journaled++
+		}
+	}
+	if journaled != 1 {
+		t.Errorf("journaled %d service.panic points with the panic and its stack, want 1", journaled)
+	}
+	for _, ten := range e.Tenants() {
+		if ten.Inflight != 0 {
+			t.Errorf("tenant %s still holds %d slots", ten.Name, ten.Inflight)
+		}
+	}
+}
+
+// TestMacroBlowupIsBadRequest: a 12 KB source whose macro expansion
+// would reach 16 MB is the client's error, refused by the front end.
+func TestMacroBlowupIsBadRequest(t *testing.T) {
+	e := newEngine(t, Config{Workers: 1})
+	src := "#define A " + strings.Repeat("x", 4000) + "\n/* " + strings.Repeat("A ", 4000) + "*/\nint main() { return 0; }\n"
+	_, err := e.Submit(&SubmitRequest{Source: src, Scheme: "pythia"})
+	var reqErr *RequestError
+	if !errors.As(err, &reqErr) || !strings.Contains(err.Error(), "macro expansion exceeds") {
+		t.Fatalf("submit = %v, want a RequestError for the expansion cap", err)
 	}
 }

@@ -1,6 +1,7 @@
 package alias_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/alias"
@@ -20,7 +21,7 @@ func analyze(t *testing.T, src string) (*ir.Module, *alias.Result) {
 func allocaNamed(t *testing.T, mod *ir.Module, fn, hint string) *ir.Instr {
 	t.Helper()
 	for _, a := range mod.Func(fn).Allocas() {
-		if a.GetMeta("var") == hint {
+		if strings.HasPrefix(a.Nam, hint+".") {
 			return a
 		}
 	}

@@ -178,7 +178,7 @@ func TestHardenIgnoresSliceCapacity(t *testing.T) {
 // canary.check ops on them right after it.
 func fieldGuards(t *testing.T, f *ir.Func, callee string) (sets, checks int) {
 	t.Helper()
-	field := func(in *ir.Instr) bool { return in.GetMeta("pass") == "pythia.field" }
+	field := func(in *ir.Instr) bool { return in.Op == ir.OpGEP && strings.HasPrefix(in.Nam, "fc.") }
 	guard := func(in *ir.Instr) bool {
 		return field(in) || in.Op == ir.OpCanarySet || in.Op == ir.OpCanaryCheck
 	}

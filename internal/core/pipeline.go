@@ -36,7 +36,8 @@ package core
 //
 // A stage that panics keeps a *StagePanic as its error: sync.Once
 // counts a panicking call as done, so the entry would otherwise hold
-// neither bytes nor an error.
+// neither bytes nor an error. A compile's analysis keeps its panic the
+// same way, and every instrumenting harden of that compile returns it.
 
 import (
 	"encoding/binary"
@@ -59,14 +60,16 @@ import (
 // into every cache key together with ir.SerialVersion, so changing
 // either invalidates persisted entries cleanly (stale keys are simply
 // never looked up again). v2: hardened modules carry stable check-site
-// ids in instruction Meta (harden.AssignSites), so v1 artifacts —
+// ids in Instr.Site (harden.AssignSites), so v1 artifacts —
 // valid IR but without site identity — must not be served. v3: the
 // front end classifies wrapper channels, so compile artifacts carry
 // their kinds, and v2 compile artifacts, which lack them, must not be
 // served. v4: pythia-fields guards each channel call once per field
 // canary, and CPA checks reads through pointers loaded from sealed
-// slots, so v3 harden artifacts hold the old instrumentation.
-const PipelineVersion = "pythia-pipeline-v4"
+// slots, so v3 harden artifacts hold the old instrumentation. v5:
+// instructions keep only the annotations the VM reads, which is all
+// the decoder accepts, and pythia-fields arms field canaries earlier.
+const PipelineVersion = "pythia-pipeline-v5"
 
 // Pipeline memoizes the compile and harden stages. The zero value is
 // not usable; construct with NewPipeline or OpenPipeline.
@@ -89,13 +92,19 @@ type compileEntry struct {
 
 	analysisOnce sync.Once
 	facts        *slice.Facts
+	analysisErr  error // a *StagePanic when the analysis panicked
 }
 
 // analysis returns the compile's analysis, computing it from mod, a
-// decode of enc that no pass has edited yet, when no stage has.
-func (e *compileEntry) analysis(name string, mod *ir.Module) *slice.Facts {
-	e.analysisOnce.Do(func() { e.facts = e.analyze(name, mod).Facts() })
-	return e.facts
+// decode of enc that no pass has edited yet, when no stage has; vr is
+// the full report when this call computed it.
+func (e *compileEntry) analysis(name string, mod *ir.Module) (vr *slice.VulnReport, facts *slice.Facts, err error) {
+	e.analysisOnce.Do(func() {
+		defer keepPanic("analyze", &e.analysisErr)
+		vr = e.analyze(name, mod)
+		e.facts = vr.Facts()
+	})
+	return vr, e.facts, e.analysisErr
 }
 
 // analyze runs the vulnerability analysis of mod, a decode of enc.
@@ -169,7 +178,7 @@ func (pl *Pipeline) Stats() PipelineStats {
 // StagePanic is the error a compile or harden stage keeps when it
 // panicked. Every Build of the key returns it.
 type StagePanic struct {
-	Stage string // "compile" or "harden"
+	Stage string // "compile", "analyze" or "harden"
 	Value any    // what the stage panicked with
 	Stack []byte // the panicking goroutine's stack
 }
@@ -307,7 +316,9 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (*harde
 		}
 		var facts *slice.Facts
 		if scheme.Analyzes() {
-			facts = ce.analysis(name, mod)
+			if _, facts, e.err = ce.analysis(name, mod); e.err != nil {
+				return
+			}
 		}
 		prot, err := protect(mod, scheme, facts)
 		if err != nil {
@@ -338,7 +349,7 @@ func (pl *Pipeline) harden(name string, ce *compileEntry, scheme Scheme) (*harde
 // run on a fresh decode that the report keeps. When no harden has
 // analyzed the compile yet, the compile keeps this analysis for its
 // hardens, so analyzing a compile before hardening it pays for one
-// analysis, not two.
+// analysis, not two. An analysis that panicked returns its StagePanic.
 func (pl *Pipeline) Analyze(name, src string) (*slice.VulnReport, error) {
 	ce := pl.compile(name, src)
 	if ce.err != nil {
@@ -348,8 +359,13 @@ func (pl *Pipeline) Analyze(name, src string) (*slice.VulnReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reload compiled %s: %w", name, err)
 	}
-	vr := ce.analyze(name, mod)
-	ce.analysisOnce.Do(func() { ce.facts = vr.Facts() })
+	vr, _, err := ce.analysis(name, mod)
+	if err != nil {
+		return nil, fmt.Errorf("core: analyze %s: %w", name, err)
+	}
+	if vr == nil { // a harden ran the analysis and kept only its facts
+		vr = ce.analyze(name, mod)
+	}
 	return vr, nil
 }
 

@@ -2,7 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
+
+	"repro/internal/ir"
 )
 
 // TestStagePanicIsKept: a harden stage that panics keeps the panic as
@@ -21,5 +25,41 @@ func TestStagePanicIsKept(t *testing.T) {
 		if !errors.As(err, &sp) || sp.Stage != "harden" || len(sp.Stack) == 0 {
 			t.Fatalf("build %d: err = %v, want the harden stage's panic", i, err)
 		}
+	}
+}
+
+// TestAnalysisPanicIsKept: a compile whose analysis panicked keeps the
+// panic, and every instrumenting harden of the compile and Analyze
+// return it instead of hardening without facts.
+func TestAnalysisPanicIsKept(t *testing.T) {
+	const name, src = "analysis-panic", "int main() { char buf[8]; gets(buf); if (buf[0] == 'x') { return 1; } return 0; }"
+	pl := NewPipeline()
+	ce := pl.compile(name, src)
+	if ce.err != nil {
+		t.Fatal(ce.err)
+	}
+	mod, err := ir.DecodeModule(ce.enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod.Func("main").Entry().Instrs[0].ID = -1
+	_, _, err = ce.analysis(name, mod)
+	var kept *StagePanic
+	if !errors.As(err, &kept) || kept.Stage != "analyze" || !strings.Contains(fmt.Sprint(kept.Value), "not numbered") {
+		t.Fatalf("analysis of an unnumbered module: err = %v, want the analyze stage's not-numbered panic", err)
+	}
+	for _, s := range []Scheme{SchemeCPA, SchemePythia} {
+		_, err := pl.Build(name, src, s)
+		var sp *StagePanic
+		if !errors.As(err, &sp) || sp != kept {
+			t.Errorf("%v: Build = %v, want the analysis's panic", s, err)
+		}
+	}
+	var sp *StagePanic
+	if _, err := pl.Analyze(name, src); !errors.As(err, &sp) || sp != kept {
+		t.Errorf("Analyze = %v, want the analysis's panic", err)
+	}
+	if _, err := pl.Build(name, src, SchemeDFI); err != nil {
+		t.Errorf("dfi, which does not analyze: %v", err)
 	}
 }

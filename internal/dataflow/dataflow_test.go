@@ -1,6 +1,7 @@
 package dataflow_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cfg"
@@ -28,7 +29,7 @@ func compile(t *testing.T, src, fn string) *ir.Func {
 func allocaNamed(t *testing.T, f *ir.Func, hint string) *ir.Instr {
 	t.Helper()
 	for _, a := range f.Allocas() {
-		if a.GetMeta("var") == hint {
+		if strings.HasPrefix(a.Nam, hint+".") {
 			return a
 		}
 	}

@@ -12,8 +12,6 @@
 package dfi
 
 import (
-	"strconv"
-
 	"repro/internal/cfg"
 	"repro/internal/dataflow"
 	"repro/internal/inputchan"
@@ -86,9 +84,9 @@ func Apply(mod *ir.Module) (*Report, error) {
 					// DFI cannot reason about the destination: the
 					// writes get the always-allowed wildcard.
 					rep.WildcardSites++
-					in.SetMeta("dfi.callsite", strconv.Itoa(vm.DFIWildcard))
+					in.DefID = vm.DFIWildcard
 				} else {
-					in.SetMeta("dfi.callsite", strconv.Itoa(id))
+					in.DefID = id
 				}
 			}
 		}
@@ -165,7 +163,6 @@ func Apply(mod *ir.Module) (*Report, error) {
 					}
 					sd := ir.NewInstr(ir.OpSetDef, "", ir.Void, in.Args[1])
 					sd.DefID = off + id
-					sd.SetMeta("pass", "dfi")
 					ed.After(in, sd)
 					rep.SetDefs++
 				case ir.OpLoad:
@@ -184,7 +181,6 @@ func Apply(mod *ir.Module) (*Report, error) {
 					allowed = append(allowed, icWriters[root]...)
 					cd := ir.NewInstr(ir.OpChkDef, "", ir.Void, in.Args[0])
 					cd.Allowed = allowed
-					cd.SetMeta("pass", "dfi")
 					ed.Before(in, cd)
 					rep.ChkDefs++
 				}

@@ -1,7 +1,6 @@
 package dfi_test
 
 import (
-	"strconv"
 	"testing"
 
 	"repro/internal/core"
@@ -164,12 +163,8 @@ func TestCallsiteMetaWellFormed(t *testing.T) {
 				if in.Op != ir.OpCall || !in.Callee.Channel.IsChannel() {
 					continue
 				}
-				meta := in.GetMeta("dfi.callsite")
-				if meta == "" {
-					t.Fatalf("channel call without dfi.callsite meta: %v", in)
-				}
-				if _, err := strconv.Atoi(meta); err != nil {
-					t.Fatalf("bad callsite id %q", meta)
+				if in.DefID == 0 {
+					t.Fatalf("channel call without a DFI definition id: %v", in)
 				}
 			}
 		}

@@ -82,7 +82,7 @@ func classifyRoot(plan *sealPlan, root ir.Value, rep *Report) {
 			plan.kind[root] = sealScalar
 			// Widen the slot to [value:8 | pac:8].
 			r.AllocTy = ir.ArrayOf(ir.I64, 2)
-			r.SetMeta("sealed", "1")
+			r.Sealed = true
 			rep.SealedScalars++
 		} else {
 			plan.kind[root] = sealObject
@@ -142,7 +142,7 @@ func sealLoadEdits(ed *ir.Edits, f *ir.Func, vb *slice.Binding, plan *sealPlan, 
 	switch {
 	case root != nil && plan.scalar(root):
 		// Replace the load with an authenticated check.load.
-		cl := markPass(ir.NewInstr(ir.OpCheckLoad, nameGen(f, "chk"), ir.I64, addr), "cpa")
+		cl := ir.NewInstr(ir.OpCheckLoad, nameGen(f, "chk"), ir.I64, addr)
 		rep.PAInstrs++
 		repl := ir.Value(cl)
 		ins := []*ir.Instr{cl}
@@ -167,7 +167,7 @@ func sealLoadEdits(ed *ir.Edits, f *ir.Func, vb *slice.Binding, plan *sealPlan, 
 				ins = append(ins, objCheck(f, r, plan.sizeValue(r)))
 				rep.PAInstrs++
 			case plan.scalar(r):
-				ins = append(ins, markPass(ir.NewInstr(ir.OpCheckLoad, nameGen(f, "chk"), ir.I64, r), "cpa"))
+				ins = append(ins, ir.NewInstr(ir.OpCheckLoad, nameGen(f, "chk"), ir.I64, r))
 				rep.PAInstrs++
 			}
 		}
@@ -187,7 +187,7 @@ func sealStoreEdits(ed *ir.Edits, f *ir.Func, vb *slice.Binding, plan *sealPlan,
 			ins = append(ins, sx)
 			val = sx
 		}
-		ss := markPass(ir.NewInstr(ir.OpSealStore, "", ir.Void, val, addr), "cpa")
+		ss := ir.NewInstr(ir.OpSealStore, "", ir.Void, val, addr)
 		rep.PAInstrs++
 		ed.Before(in, append(ins, ss)...)
 		ed.Remove(in)
@@ -231,7 +231,7 @@ func sealCallEdits(ed *ir.Edits, f *ir.Func, vb *slice.Binding, plan *sealPlan, 
 			after = append(after, objSeal(f, r, plan.sizeValue(r)))
 			rep.PAInstrs += 2
 		case plan.scalar(r):
-			before = append(before, markPass(ir.NewInstr(ir.OpCheckLoad, nameGen(f, "chk"), ir.I64, r), "cpa"))
+			before = append(before, ir.NewInstr(ir.OpCheckLoad, nameGen(f, "chk"), ir.I64, r))
 			after = append(after, resealScalar(f, r)...)
 			rep.PAInstrs += 2
 		}
@@ -254,16 +254,16 @@ func sealCallEdits(ed *ir.Edits, f *ir.Func, vb *slice.Binding, plan *sealPlan, 
 // slot was untouched).
 func resealScalar(f *ir.Func, root ir.Value) []*ir.Instr {
 	ld := ir.NewInstr(ir.OpLoad, nameGen(f, "rsl"), ir.I64, root)
-	ss := markPass(ir.NewInstr(ir.OpSealStore, "", ir.Void, ld, root), "cpa")
+	ss := ir.NewInstr(ir.OpSealStore, "", ir.Void, ld, root)
 	return []*ir.Instr{ld, ss}
 }
 
 func objCheck(f *ir.Func, root ir.Value, size ir.Value) *ir.Instr {
-	return markPass(ir.NewInstr(ir.OpObjCheck, "", ir.Void, root, size), "cpa")
+	return ir.NewInstr(ir.OpObjCheck, "", ir.Void, root, size)
 }
 
 func objSeal(f *ir.Func, root ir.Value, size ir.Value) *ir.Instr {
-	return markPass(ir.NewInstr(ir.OpObjSeal, "", ir.Void, root, size), "cpa")
+	return ir.NewInstr(ir.OpObjSeal, "", ir.Void, root, size)
 }
 
 // scopedRoot returns an object's root only when it is referencable from

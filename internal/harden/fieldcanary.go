@@ -79,7 +79,6 @@ func fieldCanariesInFunc(f *ir.Func, vb *slice.Binding, rep *Report) {
 		}
 		a.AllocTy = ns
 		a.Typ = ir.PointerTo(ns)
-		a.SetMeta("fieldcanary", "1")
 		targets = append(targets, padded{a, ns, remap, cans})
 		rep.Canaries += len(cans)
 	}
@@ -115,10 +114,8 @@ func fieldCanariesInFunc(f *ir.Func, vb *slice.Binding, rep *Report) {
 
 	// fieldAddr makes a GEP to a canary field for a set or check.
 	fieldAddr := func(p *padded, fieldIdx int) *ir.Instr {
-		gep := ir.NewInstr(ir.OpGEP, f.GenName("fc"), ir.PointerTo(ir.I64),
+		return ir.NewInstr(ir.OpGEP, f.GenName("fc"), ir.PointerTo(ir.I64),
 			p.alloca, ir.ConstInt(ir.I64, 0), ir.ConstInt(ir.I64, int64(fieldIdx)))
-		gep.SetMeta("pass", "pythia.field")
-		return gep
 	}
 	// guard queues a GEP and the canary op that reads it before anchor.
 	// Every GEP at an anchor lands ahead of every op there, so ops wait
@@ -132,13 +129,21 @@ func fieldCanariesInFunc(f *ir.Func, vb *slice.Binding, rep *Report) {
 		ops = append(ops, guarded{anchor, canaryOp(op, gep)})
 		rep.PAInstrs++
 	}
-	// Arm every field canary at function entry (after the allocas), and
-	// around channel calls that may write the struct; check at returns.
-	entryAnchor := f.Entry().Instrs[len(f.Entry().Instrs)-1]
-	for i := range targets {
-		p := &targets[i]
-		for _, ci := range p.canaries {
-			guard(entryAnchor, p, ci, ir.OpCanarySet)
+	// Arm each struct's field canaries at the first non-alloca after its
+	// alloca (code may precede a local's alloca in the entry block),
+	// before anything writes the struct, and around channel calls that
+	// may write it; check them at returns.
+	var unarmed []*padded
+	for _, in := range f.Entry().Instrs {
+		if p := byAlloca[in]; p != nil {
+			unarmed = append(unarmed, p)
+		} else if in.Op != ir.OpAlloca {
+			for _, p := range unarmed {
+				for _, ci := range p.canaries {
+					guard(in, p, ci, ir.OpCanarySet)
+				}
+			}
+			unarmed = unarmed[:0]
 		}
 	}
 	for _, b := range f.Blocks {

@@ -1,6 +1,7 @@
 package harden_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -95,7 +96,7 @@ func TestFieldCanaryLayoutRewrite(t *testing.T) {
 	f := mod.Func("main")
 	var padded *ir.StructType
 	for _, a := range f.Allocas() {
-		if st, ok := a.AllocTy.(*ir.StructType); ok && a.GetMeta("fieldcanary") != "" {
+		if st, ok := a.AllocTy.(*ir.StructType); ok && st.Name == "session.fc" {
 			padded = st
 		}
 	}
@@ -145,6 +146,64 @@ int main() {
 		}
 		if int64(res.Ret) != 123 {
 			t.Fatalf("%v: ret=%d, want 123", scheme, int64(res.Ret))
+		}
+	}
+}
+
+// TestFieldCanariesArmedBeforeUse: a struct's field canaries are armed
+// right after its alloca, before the struct is written. A write into
+// the canary field outside any channel call's window is then caught by
+// the return's field-canary check, even on benign input, instead of
+// being overwritten by a late arming. A struct declared after other
+// code is armed after its alloca, not ahead of it.
+func TestFieldCanariesArmedBeforeUse(t *testing.T) {
+	const smash = `
+struct session { char name[8]; long priv; };
+int main() {
+	struct session s;
+	s.priv = 0;
+	gets(s.name);
+	s.name[8] = 65;
+	if (s.priv != 0) { printf("GRANTED\n"); return 99; }
+	printf("normal\n");
+	return 0;
+}`
+	prog, err := core.Build("smash", smash, core.SchemeFields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Run(benignIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at *ir.Instr
+	for _, b := range prog.Mod.Func("main").Blocks {
+		for _, in := range b.Instrs {
+			if res.Fault != nil && in.String() == res.Fault.Instr {
+				at = in
+			}
+		}
+	}
+	if at == nil || res.Fault.Kind != vm.FaultCanary || at.Op != ir.OpCanaryCheck ||
+		!strings.HasPrefix(at.Args[0].Name(), "fc.") || at.Block.Terminator().Op != ir.OpRet {
+		t.Fatalf("fault = %v, want a canary fault at a return's field-canary check", res.Fault)
+	}
+
+	late := strings.Replace(intraStructSrc, "\tstruct session s;\n", "\tprintf(\"hello\\n\");\n\tstruct session s;\n", 1)
+	prog, err = core.Build("late", late, core.SchemeFields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		in    string
+		fault bool
+	}{{benignIn, false}, {attackIn, true}} {
+		res, err := prog.Run(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.Fault != nil) != c.fault || (c.fault && res.Fault.Kind != vm.FaultCanary) || (!c.fault && int64(res.Ret) != 0) {
+			t.Errorf("declared after a call, input %q: ret=%d fault=%v", c.in, int64(res.Ret), res.Fault)
 		}
 	}
 }

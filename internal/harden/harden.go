@@ -115,12 +115,6 @@ func ApplyFacts(mod *ir.Module, scheme Scheme, facts *slice.Facts) (*Report, err
 	return rep, nil
 }
 
-// markPass tags an inserted instruction with its originating pass.
-func markPass(in *ir.Instr, pass string) *ir.Instr {
-	in.SetMeta("pass", pass)
-	return in
-}
-
 // isScalar reports whether t is a scalar (int or pointer) type.
 func isScalar(t ir.Type) bool { return ir.IsInt(t) || ir.IsPtr(t) }
 

@@ -1,6 +1,7 @@
 package harden_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -148,7 +149,7 @@ func TestCPAReportCounts(t *testing.T) {
 	// alloca was widened to the [value|pac] pair.
 	for _, f := range mod.Defined() {
 		for _, a := range f.Allocas() {
-			if a.GetMeta("sealed") != "" && a.AllocTy.Size() != 16 {
+			if a.Sealed && a.AllocTy.Size() != 16 {
 				t.Fatalf("sealed slot %s not widened", a.Nam)
 			}
 		}
@@ -377,7 +378,7 @@ func TestCPAChecksReadThroughSealedPointer(t *testing.T) {
 	f := mod.Func("main")
 	var buf *ir.Instr
 	for _, a := range f.Allocas() {
-		if a.GetMeta("var") == "buf" {
+		if strings.HasPrefix(a.Nam, "buf.") {
 			buf = a
 		}
 	}

@@ -37,7 +37,7 @@ func applyPythia(mod *ir.Module, vb *slice.Binding, rep *Report, cfg pythiaConfi
 			if vb.MayHoldHeapPointer(a) {
 				ptrPlan.kind[root] = sealScalar
 				a.AllocTy = ir.ArrayOf(ir.I64, 2)
-				a.SetMeta("sealed", "1")
+				a.Sealed = true
 				rep.SealedScalars++
 			}
 		}
@@ -68,7 +68,6 @@ func sectionHeap(mod *ir.Module, vb *slice.Binding, rep *Report) {
 				}
 				if vb.Pythia(in) || vb.TaintRoot(in) {
 					in.Callee = secure
-					in.SetMeta("pass", "pythia.heap")
 					rep.HeapRelocated++
 				}
 			}
@@ -83,7 +82,7 @@ func sectionHeap(mod *ir.Module, vb *slice.Binding, rep *Report) {
 func protectStack(f *ir.Func, vb *slice.Binding, rep *Report, cfg pythiaConfig) {
 	var vuln []*ir.Instr
 	for _, a := range f.Allocas() {
-		if a.GetMeta("sealed") != "" || a.GetMeta("canary") != "" {
+		if a.Sealed || a.Canary {
 			continue
 		}
 		// Canary-protected set: refined vulnerable variables plus every
@@ -103,8 +102,7 @@ func protectStack(f *ir.Func, vb *slice.Binding, rep *Report, cfg pythiaConfig) 
 	for _, a := range vuln {
 		can := ir.NewInstr(ir.OpAlloca, f.GenName("can"), ir.PointerTo(ir.I64))
 		can.AllocTy = ir.I64
-		can.SetMeta("canary", "1")
-		can.SetMeta("pass", "pythia.stack")
+		can.Canary = true
 		// Canary allocas lead the entry block: the set/check operations
 		// inserted around input channels may precede the original
 		// allocation point in layout order.
@@ -189,9 +187,7 @@ func protectStack(f *ir.Func, vb *slice.Binding, rep *Report, cfg pythiaConfig) 
 }
 
 func canaryOp(op ir.Op, canary *ir.Instr) *ir.Instr {
-	in := ir.NewInstr(op, "", ir.Void, canary)
-	in.SetMeta("pass", "pythia.stack")
-	return in
+	return ir.NewInstr(op, "", ir.Void, canary)
 }
 
 // buildPlan lays the frame out: non-vulnerable slots first (low
@@ -205,44 +201,40 @@ func buildPlan(f *ir.Func, vuln []*ir.Instr, canaryOf map[*ir.Instr]*ir.Instr, r
 	for _, a := range vuln {
 		isVuln[a] = true
 	}
-	isCanary := make(map[*ir.Instr]bool, len(canaryOf))
-	for _, c := range canaryOf {
-		isCanary[c] = true
-	}
 	p := &ir.StackPlan{}
 	var off int64
-	place := func(a *ir.Instr, canary, vulnFlag bool) {
+	place := func(a *ir.Instr, vulnFlag bool) {
 		sz := (a.AllocTy.Size() + 7) &^ 7
 		p.Slots = append(p.Slots, ir.StackSlot{
 			Alloca: a,
 			Offset: off,
 			Size:   sz,
-			Canary: canary,
+			Canary: a.Canary,
 			Vuln:   vulnFlag,
-			Sealed: a.GetMeta("sealed") != "",
+			Sealed: a.Sealed,
 		})
 		off += sz
 	}
 	if relayout {
 		for _, a := range f.Allocas() {
-			if !isVuln[a] && !isCanary[a] {
-				place(a, false, false)
+			if !isVuln[a] && !a.Canary {
+				place(a, false)
 			}
 		}
 		for _, a := range f.Allocas() {
 			if isVuln[a] {
-				place(a, false, true)
-				place(canaryOf[a], true, false)
+				place(a, true)
+				place(canaryOf[a], false)
 			}
 		}
 	} else {
 		for _, a := range f.Allocas() {
-			if isCanary[a] {
+			if a.Canary {
 				continue
 			}
-			place(a, false, isVuln[a])
+			place(a, isVuln[a])
 			if isVuln[a] {
-				place(canaryOf[a], true, false)
+				place(canaryOf[a], false)
 			}
 		}
 	}

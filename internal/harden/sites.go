@@ -2,9 +2,12 @@ package harden
 
 // Stable check-site identity. Every hardening-inserted instruction (PA
 // sign/auth, seal/check, canary store/check, DFI def/use) gets a
-// deterministic site id recorded in its Meta, so dynamic coverage
-// counts survive the IR codec, the artifact store, and module clones —
-// the id travels with the instruction wherever the pipeline ships it.
+// deterministic site id in its Instr.Site, which the IR codec stores,
+// so dynamic coverage counts survive the artifact store and module
+// clones — the id travels with the instruction wherever the pipeline
+// ships it. A machine reads each id when it first profiles a function;
+// a decoded id is a substring of the decoder's input, so reading one
+// allocates nothing.
 
 import (
 	"strconv"
@@ -12,9 +15,6 @@ import (
 
 	"repro/internal/ir"
 )
-
-// SiteMetaKey is the Meta key carrying a check's site id.
-const SiteMetaKey = "site"
 
 // AssignSites walks mod's defined functions in order and stamps every
 // hardening instruction with a stable site id of the form
@@ -30,7 +30,7 @@ func AssignSites(mod *ir.Module) int {
 				if !in.Op.IsHardening() {
 					continue
 				}
-				in.SetMeta(SiteMetaKey, "@"+f.FName+"#"+strconv.Itoa(i)+":"+in.Op.String())
+				in.Site = "@" + f.FName + "#" + strconv.Itoa(i) + ":" + in.Op.String()
 				i++
 				n++
 			}
@@ -96,8 +96,8 @@ func SiteIDs(mod *ir.Module) []string {
 	for _, f := range mod.Defined() {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if id := in.GetMeta(SiteMetaKey); id != "" {
-					out = append(out, id)
+				if in.Site != "" {
+					out = append(out, in.Site)
 				}
 			}
 		}

@@ -56,7 +56,7 @@ func TestAssignSites(t *testing.T) {
 	for _, f := range mod.Defined() {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				got := in.GetMeta(harden.SiteMetaKey)
+				got := in.Site
 				if in.Op.IsHardening() && got == "" {
 					t.Errorf("@%s: hardening %v without site id", f.FName, in.Op)
 				}

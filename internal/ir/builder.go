@@ -27,7 +27,6 @@ func (bld *Builder) emit(in *Instr) *Instr {
 func (bld *Builder) Alloca(hint string, t Type) *Instr {
 	in := NewInstr(OpAlloca, bld.F.GenName(hint), PointerTo(t))
 	in.AllocTy = t
-	in.SetMeta("var", hint)
 	return bld.emit(in)
 }
 

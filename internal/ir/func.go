@@ -161,9 +161,6 @@ type Func struct {
 	// re-ordered plan with canary slots.
 	Plan *StackPlan
 
-	// Attrs carries free-form function annotations set by passes.
-	Attrs map[string]string
-
 	nextName int
 	nextBlk  int
 }

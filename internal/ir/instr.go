@@ -203,12 +203,17 @@ type Instr struct {
 	Succs    []*Block  // OpBr (1), OpCondBr (2: then, else)
 	Callee   *Func     // OpCall
 	Incoming []PhiEdge // OpPhi
-	DefID    int       // OpSetDef/OpChkDef: static definition identifier
 	Allowed  []int     // OpChkDef: permitted reaching-definition IDs
 
-	// Meta carries pass-to-pass annotations: the hardening passes mark
-	// instructions they insert; the front-end marks source variables.
-	Meta map[string]string
+	// DefID is OpSetDef's static definition identifier, and on a DFI
+	// build the definition id of an input-channel OpCall's writes
+	// (vm.DFIWildcard when DFI cannot resolve the destination).
+	DefID int
+
+	// Sealed marks an OpAlloca widened to a [value|PAC] pair (Alg. 2),
+	// Canary one holding a PA-signed canary (Alg. 3).
+	Sealed, Canary bool
+	Site           string // a hardening op's check-site id (harden.AssignSites)
 
 	Block *Block // owning block (maintained by Block helpers)
 
@@ -239,17 +244,6 @@ func (in *Instr) Operand() string {
 
 // HasResult reports whether the instruction produces an SSA value.
 func (in *Instr) HasResult() bool { return in.Nam != "" && !in.Typ.Equal(Void) }
-
-// SetMeta attaches a key/value annotation.
-func (in *Instr) SetMeta(k, v string) {
-	if in.Meta == nil {
-		in.Meta = make(map[string]string)
-	}
-	in.Meta[k] = v
-}
-
-// GetMeta returns the annotation for k, or "".
-func (in *Instr) GetMeta(k string) string { return in.Meta[k] }
 
 // String renders the instruction in its textual form.
 func (in *Instr) String() string {

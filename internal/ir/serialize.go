@@ -4,8 +4,8 @@ package ir
 // artifact store (internal/artifact) keys compile and harden outputs by
 // content digest and must round-trip *everything* that affects
 // execution or later passes — stack plans, channel classifications,
-// function attributes, instruction metadata, sealed globals, DFI
-// def-sets — none of which survive the textual printer/parser pair.
+// sealed and canary slots, check-site ids, sealed globals, DFI def ids
+// and def-sets — none of which survive the textual printer/parser pair.
 //
 // Format (all integers varint/uvarint, strings and byte slices
 // length-prefixed):
@@ -13,7 +13,7 @@ package ir
 //	magic "PYIR" | version | module name
 //	type table:   count, kind bytes, then per-type payloads
 //	globals:      name, elem type, init, str, sealed
-//	functions:    signatures (incl. params, channel, attrs, counters),
+//	functions:    signatures (incl. params, channel, 0 attrs, counters),
 //	              then bodies (blocks, instructions, stack plan)
 //
 // Types form an arbitrary graph (self-referential structs via pointer
@@ -27,14 +27,16 @@ package ir
 // instruction's shell early; one past the function's last instruction
 // is an error.
 //
-// Encoding is deterministic — map-backed fields (attrs, metadata) are
-// emitted in sorted key order — so equal modules produce equal bytes
-// and the content digest of an encoding is a sound cache key.
+// An instruction's annotations are key/value pairs in key order:
+// "canary" and "sealed" with value "1", and "site" with the check-site
+// id. The decoder refuses any other pair, and any function attribute.
+//
+// Encoding is deterministic, so equal modules produce equal bytes and
+// the content digest of an encoding is a sound cache key.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 )
 
 // SerialVersion is the codec version. Bump it whenever the encoding
@@ -79,7 +81,7 @@ func EncodeModule(m *Module) ([]byte, error) {
 	}
 	for _, f := range m.Funcs {
 		e.visitType(f.Sig)
-		size += 16 + len(f.FName) + 8*len(f.Attrs)
+		size += 16 + len(f.FName)
 		for _, p := range f.Params {
 			e.visitType(p.Typ)
 			size += 2 + len(p.PName)
@@ -97,10 +99,7 @@ func EncodeModule(m *Module) ([]byte, error) {
 				for _, edge := range in.Incoming {
 					e.visitConst(edge.Val)
 				}
-				size += 16 + len(in.Nam) + 3*len(in.Args) + len(in.Succs) + 4*len(in.Incoming) + 2*len(in.Allowed)
-				for k, v := range in.Meta {
-					size += 2 + len(k) + len(v)
-				}
+				size += 16 + len(in.Nam) + 3*len(in.Args) + len(in.Succs) + 4*len(in.Incoming) + 2*len(in.Allowed) + len(in.Site)
 			}
 		}
 		if f.Plan != nil {
@@ -183,7 +182,7 @@ func EncodeModule(m *Module) ([]byte, error) {
 			e.str(p.PName)
 			e.typ(p.Typ)
 		}
-		e.sortedMap(f.Attrs)
+		e.u(0) // attributes
 		e.u(uint64(f.nextName))
 		e.u(uint64(f.nextBlk))
 	}
@@ -245,7 +244,7 @@ func EncodeModule(m *Module) ([]byte, error) {
 				for _, a := range in.Allowed {
 					e.i(int64(a))
 				}
-				e.sortedMap(in.Meta)
+				e.annotations(in)
 				e.i(int64(in.ID))
 			}
 		}
@@ -383,7 +382,9 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 			params[pi] = Param{PName: d.str(), Typ: d.typ(), Index: pi, Parent: f}
 			f.Params[pi] = &params[pi]
 		}
-		f.Attrs = d.sortedMap()
+		if n := d.u(); n != 0 {
+			d.fail("@%s has %d attributes", f.FName, n)
+		}
 		f.nextName = int(d.u())
 		f.nextBlk = int(d.u())
 		d.funcs[i] = f
@@ -436,7 +437,7 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 				for ai := range in.Allowed {
 					in.Allowed[ai] = int(d.i())
 				}
-				in.Meta = d.sortedMap()
+				d.annotations(in)
 				if id := d.i(); d.err == nil && id != int64(n) {
 					return nil, fmt.Errorf("ir: decode: @%s instruction %d stores id %d", f.FName, n, id)
 				}
@@ -479,8 +480,7 @@ func DecodeModule(data []byte) (mod *Module, err error) {
 // encoder is an append-only buffer with typed put helpers, and the
 // indices EncodeModule writes references by.
 type encoder struct {
-	buf  []byte
-	keys []string // sortedMap's scratch
+	buf []byte
 
 	typeIdx map[Type]int
 	types   []Type // by index, in first-visit order
@@ -595,24 +595,26 @@ func (e *encoder) bool(v bool) {
 	}
 }
 
-// sortedMap emits a string map in sorted key order (deterministic).
-func (e *encoder) sortedMap(m map[string]string) {
-	e.u(uint64(len(m)))
-	if len(m) <= 1 {
-		for k, v := range m {
-			e.str(k)
-			e.str(v)
+// annotations writes in's flags and site as its annotation list.
+func (e *encoder) annotations(in *Instr) {
+	n := 0
+	for _, set := range [...]bool{in.Canary, in.Sealed, in.Site != ""} {
+		if set {
+			n++
 		}
-		return
 	}
-	e.keys = e.keys[:0]
-	for k := range m {
-		e.keys = append(e.keys, k)
+	e.u(uint64(n))
+	if in.Canary {
+		e.str("canary")
+		e.str("1")
 	}
-	slices.Sort(e.keys)
-	for _, k := range e.keys {
-		e.str(k)
-		e.str(m[k])
+	if in.Sealed {
+		e.str("sealed")
+		e.str("1")
+	}
+	if in.Site != "" {
+		e.str("site")
+		e.str(in.Site)
 	}
 }
 
@@ -753,17 +755,21 @@ func (d *decoder) bytes() []byte {
 
 func (d *decoder) bool() bool { return d.b() != 0 }
 
-func (d *decoder) sortedMap() map[string]string {
-	n := d.count()
-	if n == 0 {
-		return nil
+// annotations reads an instruction's annotation list onto in, refusing
+// any pair the encoder does not write.
+func (d *decoder) annotations(in *Instr) {
+	for n := d.count(); n > 0 && d.err == nil; n-- {
+		switch k, v := d.str(), d.str(); {
+		case k == "canary" && v == "1":
+			in.Canary = true
+		case k == "sealed" && v == "1":
+			in.Sealed = true
+		case k == "site" && v != "":
+			in.Site = v
+		default:
+			d.fail("@%s instruction %d has annotation %q=%q", d.f.FName, in.ID, k, v)
+		}
 	}
-	m := make(map[string]string, n)
-	for i := 0; i < n; i++ {
-		k := d.str()
-		m[k] = d.str()
-	}
-	return m
 }
 
 // typ reads a type-table index. An index out of range panics, which

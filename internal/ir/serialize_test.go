@@ -22,7 +22,8 @@ import (
 // hardenedModule compiles and instruments a program that exercises the
 // codec's full surface: struct types, arrays, globals with initializers,
 // phi nodes, calls, channels, and — through the Pythia pass — stack
-// plans, canaries, sealed globals, and instruction metadata.
+// plans, canaries and check-site ids. Under CPA the scanf'd bonus is a
+// sealed slot; under DFI the channel calls carry definition ids.
 func hardenedModule(t *testing.T) *ir.Module { return hardenedModuleWith(t, core.SchemePythia) }
 
 func hardenedModuleWith(t *testing.T, scheme core.Scheme) *ir.Module {
@@ -40,6 +41,9 @@ int main() {
 	for (int i = 0; buf[i] != 0; i++) {
 		if (buf[i] > 'm') { acc = acc + p.y; } else { acc = acc + p.x; }
 	}
+	long bonus;
+	scanf("%d", &bonus);
+	if (bonus > 7) { acc = acc + bonus; }
 	printf("acc=%d\n", acc);
 	return acc % 113;
 }`)
@@ -79,19 +83,12 @@ func TestSerializeRoundTrip(t *testing.T) {
 }
 
 // TestSerializePreservesUnprintedState covers what the textual printer
-// does NOT carry: stack plans, function attributes, and sealed globals
-// must survive the binary round trip.
+// does NOT carry: stack plans, the annotations the passes leave for the
+// VM, and sealed globals must survive the binary round trip.
 func TestSerializePreservesUnprintedState(t *testing.T) {
 	mod := hardenedModule(t)
-	enc, err := ir.EncodeModule(mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := ir.DecodeModule(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans, attrs := 0, 0
+	dec := decodeEncoding(t, mod)
+	plans := 0
 	for _, f := range mod.Defined() {
 		g := dec.Func(f.FName)
 		if g == nil {
@@ -115,17 +112,44 @@ func TestSerializePreservesUnprintedState(t *testing.T) {
 				}
 			}
 		}
-		for k, v := range f.Attrs {
-			attrs++
-			if g.Attrs[k] != v {
-				t.Fatalf("@%s: attr %q lost", f.FName, k)
-			}
-		}
 	}
 	if plans == 0 {
 		t.Fatal("test module has no stack plans — not exercising the codec")
 	}
-	_ = attrs
+
+	// Sealed and canary slots, check-site ids, and the DFI definition id
+	// of a channel call's writes.
+	var sealed, canaries, sites, callDefs int
+	for _, scheme := range []core.Scheme{core.SchemeCPA, core.SchemePythia, core.SchemeDFI} {
+		mod := hardenedModuleWith(t, scheme)
+		dec := decodeEncoding(t, mod)
+		for _, f := range mod.Defined() {
+			for bi, b := range f.Blocks {
+				for ii, in := range b.Instrs {
+					d := dec.Func(f.FName).Blocks[bi].Instrs[ii]
+					if d.Sealed != in.Sealed || d.Canary != in.Canary || d.Site != in.Site || d.DefID != in.DefID {
+						t.Fatalf("%v @%s: %v decodes with sealed %v, canary %v, site %q, def %d; want %v, %v, %q, %d",
+							scheme, f.FName, in, d.Sealed, d.Canary, d.Site, d.DefID, in.Sealed, in.Canary, in.Site, in.DefID)
+					}
+					if in.Sealed {
+						sealed++
+					}
+					if in.Canary {
+						canaries++
+					}
+					if in.Site != "" {
+						sites++
+					}
+					if in.Op == ir.OpCall && in.DefID != 0 {
+						callDefs++
+					}
+				}
+			}
+		}
+	}
+	if sealed == 0 || canaries == 0 || sites == 0 || callDefs == 0 {
+		t.Fatalf("%d sealed slots, %d canaries, %d sites, %d call def ids: not exercising the codec", sealed, canaries, sites, callDefs)
+	}
 
 	// Sealed globals (the CPA pass's [value|PAC] pairs) are not printed
 	// either; assert the flag survives on a hand-sealed global.
@@ -142,6 +166,20 @@ func TestSerializePreservesUnprintedState(t *testing.T) {
 	if len(decS.Globals) != 1 || !decS.Globals[0].Sealed {
 		t.Fatal("global seal flag lost in the round trip")
 	}
+}
+
+// decodeEncoding decodes the encoding of mod.
+func decodeEncoding(t *testing.T, mod *ir.Module) *ir.Module {
+	t.Helper()
+	enc, err := ir.EncodeModule(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := ir.DecodeModule(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
 }
 
 // TestDecodeRejectsTruncation feeds every proper prefix of a valid
@@ -434,6 +472,85 @@ func TestDecodeRejectsReferencePastEnd(t *testing.T) {
 	}
 }
 
+// annotatedStream hand-builds the encoding of a module whose one
+// function, @f, is a lone `ret void`: the function carries the
+// attribute pairs attrs and the instruction the annotation pairs
+// annots, both as key, value, key, value...
+func annotatedStream(attrs, annots []string) []byte {
+	b := []byte("PYIR")
+	u := func(v uint64) { b = binary.AppendUvarint(b, v) }
+	str := func(s string) { u(uint64(len(s))); b = append(b, s...) }
+	pairs := func(kv []string) {
+		u(uint64(len(kv) / 2))
+		for _, s := range kv {
+			str(s)
+		}
+	}
+	u(ir.SerialVersion)
+	str("annotated")
+	u(2)
+	b = append(b, 5, 0) // kinds: func, void
+	u(1)                // func void(): return type,
+	u(0)                // no params,
+	b = append(b, 0)    // not variadic
+	u(0)                // no globals
+	u(1)                // one function
+	str("f")
+	u(0) // type
+	u(0) // channel
+	u(0) // params
+	pairs(attrs)
+	u(0) // next name
+	u(0) // next block
+	u(1) // one block
+	str("entry")
+	u(1)                                        // one instruction:
+	b = binary.AppendVarint(b, int64(ir.OpRet)) // ret,
+	str("")                                     // no name,
+	u(1)                                        // void,
+	u(0)                                        // no args,
+	b = append(b, 0, 0, 0, 0, 0, 0, 0)          // no alloca type, predicate 0, succs, callee, edges, def 0, def-set
+	pairs(annots)
+	u(0)             // id
+	b = append(b, 0) // no stack plan
+	return b
+}
+
+// TestDecodeRefusesUnwrittenAnnotations: an instruction's annotation
+// list decodes only as the encoder writes it, canary and sealed flags
+// of "1" and a non-empty site, and a function's attribute count only
+// as 0. The tags the passes no longer write, an unknown key, another
+// flag value, an empty site and an attribute are refused.
+func TestDecodeRefusesUnwrittenAnnotations(t *testing.T) {
+	mod, err := ir.DecodeModule(annotatedStream(nil, []string{"canary", "1", "sealed", "1", "site", "@f#0:x"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := mod.Func("f").Entry().Instrs[0]; !in.Canary || !in.Sealed || in.Site != "@f#0:x" {
+		t.Fatalf("decoded canary %v, sealed %v, site %q", in.Canary, in.Sealed, in.Site)
+	}
+	for _, tc := range []struct {
+		name          string
+		attrs, annots []string
+		want          string // in the error
+	}{
+		{"var", nil, []string{"var", "buf"}, "annotation"},
+		{"pass", nil, []string{"pass", "cpa"}, "annotation"},
+		{"fieldcanary", nil, []string{"fieldcanary", "1"}, "annotation"},
+		{"dfi.callsite", nil, []string{"dfi.callsite", "3"}, "annotation"},
+		{"unknown key", nil, []string{"colour", "red"}, "annotation"},
+		{"canary flag 2", nil, []string{"canary", "2"}, "annotation"},
+		{"empty sealed flag", nil, []string{"sealed", ""}, "annotation"},
+		{"empty site", nil, []string{"site", ""}, "annotation"},
+		{"attribute", []string{"inline", "1"}, nil, "attributes"},
+	} {
+		_, err := ir.DecodeModule(annotatedStream(tc.attrs, tc.annots))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeModule = %v, want an error naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestEncodeRejectsUnnumbered: the encoder writes references by
 // Instr.ID, so it refuses a function whose ids are not block-order
 // positions instead of writing wrong references.
@@ -457,7 +574,7 @@ func TestEncodeRejectsUnnumbered(t *testing.T) {
 // re-encodes to, as a count and a digest, so any change in what the
 // decoder accepts, or in the module it decodes, fails it.
 func TestDecodeMutantsReencodeStably(t *testing.T) {
-	const wantTried, wantAccepted, wantDigest = 12083, 6186, "e8029d32ba543fbb"
+	const wantTried, wantAccepted, wantDigest = 11654, 5781, "a43e438182b9a0a4"
 	h := sha256.New()
 	tried, accepted := 0, 0
 	for _, name := range []string{"heap-overflow.pythia.pyir", "scanf-scalar-taint.dfi.pyir"} {

@@ -162,7 +162,6 @@ func (p *promotion) placePhis(f *ir.Func) {
 					continue
 				}
 				phi := ir.NewInstr(ir.OpPhi, f.GenName("m2r"), a.AllocTy)
-				phi.SetMeta("var", a.GetMeta("var"))
 				phi.Block = fr
 				p.phis[fr] = append(p.phis[fr], placedPhi{v, phi})
 				if state[fr] != queued {

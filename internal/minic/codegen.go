@@ -299,7 +299,6 @@ func (g *gen) genVarDecl(d *VarDecl) error {
 	entry := g.f.Entry()
 	a := ir.NewInstr(ir.OpAlloca, g.f.GenName(d.Name), ir.PointerTo(t))
 	a.AllocTy = t
-	a.SetMeta("var", d.Name)
 	if term := entry.Terminator(); term != nil {
 		entry.InsertBefore(a, term)
 	} else {

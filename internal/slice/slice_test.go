@@ -1,6 +1,7 @@
 package slice_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -51,7 +52,7 @@ func TestBranchDecompositionFindsRootsAndIC(t *testing.T) {
 	g := brs[0].Ground
 	foundGate := false
 	for root := range g.Roots {
-		if in, ok := root.(*ir.Instr); ok && in.GetMeta("var") == "gate" {
+		if in, ok := root.(*ir.Instr); ok && strings.HasPrefix(in.Nam, "gate.") {
 			foundGate = true
 		}
 	}
@@ -64,7 +65,7 @@ func TestBranchDecompositionFindsRootsAndIC(t *testing.T) {
 	// analysis must flag.
 	var bufTainted bool
 	for root := range vr.Taint.Roots {
-		if in, ok := root.(*ir.Instr); ok && in.GetMeta("var") == "buf" {
+		if in, ok := root.(*ir.Instr); ok && strings.HasPrefix(in.Nam, "buf.") {
 			bufTainted = true
 		}
 	}
@@ -89,12 +90,8 @@ int main() {
 	var bufTainted, cleanTainted bool
 	for root := range taint.Roots {
 		if in, ok := root.(*ir.Instr); ok {
-			switch in.GetMeta("var") {
-			case "buf":
-				bufTainted = true
-			case "clean":
-				cleanTainted = true
-			}
+			bufTainted = bufTainted || strings.HasPrefix(in.Nam, "buf.")
+			cleanTainted = cleanTainted || strings.HasPrefix(in.Nam, "clean.")
 		}
 	}
 	if !bufTainted {
@@ -255,12 +252,12 @@ int main() {
 	// cleanpad feeds a branch (CPA) but is untainted (not Pythia).
 	var inCPA, inPythia bool
 	for root := range vr.CPAVars {
-		if in, ok := root.(*ir.Instr); ok && in.GetMeta("var") == "cleanpad" {
+		if in, ok := root.(*ir.Instr); ok && strings.HasPrefix(in.Nam, "cleanpad.") {
 			inCPA = true
 		}
 	}
 	for root := range vr.PythiaVars {
-		if in, ok := root.(*ir.Instr); ok && in.GetMeta("var") == "cleanpad" {
+		if in, ok := root.(*ir.Instr); ok && strings.HasPrefix(in.Nam, "cleanpad.") {
 			inPythia = true
 		}
 	}

@@ -41,8 +41,8 @@ func DefaultPlan(f *ir.Func) *ir.StackPlan {
 			Alloca: a,
 			Offset: off,
 			Size:   sz,
-			Sealed: a.GetMeta("sealed") != "",
-			Canary: a.GetMeta("canary") != "",
+			Sealed: a.Sealed,
+			Canary: a.Canary,
 		})
 		off += sz
 	}

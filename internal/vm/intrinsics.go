@@ -72,18 +72,6 @@ func (s *InputStream) ReadN(n int) []byte {
 
 func isSpace(b byte) bool { return b == ' ' || b == '\n' || b == '\t' || b == '\r' }
 
-// callDefID extracts the DFI def ID attached to a call site (0 when the
-// module is not DFI-instrumented).
-func callDefID(in *ir.Instr) int {
-	if s := in.GetMeta("dfi.callsite"); s != "" {
-		id, err := strconv.Atoi(s)
-		if err == nil {
-			return id
-		}
-	}
-	return 0
-}
-
 // dfiMarkRange tags every byte of [addr, addr+n) as last-written by def
 // id, the behaviour of DFI's instrumented library wrappers.
 func (m *Machine) dfiMarkRange(addr uint64, n int, id int) {
@@ -132,7 +120,7 @@ func (m *Machine) cstring(f *ir.Func, in *ir.Instr, addr uint64) string {
 // the libc surface the paper's listings and benchmarks use, the malloc
 // family (including Pythia's secure_malloc), and small pure helpers.
 func (m *Machine) intrinsic(f *ir.Func, in *ir.Instr, callee *ir.Func, args []uint64) (uint64, error) {
-	id := callDefID(in)
+	id := in.DefID // the DFI definition of the call's writes; 0 without DFI
 	switch callee.FName {
 	// ---- allocation ----
 	case "malloc", "calloc":

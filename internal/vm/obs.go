@@ -135,7 +135,7 @@ func (m *Machine) profileOf(f *ir.Func) *profile {
 					panic(fmt.Sprintf("vm: @%s is not numbered: instruction %d has id %d", f.FName, len(p.ins), in.ID))
 				}
 				if in.Op.IsHardening() {
-					p.sites = append(p.sites, site{int32(in.ID), in.GetMeta("site")})
+					p.sites = append(p.sites, site{int32(in.ID), in.Site})
 				}
 				p.ins = append(p.ins, in)
 			}
@@ -277,7 +277,7 @@ func (m *Machine) obsForensics(flt *Fault, in *ir.Instr) *obs.FaultReport {
 		Window: m.obs.flight.Window(),
 	}
 	if in != nil {
-		r.Site = in.GetMeta("site")
+		r.Site = in.Site
 	}
 	if addr, ok := faultAddress(flt.Err); ok {
 		r.SetAddr(addr, mem.SegmentName(addr))

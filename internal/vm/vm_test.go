@@ -193,7 +193,7 @@ func buildSealed(t *testing.T) (*ir.Module, *ir.Instr) {
 	f := mod.NewFunc("main", ir.I64, nil, nil)
 	b := ir.NewBuilder(f, f.NewBlock("entry"))
 	slot := b.Alloca("s", ir.ArrayOf(ir.I64, 2))
-	slot.SetMeta("sealed", "1")
+	slot.Sealed = true
 	seal := ir.NewInstr(ir.OpSealStore, "", ir.Void, ir.ConstInt(ir.I64, -12345), slot)
 	b.Cur.Append(seal)
 	chk := ir.NewInstr(ir.OpCheckLoad, f.GenName("c"), ir.I64, slot)
@@ -262,7 +262,7 @@ int main() {
 		f := mod.Func("main")
 		var buf *ir.Instr
 		for _, a := range f.Allocas() {
-			if a.GetMeta("var") == "buf" {
+			if strings.HasPrefix(a.Nam, "buf.") {
 				buf = a
 			}
 		}
@@ -334,7 +334,7 @@ int main() {
 		f := mod.Func(fn)
 		var buf *ir.Instr
 		for _, a := range f.Allocas() {
-			if a.GetMeta("var") == "buf" {
+			if strings.HasPrefix(a.Nam, "buf.") {
 				buf = a
 			}
 		}
@@ -362,7 +362,7 @@ func TestCanaryOpsDetectOverwrite(t *testing.T) {
 	f := mod.NewFunc("main", ir.I64, nil, nil)
 	b := ir.NewBuilder(f, f.NewBlock("entry"))
 	can := b.Alloca("c", ir.I64)
-	can.SetMeta("canary", "1")
+	can.Canary = true
 	b.Cur.Append(ir.NewInstr(ir.OpCanarySet, "", ir.Void, can))
 	b.Store(ir.ConstInt(ir.I64, 0x41414141), can) // smash
 	b.Cur.Append(ir.NewInstr(ir.OpCanaryCheck, "", ir.Void, can))
@@ -379,7 +379,7 @@ func TestCanaryCleanPath(t *testing.T) {
 	f := mod.NewFunc("main", ir.I64, nil, nil)
 	b := ir.NewBuilder(f, f.NewBlock("entry"))
 	can := b.Alloca("c", ir.I64)
-	can.SetMeta("canary", "1")
+	can.Canary = true
 	b.Cur.Append(ir.NewInstr(ir.OpCanarySet, "", ir.Void, can))
 	b.Cur.Append(ir.NewInstr(ir.OpCanaryCheck, "", ir.Void, can))
 	// Re-randomize and check again: the window semantics of §4.4.
@@ -608,7 +608,7 @@ func TestCanaryRerandomizationVoidsLeaks(t *testing.T) {
 	f := mod.NewFunc("main", ir.I64, nil, nil)
 	b := ir.NewBuilder(f, f.NewBlock("entry"))
 	can := b.Alloca("c", ir.I64)
-	can.SetMeta("canary", "1")
+	can.Canary = true
 	b.Cur.Append(ir.NewInstr(ir.OpCanarySet, "", ir.Void, can))
 	leaked := b.Load(can)                                       // attacker over-reads the canary value
 	b.Cur.Append(ir.NewInstr(ir.OpCanarySet, "", ir.Void, can)) // window closes
@@ -630,7 +630,7 @@ func TestCanaryReplayWithinWindow(t *testing.T) {
 	f := mod.NewFunc("main", ir.I64, nil, nil)
 	b := ir.NewBuilder(f, f.NewBlock("entry"))
 	can := b.Alloca("c", ir.I64)
-	can.SetMeta("canary", "1")
+	can.Canary = true
 	b.Cur.Append(ir.NewInstr(ir.OpCanarySet, "", ir.Void, can))
 	leaked := b.Load(can)
 	b.Store(leaked, can)

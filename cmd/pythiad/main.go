@@ -97,6 +97,11 @@ func main() {
 		fail(err)
 	}
 
+	// Catch the signals before serving, so one that arrives as soon as
+	// the listen line is out drains the daemon instead of killing it.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
 	mux := obs.NewMux(sess)
 	engine.Mount(mux)
 	srv, err := obs.StartServerHandler(*addr, mux)
@@ -107,8 +112,6 @@ func main() {
 	// can scrape the bound port under -addr :0.
 	fmt.Fprintf(os.Stderr, "pythiad: listening on %s (POST /api/v1/submit)\n", srv.Addr())
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	sig := <-sigc
 	fmt.Fprintf(os.Stderr, "pythiad: %v, draining\n", sig)
 

@@ -300,6 +300,15 @@ int main() {
 	d.stop(t)
 }
 
+// TestPythiadDrainsOnEarlySIGTERM: a SIGTERM sent as soon as the listen
+// line appears drains the daemon, since it catches the signal before it
+// starts serving.
+func TestPythiadDrainsOnEarlySIGTERM(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		startPythiad(t).stop(t)
+	}
+}
+
 func TestPythiadRejectsCacheMaxWithoutDir(t *testing.T) {
 	expectExit2(t, builtBinary(t, "pythiad"), "-cache-max-bytes needs -cache-dir",
 		"-cache-max-bytes", "1024")

@@ -79,12 +79,7 @@ func TestOneAnalysisPerCompile(t *testing.T) {
 	cfg := bench.DefaultConfig()
 	cfg.Quick = true
 	cfg.Parallel = 2
-	cfg.Prewarm(bench.All())
-	for _, e := range bench.All() {
-		if _, err := e.Run(cfg); err != nil {
-			t.Fatalf("%s: %v", e.ID, err)
-		}
-	}
+	sweep(t, cfg)
 	analyses := make(map[string]int)
 	for _, ev := range sess.Journal.Events() {
 		if ev.Ev == "point" && ev.Name == "pipeline.analysis.misses" {

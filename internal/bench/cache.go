@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/slice"
 	"repro/internal/workload"
 )
 
@@ -23,19 +22,21 @@ type runEntry struct {
 	err  error
 }
 
-type analysisEntry struct {
-	once sync.Once
-	vr   *slice.VulnReport
-	err  error
+type censusEntry struct {
+	once   sync.Once
+	census *Census
+	err    error
 }
 
 // Runner hands experiments their measurements through a concurrency-safe
 // memoized cache. Every (profile fingerprint, scheme) pair is built and
 // executed at most once per Runner — concurrent requests for the same
 // pair coalesce onto a single in-flight execution (singleflight), and
-// later callers get the cached result, error included. The vulnerability
-// analysis (Pipeline.Analyze: slicing a fresh decode of the vanilla
-// compile) is memoized the same way, keyed by fingerprint alone.
+// later callers get the cached result, error included. Each profile's
+// vulnerability analysis (Pipeline.Analyze: slicing a fresh decode of
+// the vanilla compile) runs at most once too, keyed by fingerprint
+// alone, but the Runner keeps only its Census, the figures the tables
+// print, and lets the report, with its module and slices, die.
 //
 // Every build flows through the Runner's core.Pipeline, so the compile
 // and harden stages are additionally shared across schemes (and across
@@ -47,7 +48,7 @@ type analysisEntry struct {
 type Runner struct {
 	mu       sync.Mutex
 	runs     map[runKey]*runEntry
-	analyses map[string]*analysisEntry
+	censuses map[string]*censusEntry
 	stats    Stats
 	pipeline *core.Pipeline
 
@@ -73,7 +74,7 @@ func NewRunner() *Runner { return NewRunnerWith(core.NewPipeline()) }
 func NewRunnerWith(pl *core.Pipeline) *Runner {
 	return &Runner{
 		runs:     make(map[runKey]*runEntry),
-		analyses: make(map[string]*analysisEntry),
+		censuses: make(map[string]*censusEntry),
 		done:     make(map[runKey]*workload.RunResult),
 		pipeline: pl,
 	}
@@ -145,18 +146,19 @@ func (r *Runner) Schemes(p *workload.Profile, schemes ...core.Scheme) (map[core.
 	return out, nil
 }
 
-// Analyze runs the vulnerability analysis of p's vanilla compile,
-// memoized by profile fingerprint. Through the pipeline, it also gives
-// the compile the analysis its instrumenting hardens read.
-func (r *Runner) Analyze(p *workload.Profile) (*slice.VulnReport, error) {
+// Analyze runs the vulnerability analysis of p's vanilla compile and
+// returns its Census, memoized by profile fingerprint. Through the
+// pipeline, it also gives the compile the analysis its instrumenting
+// hardens read.
+func (r *Runner) Analyze(p *workload.Profile) (*Census, error) {
 	fp := p.Fingerprint()
 	r.mu.Lock()
-	e, ok := r.analyses[fp]
+	e, ok := r.censuses[fp]
 	if ok {
 		r.stats.AnalysisHits++
 	} else {
-		e = &analysisEntry{}
-		r.analyses[fp] = e
+		e = &censusEntry{}
+		r.censuses[fp] = e
 		r.stats.AnalysisMisses++
 	}
 	r.mu.Unlock()
@@ -167,10 +169,12 @@ func (r *Runner) Analyze(p *workload.Profile) (*slice.VulnReport, error) {
 	}
 	pp := *p
 	e.once.Do(func() {
-		e.vr, e.err = r.pipeline.Analyze(pp.Name, workload.Source(&pp))
-		if e.err != nil {
-			e.err = fmt.Errorf("workload %s: %w", pp.Name, e.err)
+		vr, err := r.pipeline.Analyze(pp.Name, workload.Source(&pp))
+		if err != nil {
+			e.err = fmt.Errorf("workload %s: %w", pp.Name, err)
+			return
 		}
+		e.census = newCensus(vr)
 	})
-	return e.vr, e.err
+	return e.census, e.err
 }

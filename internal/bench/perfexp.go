@@ -168,11 +168,11 @@ func NginxStudy(cfg *Config) (*report.Table, error) {
 	t.AddNote("average: CPA %.2f%%, Pythia %.2f%%   (paper: CPA 49.13%%, Pythia 20.15%%)", sumC/3, sumP/3)
 
 	// Channel census (paper: 720 channels, 712 move/copy, ngx_ wrappers).
-	vr, err := cfg.Runner().Analyze(&base)
+	c, err := cfg.Runner().Analyze(&base)
 	if err != nil {
 		return nil, err
 	}
-	d := vr.Distribution()
+	d := c.Channels
 	t.AddNote("input channels: %d total, %.1f%% move/copy (paper: 720 total, 712 move/copy incl. ngx_ wrappers)",
 		d.Total, d.Percent(ir.KindMoveCopy)+d.Percent(ir.KindPut))
 	return t, nil

@@ -98,7 +98,8 @@ func forEach(workers, n int, fn func(i int)) {
 //
 //  1. compile: every distinct profile front-end compile, once
 //  2. analyze: every declared vulnerability analysis, each of which
-//     also hands its compile the analysis its hardens read
+//     also hands its compile the analysis its hardens read, and keeps
+//     only its Census for the tables
 //  3. harden:  every distinct (profile, scheme) instrumentation,
 //     each decoded from stage 1's vanilla IR bytes
 //  4. run:     every execution, all stages warm

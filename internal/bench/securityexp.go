@@ -14,6 +14,76 @@ import (
 	"repro/internal/workload"
 )
 
+// Census is what the analysis-based tables print of one profile's
+// vulnerability analysis: counts, ratios, secured verdicts and summed
+// slice distances. It holds no pointer into a module or an analysis,
+// so the Runner keeps it for the whole sweep instead of the report.
+type Census struct {
+	Channels inputchan.Distribution // Fig. 5(b) and the nginx census
+
+	TotalRoots, CPAVars, PythiaVars int // Fig. 6(a)
+	Direct, Indirect, Unaffected    int // branch classes
+
+	PtrShare float64 // Fig. 7(a): mean pointer share of the branches' ground slices
+	Instrs   int     // the module's instruction count
+
+	SecuredDFI, SecuredPythia int // Fig. 7(b)
+
+	// §6.2: the IC, DFI and Pythia distances, each summed in branch
+	// order over the Attackable branches.
+	ICDist, DFIDist, PythiaDist float64
+	Attackable                  int
+
+	Bounds harden.Bounds // Eq. 1 and Eq. 5
+}
+
+// Branches counts the module's conditional branches.
+func (c *Census) Branches() int { return c.Direct + c.Indirect + c.Unaffected }
+
+// newCensus reads off vr everything the tables print.
+func newCensus(vr *slice.VulnReport) *Census {
+	a := vr.Analysis
+	c := &Census{
+		Channels:   vr.Distribution(),
+		TotalRoots: vr.TotalRoots,
+		CPAVars:    len(vr.CPAVars),
+		PythiaVars: len(vr.PythiaVars),
+		Instrs:     a.Mod.NumInstrs(),
+		Bounds:     harden.EstimateBounds(vr),
+	}
+	sliced := 0
+	for _, b := range vr.Branches {
+		switch b.Class {
+		case slice.BranchDirect:
+			c.Direct++
+		case slice.BranchIndirect:
+			c.Indirect++
+		default:
+			c.Unaffected++
+		}
+		if tot := len(b.Ground.Values); tot > 0 {
+			c.PtrShare += 100 * float64(b.Ground.PointerVars) / float64(tot)
+			sliced++
+		}
+		if a.SecuredBy(b, slice.ModeDFI) {
+			c.SecuredDFI++
+		}
+		if a.SecuredBy(b, slice.ModeFull) {
+			c.SecuredPythia++
+		}
+		if b.Class != slice.BranchUnaffected && len(b.Ground.ICs) > 0 {
+			c.ICDist += icDistance(b)
+			c.DFIDist += float64(a.BranchDecomposition(b.Branch, slice.ModeDFI).Distance())
+			c.PythiaDist += float64(a.BranchDecomposition(b.Branch, slice.ModeFull).Distance())
+			c.Attackable++
+		}
+	}
+	if sliced > 0 {
+		c.PtrShare /= float64(sliced)
+	}
+	return c
+}
+
 // Fig5bInputChannels regenerates Fig. 5(b): the distribution of static
 // input-channel call sites per category.
 func Fig5bInputChannels(cfg *Config) (*report.Table, error) {
@@ -29,11 +99,11 @@ func Fig5bInputChannels(cfg *Config) (*report.Table, error) {
 	grand := inputchan.Distribution{ByKind: make(map[ir.ChannelKind]int)}
 	for _, p := range ps {
 		p := p
-		vr, err := cfg.Runner().Analyze(&p)
+		c, err := cfg.Runner().Analyze(&p)
 		if err != nil {
 			return nil, err
 		}
-		d := vr.Distribution()
+		d := c.Channels
 		t.AddRow(p.Name, d.Total,
 			d.Percent(ir.KindPrint), d.Percent(ir.KindMoveCopy), d.Percent(ir.KindScan),
 			d.Percent(ir.KindGet), d.Percent(ir.KindPut), d.Percent(ir.KindMap))
@@ -65,36 +135,25 @@ func Fig6aVulnerableVars(cfg *Config) (*report.Table, error) {
 	var totRoots, totCPA, totPy, totBr, totDir, totInd, totUn int
 	for _, p := range ps {
 		p := p
-		vr, err := cfg.Runner().Analyze(&p)
+		c, err := cfg.Runner().Analyze(&p)
 		if err != nil {
 			return nil, err
 		}
-		var dir, ind, un int
-		for _, b := range vr.Branches {
-			switch b.Class {
-			case slice.BranchDirect:
-				dir++
-			case slice.BranchIndirect:
-				ind++
-			default:
-				un++
-			}
-		}
-		nb := len(vr.Branches)
+		nb := c.Branches()
 		red := "-"
-		if len(vr.PythiaVars) > 0 {
-			red = report.Ratio(float64(len(vr.CPAVars)) / float64(len(vr.PythiaVars)))
+		if c.PythiaVars > 0 {
+			red = report.Ratio(float64(c.CPAVars) / float64(c.PythiaVars))
 		}
-		t.AddRow(p.Name, vr.TotalRoots,
-			pct(len(vr.CPAVars), vr.TotalRoots), pct(len(vr.PythiaVars), vr.TotalRoots), red,
-			pct(dir, nb), pct(ind, nb), pct(un, nb))
-		totRoots += vr.TotalRoots
-		totCPA += len(vr.CPAVars)
-		totPy += len(vr.PythiaVars)
+		t.AddRow(p.Name, c.TotalRoots,
+			pct(c.CPAVars, c.TotalRoots), pct(c.PythiaVars, c.TotalRoots), red,
+			pct(c.Direct, nb), pct(c.Indirect, nb), pct(c.Unaffected, nb))
+		totRoots += c.TotalRoots
+		totCPA += c.CPAVars
+		totPy += c.PythiaVars
 		totBr += nb
-		totDir += dir
-		totInd += ind
-		totUn += un
+		totDir += c.Direct
+		totInd += c.Indirect
+		totUn += c.Unaffected
 	}
 	t.AddNote("all benchmarks: CPA marks %.1f%% of roots, Pythia %.1f%% (%.2fx reduction); branches %.2f%% direct / %.1f%% indirect / %.1f%% unaffected",
 		100*float64(totCPA)/float64(totRoots), 100*float64(totPy)/float64(totRoots),
@@ -171,25 +230,12 @@ func Fig7aPointerBackslice(cfg *Config) (*report.Table, error) {
 	}
 	for _, p := range ps {
 		p := p
-		vr, err := cfg.Runner().Analyze(&p)
+		c, err := cfg.Runner().Analyze(&p)
 		if err != nil {
 			return nil, err
 		}
-		var ptrShare float64
-		n := 0
-		for _, b := range vr.Branches {
-			tot := len(b.Ground.Values)
-			if tot == 0 {
-				continue
-			}
-			ptrShare += 100 * float64(b.Ground.PointerVars) / float64(tot)
-			n++
-		}
-		if n > 0 {
-			ptrShare /= float64(n)
-		}
-		density := 100 * float64(len(vr.Branches)) / float64(vr.Analysis.Mod.NumInstrs())
-		t.AddRow(p.Name, p.Lang, len(vr.Branches), ptrShare, density)
+		density := 100 * float64(c.Branches()) / float64(c.Instrs)
+		t.AddRow(p.Name, p.Lang, c.Branches(), c.PtrShare, density)
 	}
 	t.AddNote("paper reports C++ benchmarks (parest, xalancbmk, ...) with the highest pointer shares — the cause of DFI's terminated slices")
 	return t, nil
@@ -213,22 +259,13 @@ func Fig7bBranchSecurity(cfg *Config) (*report.Table, error) {
 	n := 0
 	for _, p := range ps {
 		p := p
-		vr, err := cfg.Runner().Analyze(&p)
+		c, err := cfg.Runner().Analyze(&p)
 		if err != nil {
 			return nil, err
 		}
-		secured := func(mode slice.Mode) int {
-			k := 0
-			for _, b := range vr.Branches {
-				if vr.Analysis.SecuredBy(b, mode) {
-					k++
-				}
-			}
-			return k
-		}
-		nb := len(vr.Branches)
-		d := pct(secured(slice.ModeDFI), nb)
-		py := pct(secured(slice.ModeFull), nb)
+		nb := c.Branches()
+		d := pct(c.SecuredDFI, nb)
+		py := pct(c.SecuredPythia, nb)
 		t.AddRow(p.Name, nb, d, py, fmt.Sprintf("%+.2f", py-d))
 		sumD += d
 		sumP += py
@@ -260,28 +297,18 @@ func AttackDistance(cfg *Config) (*report.Table, error) {
 	n := 0
 	for _, p := range ps {
 		p := p
-		vr, err := cfg.Runner().Analyze(&p)
+		c, err := cfg.Runner().Analyze(&p)
 		if err != nil {
 			return nil, err
 		}
-		var ic, dd, pd float64
-		k := 0
-		for _, b := range vr.Branches {
-			if b.Class == slice.BranchUnaffected || len(b.Ground.ICs) == 0 {
-				continue
-			}
-			ic += icDistance(b)
-			dd += float64(vr.Analysis.BranchDecomposition(b.Branch, slice.ModeDFI).Distance())
-			pd += float64(vr.Analysis.BranchDecomposition(b.Branch, slice.ModeFull).Distance())
-			k++
-		}
+		k := float64(c.Attackable)
 		if k == 0 {
 			continue
 		}
-		t.AddRow(p.Name, ic/float64(k), dd/float64(k), pd/float64(k))
-		sumIC += ic / float64(k)
-		sumD += dd / float64(k)
-		sumP += pd / float64(k)
+		t.AddRow(p.Name, c.ICDist/k, c.DFIDist/k, c.PythiaDist/k)
+		sumIC += c.ICDist / k
+		sumD += c.DFIDist / k
+		sumP += c.PythiaDist / k
 		n++
 	}
 	if n == 0 {
@@ -329,11 +356,11 @@ func EqBounds(cfg *Config) (*report.Table, error) {
 	}
 	for _, p := range ps {
 		p := p
-		vr, err := cfg.Runner().Analyze(&p)
+		c, err := cfg.Runner().Analyze(&p)
 		if err != nil {
 			return nil, err
 		}
-		b := harden.EstimateBounds(vr)
+		b := c.Bounds
 		rs, err := cfg.Runner().Schemes(&p, core.SchemeCPA, core.SchemePythia)
 		if err != nil {
 			return nil, err

@@ -143,6 +143,13 @@ func TestVerifyRejects(t *testing.T) {
 			b.Ret(nil)
 			b.Cur.Remove(x) // the mul still reads it
 		}, "not an instruction of this function"},
+		{"gep-before-alloca", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
+			s := b.Alloca("s", ir.I64)
+			g := b.GEP(s, ir.ConstInt(ir.I64, 0))
+			b.Ret(nil)
+			b.Cur.Remove(g)
+			b.Cur.InsertBefore(g, s) // a field address taken ahead of its alloca
+		}, "defined at or after its use"},
 		{"foreign-phi-value", func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			g := m.NewFunc("g", ir.I64, nil, nil)
 			gb := ir.NewBuilder(g, g.NewBlock("entry"))

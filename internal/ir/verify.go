@@ -18,7 +18,8 @@ import (
 //   - calls match callee arity (variadic callees accept extra args);
 //   - every instruction's ID is its position in block order (Renumber);
 //   - every operand and phi value that is an instruction is one of the
-//     function's own.
+//     function's own, and a non-phi operand in its user's block comes
+//     before its user.
 func Verify(m *Module) error {
 	var errs []error
 	for _, f := range m.Funcs {
@@ -63,6 +64,7 @@ func verifyFunc(f *Func) error {
 			return fmt.Errorf("block %%%s does not end in a terminator (ends in %s)", b.Name, term.Op)
 		}
 		seenNonPhi := false
+		end := term.ID + 1 // one past the block's last id
 		for ii, in := range b.Instrs {
 			if in.Op.IsTerminator() && ii != len(b.Instrs)-1 {
 				return fmt.Errorf("block %%%s: terminator %s mid-block", b.Name, in.Op)
@@ -74,7 +76,7 @@ func verifyFunc(f *Func) error {
 			} else {
 				seenNonPhi = true
 			}
-			if err := verifyOperands(instrs, in); err != nil {
+			if err := verifyOperands(instrs, in, end); err != nil {
 				return fmt.Errorf("block %%%s: %s: %w", b.Name, in, err)
 			}
 			if err := verifyInstr(f, b, in, bi, preds, inFunc); err != nil {
@@ -86,8 +88,10 @@ func verifyFunc(f *Func) error {
 }
 
 // verifyOperands rejects an operand or phi value that is an instruction
-// of another function, or one that was deleted from this one.
-func verifyOperands(instrs []*Instr, in *Instr) error {
+// of another function, or one that was deleted from this one, and an
+// operand that in's own block defines at or after in; that block's ids
+// end before end.
+func verifyOperands(instrs []*Instr, in *Instr, end int) error {
 	foreign := func(v Value) bool {
 		x, ok := v.(*Instr)
 		return ok && (x.ID < 0 || x.ID >= len(instrs) || instrs[x.ID] != x)
@@ -95,6 +99,9 @@ func verifyOperands(instrs []*Instr, in *Instr) error {
 	for i, a := range in.Args {
 		if foreign(a) {
 			return fmt.Errorf("operand %d %s is not an instruction of this function", i, a.Operand())
+		}
+		if x, ok := a.(*Instr); ok && x.ID >= in.ID && x.ID < end {
+			return fmt.Errorf("operand %d %s is defined at or after its use", i, a.Operand())
 		}
 	}
 	for _, e := range in.Incoming {
